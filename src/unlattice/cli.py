@@ -9,9 +9,9 @@ Verbs:
     kp <file>           greedy disjointification of a scenario's sequence
 
 Exit codes: 0 = expectations met, 1 = verdict mismatch, 2 = validation or
-usage error, 3 = internal numeric error.  Defaults for --tol / --window /
---horizon may be overridden with the UNLATTICE_TOL / UNLATTICE_WINDOW /
-UNLATTICE_HORIZON environment variables.
+usage error, 3 = internal numeric error.  Defaults for --tol / --window and
+for axioms --samples may be overridden with the UNLATTICE_TOL /
+UNLATTICE_WINDOW / UNLATTICE_AXIOM_SAMPLES environment variables.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__, jsonio
 from .constructive import kp_disjointify
-from .convergence import ToleranceSpec
+from .convergence import TailReport, ToleranceSpec
 from .errors import LatticeError, ValidationError
 from .gallery import GALLERY, get_entry, list_entries
 from .runner import build_sequence, run_diagnostic
@@ -42,7 +42,12 @@ _SCENARIO_FIELDS = {"schema", "source", "diagnostic", "tolerance", "expect", "na
 
 def _env_default(name, cast, fallback):
     raw = os.environ.get(name)
-    return cast(raw) if raw is not None else fallback
+    if raw is None:
+        return fallback
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValidationError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def load_scenario(path: Path) -> dict:
@@ -104,10 +109,7 @@ def cmd_run(args) -> int:
     result = execute_scenario(scenario, ts)
     elapsed = time.perf_counter() - t0
     if args.format == "csv":
-        r = result["report"]
-        lines = ["index,value"] + [f"{n},{v:.17g}" for n, v in
-                                   enumerate(r["values"], start=1)]
-        _write_output("\n".join(lines) + "\n", args.output)
+        _write_output(TailReport(**result["report"]).to_csv(), args.output)
     else:
         _write_output(jsonio.dumps(result, indent=2), args.output)
     verdict = result["report"]["verdict"]
@@ -184,6 +186,8 @@ def cmd_gallery(args) -> int:
 
 def cmd_axioms(args) -> int:
     tag = tag_from_name(args.tag)
+    if args.samples is None:
+        args.samples = _env_default("UNLATTICE_AXIOM_SAMPLES", int, 10_000)
     report = axiom_suite(tag, samples=args.samples, rng_seed=args.seed)
     _write_output(jsonio.dumps(report.to_json_dict(), indent=2), args.output)
     return EXIT_OK if report.total_failures == 0 else EXIT_MISMATCH
@@ -240,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ax = sub.add_parser("axioms", help="verify the neighborhood-base axioms")
     p_ax.add_argument("tag", help="c0, l1, l2, linf, l1-step, l2-step, ...")
-    p_ax.add_argument("--samples", type=int,
-                      default=_env_default("UNLATTICE_AXIOM_SAMPLES", int, 10_000))
+    p_ax.add_argument("--samples", type=int, default=None)
     p_ax.add_argument("--seed", type=int, default=0)
     p_ax.add_argument("--output", default=None)
     p_ax.set_defaults(fn=cmd_axioms)

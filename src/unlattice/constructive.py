@@ -22,6 +22,7 @@ from .convergence import (
     TailReport,
     ToleranceSpec,
     VectorSequence,
+    _make_report,
     norm_tail,
     pointwise_tail,
     un_tail_qip,
@@ -34,7 +35,7 @@ from .errors import (
     SelectionStalled,
     ValidationError,
 )
-from .spaces import Element, check_tags, zero
+from .spaces import Element, StepFunction, check_tags, zero
 
 #: relative tolerance for the algebraic identity checks in the witnesses
 IDENTITY_RTOL = 1e-12
@@ -228,6 +229,40 @@ def kp_disjointify(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
 # uo-subsequence extraction
 # ---------------------------------------------------------------------------
 
+def _select_geometric(length: int, q, target_count: int | None,
+                      stall_message: str) -> tuple[list[int], list[float]]:
+    """Greedy n_1 < n_2 < ...: n_k is the first index after n_{k-1} with q(n) <= 2**-k.
+
+    Stops at ``target_count`` picks or when the horizon runs out; raises
+    SelectionStalled (``stall_message`` formatted with k) if that leaves fewer
+    than ``target_count`` picks, or none at all.  Returns the picks and their q.
+    """
+    picks: list[int] = []
+    values: list[float] = []
+    prev = 0
+    k = 1
+    while True:
+        found = None
+        for n in range(prev + 1, length + 1):
+            v = q(n)
+            if v <= 2.0 ** -k:
+                found = (n, v)
+                break
+        if found is None:
+            if target_count is not None and len(picks) < target_count:
+                raise SelectionStalled(stall_message.format(k=k), step=k, partial=picks)
+            break
+        picks.append(found[0])
+        values.append(found[1])
+        prev = found[0]
+        k += 1
+        if target_count is not None and len(picks) == target_count:
+            break
+    if not picks:
+        raise SelectionStalled("no admissible first index", step=1, partial=[])
+    return picks, values
+
+
 @dataclass
 class UoExtraction:
     test_vector: Element
@@ -237,33 +272,25 @@ class UoExtraction:
     degenerate: bool = False
 
 
-def _unsettled_mass_report(sub: VectorSequence, support_mask, ts: ToleranceSpec) -> TailReport:
+def _unsettled_mass_report(sub: VectorSequence, e: StepFunction,
+                           ts: ToleranceSpec) -> TailReport:
     """Borel-Cantelli style a.e. certificate for a step subsequence.
 
     values[j] = mass of the cells (inside the test vector's support) on which
     some term at position >= j still exceeds tol.  A decaying tail certifies
     that, outside a set of vanishing measure, the subsequence settles.
     """
-    level = max(sub.at(j).level for j in range(1, sub.length + 1))
+    level = max(e.level, *(sub.at(j).level for j in range(1, sub.length + 1)))
     weights = sub.tag.measure.weight_array(level)
-    mask = support_mask(level)
+    mask = e.refined(level).values > 0
     active = np.zeros(2 ** level, dtype=bool)
     values = [0.0] * sub.length
     for j in range(sub.length, 0, -1):
         f = sub.at(j).refined(level).values
         active |= (np.abs(f) >= ts.tol) & mask
         values[j - 1] = float(weights[active].sum())
-    window = ts.window_for(sub.length)
-    verdict = NULL
-    witness = None
-    for j in range(sub.length - window, sub.length):
-        if not values[j] < ts.tol:
-            verdict = NOT_NULL
-            witness = {"index": j + 1, "value": values[j]}
-            break
-    return TailReport("uo-subsequence-unsettled-mass", values, verdict,
-                      ts.tol, window, sub.length, witness,
-                      {"refinement_level": level})
+    return _make_report("uo-subsequence-unsettled-mass", values, ts, sub.length,
+                        extras={"refinement_level": level})
 
 
 def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
@@ -292,39 +319,12 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
             break  # underflow past the representable horizon
         e = e + seq.at(n).abs().scale(w)
 
-    subindices: list[int] = []
-    meet_norms: list[float] = []
-    prev = 0
-    k = 1
-    while True:
-        found = None
-        for n in range(prev + 1, seq.length + 1):
-            m = seq.at(n).abs().meet(e).norm()
-            if m <= 2.0 ** -k:
-                found = (n, m)
-                break
-        if found is None:
-            if target_count is not None and len(subindices) < target_count:
-                raise SelectionStalled(
-                    f"no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon",
-                    step=k, partial=subindices,
-                )
-            break
-        subindices.append(found[0])
-        meet_norms.append(found[1])
-        prev = found[0]
-        k += 1
-        if target_count is not None and len(subindices) == target_count:
-            break
-    if not subindices:
-        raise SelectionStalled("no admissible first index", step=1, partial=[])
-
+    subindices, meet_norms = _select_geometric(
+        seq.length, lambda n: seq.at(n).abs().meet(e).norm(), target_count,
+        "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
     sub = seq.subsequence(subindices, name=f"{seq.name}[uo]")
     if seq.tag.kind == "lp_step":
-        def support_mask(level):
-            return e.refined(level).values > 0
-
-        report = _unsettled_mass_report(sub, support_mask, ts)
+        report = _unsettled_mass_report(sub, e, ts)
     else:
         support = e.support
 
@@ -360,29 +360,9 @@ def norm_to_order_subsequence(seq: VectorSequence, ts: ToleranceSpec,
     """
     if norm_tail(seq, zero(seq.tag), ts).verdict != NULL:
         raise ValidationError("sequence is not norm-null at the given tolerance")
-    subindices: list[int] = []
-    prev = 0
-    k = 1
-    while True:
-        found = None
-        for n in range(prev + 1, seq.length + 1):
-            if seq.at(n).norm() <= 2.0 ** -k:
-                found = n
-                break
-        if found is None:
-            if target_count is not None and len(subindices) < target_count:
-                raise SelectionStalled(
-                    f"norm tail decays too slowly for step k={k}",
-                    step=k, partial=subindices,
-                )
-            break
-        subindices.append(found)
-        prev = found
-        k += 1
-        if target_count is not None and len(subindices) == target_count:
-            break
-    if not subindices:
-        raise SelectionStalled("no admissible first index", step=1, partial=[])
+    subindices, _ = _select_geometric(
+        seq.length, lambda n: seq.at(n).norm(), target_count,
+        "norm tail decays too slowly for step k={k}")
     cert = []
     tail = zero(seq.tag)
     for n in reversed(subindices):

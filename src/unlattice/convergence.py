@@ -90,6 +90,8 @@ class VectorSequence:
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
     elements = list(elements)
+    if not elements:
+        raise ValidationError("a sequence needs at least one element")
     tag = elements[0].tag
     for x in elements[1:]:
         check_tags(tag, x.tag)
@@ -194,17 +196,6 @@ def _check_tests(tag, tests):
             raise ValidationError("test vectors must be nonzero")
 
 
-def _meet_positive(d: Element, u: Element) -> Element:
-    # both arguments are known positive (d is a modulus, u a validated test),
-    # so the sparse meet lives on the support intersection
-    if isinstance(d, LatticeVector):
-        a, b = d.coords, u.coords
-        if len(b) < len(a):
-            a, b = b, a
-        return LatticeVector(d.tag, {i: min(v, b[i]) for i, v in a.items() if i in b})
-    return d.meet(u)
-
-
 def un_tail(seq: VectorSequence, limit: Element, tests: Sequence[Element],
             ts: ToleranceSpec) -> TailReport:
     """values[n] = max over test vectors u of || |seq(n) - limit| /\\ u ||."""
@@ -216,7 +207,7 @@ def un_tail(seq: VectorSequence, limit: Element, tests: Sequence[Element],
     argmax = []
     for x in seq:
         d = x.abs() if limit_is_zero else (x - limit).abs()
-        norms = [_meet_positive(d, u).norm() for u in tests]
+        norms = [d.meet(u).norm() for u in tests]
         j = int(np.argmax(norms))
         values.append(norms[j])
         argmax.append(j)

@@ -10,6 +10,7 @@ scan.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -137,10 +138,19 @@ class ExpectedCheck:
 
 @dataclass(frozen=True)
 class GalleryEntry:
+    """A named sequence; ``build`` takes the entry's params as keywords and
+    looks the generators up in this module at call time, so that a generator
+    rebound here (e.g. wrapped for tracing) is the one that runs."""
+
     name: str
     provenance: str
-    build: Callable[[], VectorSequence]
+    build: Callable[..., VectorSequence]
     checks: tuple[ExpectedCheck, ...] = field(default_factory=tuple)
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """The keyword params ``build`` accepts, read off its signature."""
+        return tuple(inspect.signature(self.build).parameters)
 
 
 def _rademacher_profile() -> StepFunction:
@@ -153,7 +163,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
     entries = [
         GalleryEntry(
             "std_units_c0", "disjoint units are un-null in c0",
-            lambda: std_units(c0()),
+            lambda horizon=DEFAULT_SEQ_HORIZON: std_units(c0(), horizon),
             (
                 ExpectedCheck({"name": "un_qip"}, "NULL", ts),
                 ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
@@ -162,7 +172,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
         ),
         GalleryEntry(
             "std_units_l1", "units are un-null but not norm-null in l1",
-            lambda: std_units(lp(1)),
+            lambda horizon=DEFAULT_SEQ_HORIZON: std_units(lp(1), horizon),
             (
                 ExpectedCheck({"name": "un_qip"}, "NULL", ts),
                 ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
@@ -171,7 +181,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
         ),
         GalleryEntry(
             "std_units_l2", "units are un-null but not norm-null in l2",
-            lambda: std_units(lp(2)),
+            lambda horizon=DEFAULT_SEQ_HORIZON: std_units(lp(2), horizon),
             (
                 ExpectedCheck({"name": "un_qip"}, "NULL", ts),
                 ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
@@ -180,7 +190,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
         ),
         GalleryEntry(
             "std_units_linf", "a disjoint sequence need not be un-null",
-            lambda: std_units(linf()),
+            lambda horizon=DEFAULT_SEQ_HORIZON: std_units(linf(), horizon),
             (
                 ExpectedCheck({"name": "un_qip"}, "NOT_NULL", ts),
                 ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
@@ -189,7 +199,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
         GalleryEntry(
             "direct_sum",
             "un-null inside the l1 copy, not un-null in the whole direct sum",
-            direct_sum_seq,
+            lambda horizon=DEFAULT_SEQ_HORIZON: direct_sum_seq(horizon),
             (
                 ExpectedCheck({"name": "un", "tests": "l1_part_units"}, "NULL", ts),
                 ExpectedCheck({"name": "un", "tests": "direct_sum_witness"},
@@ -199,7 +209,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
         ),
         GalleryEntry(
             "typewriter", "null in measure yet nowhere settling cellwise",
-            lambda: typewriter(DEFAULT_TYPEWRITER_LEVELS),
+            lambda max_level=DEFAULT_TYPEWRITER_LEVELS, p=1.0: typewriter(max_level, p),
             (
                 ExpectedCheck({"name": "in_measure", "delta": 0.5}, "NULL",
                               ToleranceSpec(tol=1e-2, window=256)),
@@ -222,7 +232,7 @@ def _build_entries() -> dict[str, GalleryEntry]:
         ),
         GalleryEntry(
             "overlap_l2", "un-null overlap stress input for disjointification",
-            lambda: overlap_seq(lp(2)),
+            lambda horizon=DEFAULT_SEQ_HORIZON: overlap_seq(lp(2), horizon),
             (
                 ExpectedCheck({"name": "un_qip"}, "NULL", ts),
                 ExpectedCheck({"name": "pointwise"}, "NULL", ts),

@@ -14,19 +14,11 @@ import numpy as np
 from . import convergence as cv
 from .convergence import TailReport, ToleranceSpec, VectorSequence
 from .errors import ValidationError
-from .gallery import (
-    direct_sum_seq,
-    direct_sum_witness,
-    get_entry,
-    overlap_seq,
-    std_units,
-    typewriter,
-)
+from .gallery import direct_sum_witness, get_entry
 from .spaces import (
     DirectSumVector,
     Element,
     StepFunction,
-    c0,
     constant_one,
     element_from_dict,
     linf,
@@ -125,43 +117,25 @@ def _reject_extra(params: dict) -> None:
 # sequence sources
 # ---------------------------------------------------------------------------
 
-def build_gallery_sequence(name: str, params: Mapping | None = None) -> VectorSequence:
-    params = dict(params or {})
-    if name == "std_units_c0":
-        return std_units(c0(), **params)
-    if name == "std_units_l1":
-        return std_units(lp(1), **params)
-    if name == "std_units_l2":
-        return std_units(lp(2), **params)
-    if name == "std_units_linf":
-        return std_units(linf(), **params)
-    if name == "direct_sum":
-        return direct_sum_seq(**params)
-    if name == "typewriter":
-        return typewriter(**params)
-    if name == "rademacher":
-        if params:
-            raise ValidationError("the rademacher entry takes no parameters")
-        return get_entry("rademacher").build()
-    if name == "overlap_l2":
-        return overlap_seq(lp(2), **params)
-    raise ValidationError(f"unknown gallery sequence {name!r}")
-
-
 def build_sequence(source: Mapping) -> VectorSequence:
     source = dict(source)
     if "gallery" in source:
-        name = source.pop("gallery")
+        entry = get_entry(source.pop("gallery"))
         params = source.pop("params", None)
         if source:
             raise ValidationError(f"unknown source fields: {sorted(source)}")
-        return build_gallery_sequence(name, params)
+        params = {} if params is None else params
+        if not isinstance(params, Mapping):
+            raise ValidationError("gallery params must be an object")
+        unknown = set(params) - set(entry.params)
+        if unknown:
+            raise ValidationError(f"unknown params {sorted(unknown)} for gallery entry "
+                                  f"{entry.name!r}; it takes {list(entry.params)}")
+        return entry.build(**params)
     if "inline" in source:
         inline = source.pop("inline")
         if source:
             raise ValidationError(f"unknown source fields: {sorted(source)}")
         elements = [element_from_dict(d) for d in inline["elements"]]
-        if not elements:
-            raise ValidationError("inline sequence needs at least one element")
         return cv.sequence_from_list(elements, name=inline.get("name", "inline"))
     raise ValidationError("scenario source must name a gallery entry or be inline")

@@ -146,11 +146,35 @@ def check_tags(a: SpaceTag, b: SpaceTag) -> None:
 
 
 # ---------------------------------------------------------------------------
+# operations common to the element families
+# ---------------------------------------------------------------------------
+
+class _ElementOps:
+    """Operations shared by the element families, written over their own
+    ``scale``, ``__sub__`` and ``norm``."""
+
+    def __neg__(self):
+        return self.scale(-1.0)
+
+    def __mul__(self, a: float):
+        return self.scale(a)
+
+    __rmul__ = __mul__
+
+    def approx_eq(self, other, tol: float = 1e-12) -> bool:
+        d = self - other
+        scale = 1.0 + self.norm() + other.norm()
+        return d.norm() <= tol * scale
+
+
+# ---------------------------------------------------------------------------
 # sequence-space vectors
 # ---------------------------------------------------------------------------
 
-def _clean_coords(coords: Mapping[int, float]) -> dict[int, float]:
+def _clean_coords(coords: Mapping[int, float]) -> tuple[dict[int, float], bool]:
+    """Validated nonzero coordinates, and whether all of them are positive."""
     out = {}
+    positive = True
     for i, v in coords.items():
         i = int(i)
         v = float(v)
@@ -160,20 +184,28 @@ def _clean_coords(coords: Mapping[int, float]) -> dict[int, float]:
             raise ValidationError("coordinates must be finite")
         if v != 0.0:
             out[i] = v
-    return out
+            if v < 0.0:
+                positive = False
+    return out, positive
 
 
 @dataclass(frozen=True, eq=False)
-class LatticeVector:
+class LatticeVector(_ElementOps):
     """Finitely supported vector in a tagged sequence space."""
 
     tag: SpaceTag
     coords: dict[int, float] = field(default_factory=dict)
+    #: every stored coordinate is > 0; __post_init__ clears it per instance
+    #: (a class default spares the common positive case a second attribute write)
+    _positive = True
 
     def __post_init__(self):
         if not self.tag.is_sequence_kind:
             raise ValidationError("LatticeVector requires a sequence-space tag")
-        object.__setattr__(self, "coords", _clean_coords(self.coords))
+        coords, positive = _clean_coords(self.coords)
+        object.__setattr__(self, "coords", coords)
+        if not positive:
+            object.__setattr__(self, "_positive", False)
 
     # -- basic access ------------------------------------------------------
 
@@ -200,25 +232,17 @@ class LatticeVector:
     def __sub__(self, other):
         return self._zip(other, lambda a, b: a - b)
 
-    def __neg__(self):
-        return self.scale(-1.0)
-
     def scale(self, a: float) -> "LatticeVector":
         a = float(a)
         return LatticeVector(self.tag, {i: a * v for i, v in self.coords.items()})
-
-    def __mul__(self, a: float):
-        return self.scale(a)
-
-    __rmul__ = __mul__
 
     # -- lattice structure ---------------------------------------------------
 
     def meet(self, other):
         check_tags(self.tag, other.tag)
-        a, b = self.coords, other.coords
-        if all(v > 0 for v in a.values()) and all(v > 0 for v in b.values()):
+        if self._positive and other._positive:
             # positive meets live on the support intersection
+            a, b = self.coords, other.coords
             if len(b) < len(a):
                 a, b = b, a
             return LatticeVector(
@@ -260,11 +284,6 @@ class LatticeVector:
             return math.sqrt(math.fsum(v * v for v in self.coords.values()))
         return math.fsum(math.fabs(v) ** p for v in self.coords.values()) ** (1.0 / p)
 
-    def approx_eq(self, other, tol: float = 1e-12) -> bool:
-        d = self - other
-        scale = 1.0 + self.norm() + other.norm()
-        return d.norm() <= tol * scale
-
 
 def unit(tag: SpaceTag, n: int) -> LatticeVector:
     """Standard unit vector e_n."""
@@ -280,7 +299,7 @@ def ones(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> LatticeVector:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class StepFunction:
+class StepFunction(_ElementOps):
     """Dyadic step function on [0,1); values[i] on cell [i/2**L, (i+1)/2**L)."""
 
     tag: SpaceTag
@@ -325,9 +344,6 @@ class StepFunction:
 
     def __sub__(self, other):
         return self._zip(other, np.subtract)
-
-    def __neg__(self):
-        return self.scale(-1.0)
 
     def scale(self, a: float):
         return StepFunction(self.tag, self.level, float(a) * self.values)
@@ -386,11 +402,6 @@ class StepFunction:
         mask = predicate(self.values)
         return float(self.weights()[mask].sum())
 
-    def approx_eq(self, other, tol: float = 1e-12) -> bool:
-        d = self - other
-        scale = 1.0 + self.norm() + other.norm()
-        return d.norm() <= tol * scale
-
 
 def constant_one(tag: SpaceTag) -> StepFunction:
     level = tag.measure.level
@@ -409,7 +420,7 @@ def indicator(tag: SpaceTag, level: int, cell: int) -> StepFunction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class DirectSumVector:
+class DirectSumVector(_ElementOps):
     """Pair (l1-part, linf-part) with norm max(||left||_1, ||right||_inf)."""
 
     left: LatticeVector
@@ -438,16 +449,8 @@ class DirectSumVector:
     def __sub__(self, other):
         return self._zip(other, lambda part: part.__sub__)
 
-    def __neg__(self):
-        return DirectSumVector(-self.left, -self.right)
-
     def scale(self, a: float):
         return DirectSumVector(self.left.scale(a), self.right.scale(a))
-
-    def __mul__(self, a: float):
-        return self.scale(a)
-
-    __rmul__ = __mul__
 
     def meet(self, other):
         return self._zip(other, lambda part: part.meet)
@@ -475,11 +478,6 @@ class DirectSumVector:
 
     def norm(self) -> float:
         return max(self.left.norm(), self.right.norm())
-
-    def approx_eq(self, other, tol: float = 1e-12) -> bool:
-        d = self - other
-        scale = 1.0 + self.norm() + other.norm()
-        return d.norm() <= tol * scale
 
 
 Element = Union[LatticeVector, StepFunction, DirectSumVector]

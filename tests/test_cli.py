@@ -63,6 +63,7 @@ def test_run_validation_failures(tmp_path, capsys):
         {"surprise": 1},
         {"diagnostic": {"name": "un_qip", "bogus": 3}},
         {"source": {"gallery": "unknown_entry"}},
+        {"source": {"gallery": "std_units_c0", "params": {"length": 64}}},
     ):
         path = write_scenario(tmp_path, dict(UN_NULL_SCENARIO, **mutation))
         assert run_cli(["run", path]) == cli.EXIT_VALIDATION
@@ -80,6 +81,9 @@ def test_run_csv_format(tmp_path, capsys):
     assert lines[0] == "index,value"
     assert len(lines) == 65
     assert lines[1].startswith("1,")
+    assert run_cli(["run", path]) == cli.EXIT_OK
+    values = json.loads(capsys.readouterr().out)["report"]["values"]
+    assert [float(line.split(",")[1]) for line in lines[1:]] == values
 
 
 def test_tol_override_flips_verdict(tmp_path, capsys):
@@ -106,6 +110,15 @@ def test_env_tol_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("UNLATTICE_TOL", "2.0")
     assert run_cli(["run", path]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "NULL"
+
+    # a value that does not parse is a validation error, not a traceback
+    for name, value, argv in (("UNLATTICE_TOL", "abc", ["run", path]),
+                              ("UNLATTICE_WINDOW", "1.5", ["run", path]),
+                              ("UNLATTICE_AXIOM_SAMPLES", "many", ["axioms", "l2"])):
+        with monkeypatch.context() as env:
+            env.setenv(name, value)
+            assert run_cli(argv) == cli.EXIT_VALIDATION
+        assert f"error (validation): {name}=" in capsys.readouterr().err
 
 
 def test_suite_aggregates_and_keeps_going(tmp_path, capsys):

@@ -218,6 +218,12 @@ def test_uo_extract_typewriter():
     assert out.subindices == sorted(out.subindices)
     assert out.report.quantity == "uo-subsequence-unsettled-mass"
     assert out.report.verdict == NULL
+    # the test vector (level 8) is finer than every selected term (levels 1..7)
+    out = uo_extract(typewriter(9, p=2), ToleranceSpec(tol=1e-2, window=2))
+    assert out.subindices == [3, 14, 56, 224]
+    assert out.test_vector.level == 8
+    assert out.report.extras["refinement_level"] == 8
+    assert out.report.values == [0.5, 0.125, 0.03125, 0.0078125]
 
 
 def test_uo_extract_zero_sequence_degenerate():

@@ -92,6 +92,8 @@ def test_window_validation():
         ToleranceSpec(window=0)
     with pytest.raises(ValidationError):
         norm_tail(geometric(lp(2), 4), zero(lp(2)), ToleranceSpec(window=9))
+    with pytest.raises(ValidationError):
+        sequence_from_list([])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from unlattice.gallery import (
     std_units,
     typewriter,
 )
-from unlattice.runner import build_gallery_sequence, run_diagnostic
+from unlattice.runner import build_sequence, run_diagnostic
 from unlattice.spaces import (
     StepFunction,
     c0,
@@ -46,13 +46,7 @@ def test_listing_and_lookup():
     with pytest.raises(ValidationError):
         get_entry("nope")
     with pytest.raises(ValidationError):
-        build_gallery_sequence("nope")
-
-
-def test_builders_match_entry_names():
-    for name in GALLERY:
-        seq = build_gallery_sequence(name)
-        assert seq.length >= 1
+        build_sequence({"gallery": "nope"})
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +121,20 @@ def test_gallery_dump_shape():
     assert all(c.verdict in ("NULL", "NOT_NULL") for c in entry.checks)
 
 
-def test_build_gallery_sequence_params():
-    seq = build_gallery_sequence("std_units_c0", {"horizon": 12})
+def test_build_sequence_gallery_params():
+    seq = build_sequence({"gallery": "std_units_c0", "params": {"horizon": 12}})
     assert seq.length == 12
     assert seq.tag == c0()
-    with pytest.raises(ValidationError):
-        build_gallery_sequence("rademacher", {"horizon": 3})
+    seq = build_sequence({"gallery": "typewriter", "params": {"max_level": 4, "p": 2}})
+    assert seq.length == 15
+    assert seq.tag.p == 2.0
+    assert get_entry("typewriter").params == ("max_level", "p")
+    assert get_entry("rademacher").params == ()
+    for source in (
+        {"gallery": "rademacher", "params": {"horizon": 3}},
+        {"gallery": "std_units_c0", "params": {"length": 64}},
+        {"gallery": "std_units_c0", "params": [["horizon", 12]]},
+        {"gallery": "std_units_c0", "params": 12},
+    ):
+        with pytest.raises(ValidationError):
+            build_sequence(source)

@@ -93,6 +93,9 @@ def test_meet_with_signs():
     x = vec({1: -2.0, 2: 3.0})
     y = vec({1: 1.0, 3: -1.0})
     assert x.meet(y).coords == {1: -2.0, 3: -1.0}
+    # positivity is a property of each operand, derived ones included
+    assert vec({1: 1.0}).meet(vec({2: -1.0})).coords == {2: -1.0}
+    assert vec({1: 2.0}).scale(-1.0).meet(vec({2: 1.0})).coords == {1: -2.0}
     assert x.join(y).coords == {1: 1.0, 2: 3.0}
     assert x.abs().coords == {1: 2.0, 2: 3.0}
 
