@@ -25,10 +25,10 @@ from pathlib import Path
 
 from . import __version__, jsonio
 from .constructive import kp_disjointify
-from .convergence import TailReport, ToleranceSpec
+from .convergence import NOT_NULL, NULL, TailReport, ToleranceSpec
 from .errors import LatticeError, ValidationError
 from .gallery import GALLERY, get_entry, list_entries
-from .runner import build_sequence, run_diagnostic
+from .runner import bind, build_sequence, run_diagnostic
 from .topology import axiom_suite, tag_from_name
 
 EXIT_OK = 0
@@ -37,7 +37,10 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 SCHEMA_VERSION = 1
-_SCENARIO_FIELDS = {"schema", "source", "diagnostic", "tolerance", "expect", "name"}
+
+
+def _exit_code(exc: LatticeError) -> int:
+    return EXIT_VALIDATION if isinstance(exc, ValidationError) else EXIT_NUMERIC
 
 
 def _env_default(name, cast, fallback):
@@ -53,31 +56,30 @@ def _env_default(name, cast, fallback):
 def load_scenario(path: Path) -> dict:
     try:
         scenario = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
-    if not isinstance(scenario, dict):
-        raise ValidationError("scenario must be a JSON object")
-    if scenario.get("schema") != SCHEMA_VERSION:
-        raise ValidationError(f"scenario schema must be {SCHEMA_VERSION}")
-    unknown = set(scenario) - _SCENARIO_FIELDS
-    if unknown:
-        raise ValidationError(f"unknown scenario fields: {sorted(unknown)}")
-    if "source" not in scenario or "diagnostic" not in scenario:
-        raise ValidationError("scenario needs 'source' and 'diagnostic'")
+    bind(_check_scenario, scenario, "scenario")
     return scenario
 
 
+def _check_scenario(schema, source, diagnostic, tolerance=None, expect=None, name=None):
+    if schema != SCHEMA_VERSION:
+        raise ValidationError(f"scenario schema must be {SCHEMA_VERSION}")
+    if expect not in (None, NULL, NOT_NULL):
+        raise ValidationError(f"expect must be {NULL!r} or {NOT_NULL!r}, not {expect!r}")
+
+
 def _tolerance_from(scenario: dict, args) -> ToleranceSpec:
-    tol_spec = dict(scenario.get("tolerance") or {})
-    tol = args.tol if args.tol is not None else tol_spec.pop("tol", None)
-    window = args.window if args.window is not None else tol_spec.pop("window", None)
-    if tol_spec:
-        raise ValidationError(f"unknown tolerance fields: {sorted(tol_spec)}")
-    if tol is None:
-        tol = _env_default("UNLATTICE_TOL", float, ToleranceSpec().tol)
-    if window is None:
-        window = _env_default("UNLATTICE_WINDOW", int, None)
-    return ToleranceSpec(tol=float(tol), window=window)
+    def spec(tol=None, window=None):
+        tol = args.tol if args.tol is not None else tol
+        window = args.window if args.window is not None else window
+        if tol is None:
+            tol = _env_default("UNLATTICE_TOL", float, ToleranceSpec().tol)
+        if window is None:
+            window = _env_default("UNLATTICE_WINDOW", int, None)
+        return ToleranceSpec(tol=float(tol), window=window)
+
+    return bind(spec, scenario.get("tolerance") or {}, "tolerance")
 
 
 def execute_scenario(scenario: dict, ts: ToleranceSpec) -> dict:
@@ -114,9 +116,7 @@ def cmd_run(args) -> int:
         _write_output(jsonio.dumps(result, indent=2), args.output)
     verdict = result["report"]["verdict"]
     print(f"{Path(args.file).name}: {verdict} ({elapsed:.3f}s)", file=sys.stderr)
-    if result["expect_met"] is False:
-        return EXIT_MISMATCH
-    return EXIT_OK
+    return EXIT_MISMATCH if result["expect_met"] is False else EXIT_OK
 
 
 def cmd_suite(args) -> int:
@@ -136,12 +136,9 @@ def cmd_suite(args) -> int:
             entry["expect_met"] = result["expect_met"]
             entry["exit_code"] = (EXIT_MISMATCH if result["expect_met"] is False
                                   else EXIT_OK)
-        except ValidationError as exc:
-            entry.update({"error": str(exc), "code": exc.code,
-                          "exit_code": EXIT_VALIDATION})
         except LatticeError as exc:
             entry.update({"error": str(exc), "code": exc.code,
-                          "exit_code": EXIT_NUMERIC})
+                          "exit_code": _exit_code(exc)})
         worst = max(worst, entry["exit_code"])
         results.append(entry)
     aggregate = {
@@ -258,25 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = None
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    parser = _PARSER
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "gallery" and args.action == "dump" and not args.name:
         parser.error("gallery dump needs an entry name")
     try:
         return args.fn(args)
-    except ValidationError as exc:
-        print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except LatticeError as exc:
         print(f"error ({exc.code}): {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ scan.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -138,19 +137,14 @@ class ExpectedCheck:
 
 @dataclass(frozen=True)
 class GalleryEntry:
-    """A named sequence; ``build`` takes the entry's params as keywords and
-    looks the generators up in this module at call time, so that a generator
-    rebound here (e.g. wrapped for tracing) is the one that runs."""
+    """A named sequence; ``build``'s keyword parameters are the entry's params
+    (``runner.bind`` checks them), and it looks the generators up in this module
+    at call time, so that a generator rebound here (e.g. for tracing) runs."""
 
     name: str
     provenance: str
     build: Callable[..., VectorSequence]
     checks: tuple[ExpectedCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def params(self) -> tuple[str, ...]:
-        """The keyword params ``build`` accepts, read off its signature."""
-        return tuple(inspect.signature(self.build).parameters)
 
 
 def _rademacher_profile() -> StepFunction:
@@ -160,33 +154,27 @@ def _rademacher_profile() -> StepFunction:
 
 def _build_entries() -> dict[str, GalleryEntry]:
     ts = ToleranceSpec()
+    tw = ToleranceSpec(tol=1e-2, window=256)
+    units_checks = (
+        ExpectedCheck({"name": "un_qip"}, "NULL", ts),
+        ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
+        ExpectedCheck({"name": "pointwise"}, "NULL", ts),
+    )
     entries = [
         GalleryEntry(
             "std_units_c0", "disjoint units are un-null in c0",
             lambda horizon=DEFAULT_SEQ_HORIZON: std_units(c0(), horizon),
-            (
-                ExpectedCheck({"name": "un_qip"}, "NULL", ts),
-                ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
-                ExpectedCheck({"name": "pointwise"}, "NULL", ts),
-            ),
+            units_checks,
         ),
         GalleryEntry(
             "std_units_l1", "units are un-null but not norm-null in l1",
             lambda horizon=DEFAULT_SEQ_HORIZON: std_units(lp(1), horizon),
-            (
-                ExpectedCheck({"name": "un_qip"}, "NULL", ts),
-                ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
-                ExpectedCheck({"name": "pointwise"}, "NULL", ts),
-            ),
+            units_checks,
         ),
         GalleryEntry(
             "std_units_l2", "units are un-null but not norm-null in l2",
             lambda horizon=DEFAULT_SEQ_HORIZON: std_units(lp(2), horizon),
-            (
-                ExpectedCheck({"name": "un_qip"}, "NULL", ts),
-                ExpectedCheck({"name": "norm"}, "NOT_NULL", ts),
-                ExpectedCheck({"name": "pointwise"}, "NULL", ts),
-            ),
+            units_checks,
         ),
         GalleryEntry(
             "std_units_linf", "a disjoint sequence need not be un-null",
@@ -211,12 +199,9 @@ def _build_entries() -> dict[str, GalleryEntry]:
             "typewriter", "null in measure yet nowhere settling cellwise",
             lambda max_level=DEFAULT_TYPEWRITER_LEVELS, p=1.0: typewriter(max_level, p),
             (
-                ExpectedCheck({"name": "in_measure", "delta": 0.5}, "NULL",
-                              ToleranceSpec(tol=1e-2, window=256)),
-                ExpectedCheck({"name": "pointwise"}, "NOT_NULL",
-                              ToleranceSpec(tol=1e-2, window=256)),
-                ExpectedCheck({"name": "un_qip"}, "NULL",
-                              ToleranceSpec(tol=1e-2, window=256)),
+                ExpectedCheck({"name": "in_measure", "delta": 0.5}, "NULL", tw),
+                ExpectedCheck({"name": "pointwise"}, "NOT_NULL", tw),
+                ExpectedCheck({"name": "un_qip"}, "NULL", tw),
             ),
         ),
         GalleryEntry(

@@ -1,13 +1,14 @@
 """Scenario dispatch shared by the gallery regression table and the CLI.
 
-A diagnostic spec is a plain dict: {"name": <diagnostic>, ...params}; test
-vectors and functionals may be given inline as element literals or by the
-named families below.
+``bind`` checks every scenario object against the keyword parameters of the
+function that consumes it.  A diagnostic spec is {"name": <diagnostic>,
+...params}; test vectors and functionals are element literals or named families.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+import inspect
+from typing import Mapping
 
 import numpy as np
 
@@ -29,44 +30,76 @@ from .spaces import (
 )
 
 
+#: The JSON type of every scenario key.  A key means the same thing wherever
+#: it appears, so one table covers the whole format.
+SCHEMA = dict(schema="integer", name="string", expect="string", source="object",
+              diagnostic="object", tolerance="object", tol="number", window="integer",
+              gallery="string", params="object", inline="object", elements="array",
+              horizon="integer", max_level="integer", p="number", delta="number",
+              modulus="boolean", limit="object", tests="string|array",
+              functionals="string|array")
+_JSON_TYPES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               list: "array", dict: "object", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def bind(fn, obj, what: str, *args):
+    """Call ``fn(*args, **obj)`` once ``obj`` is an object whose keys are keyword
+    parameters of ``fn``, holding every one without a default, each value of its
+    ``SCHEMA`` type; raise ``ValidationError`` naming ``what`` otherwise."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} must be an object, not {_json_type(obj)}")
+    params = list(inspect.signature(fn).parameters.values())[len(args):]
+    unknown = obj.keys() - {q.name for q in params}
+    if unknown:
+        raise ValidationError(f"{what}: unknown fields {sorted(unknown, key=str)}; "
+                              f"known: {[q.name for q in params]}")
+    for q in params:  # a default is checked like a given value
+        value = obj.get(q.name, q.default)
+        if value is q.empty:
+            raise ValidationError(f"{what}: missing {q.name!r}")
+        allowed, got = SCHEMA[q.name].split("|"), _json_type(value)
+        if not (got in allowed or got == "integer" and "number" in allowed
+                or value is None and q.default is None):
+            raise ValidationError(f"{what}: {q.name!r} must be {' or '.join(allowed)}, not {got}")
+    return fn(*args, **obj)
+
+
 # ---------------------------------------------------------------------------
 # named vector / functional families
 # ---------------------------------------------------------------------------
 
-def _step_functional_family(tag) -> list[Element]:
+def _step_functionals(seq: VectorSequence, *rows) -> list[Element]:
+    """The constant one, then a level-2 step function per row, on seq's model."""
+    if seq.tag.kind != "lp_step":
+        raise ValidationError("step functionals need a step-model sequence")
+    base = lp_step(seq.tag.p, seq.tag.measure)
+    return [constant_one(base)] + [StepFunction(base, 2, np.array(row)) for row in rows]
+
+
+TEST_FAMILIES = {
+    "qip": lambda seq: [quasi_interior_point(seq.tag)],
+    "l1_part_units": lambda seq: [DirectSumVector(quasi_interior_point(lp(1)), zero(linf()))],
+    "direct_sum_witness": lambda seq: [direct_sum_witness()],
+    "profile": lambda seq: [seq.at(1).abs()],
+}
+FUNCTIONAL_FAMILIES = {
     # a fixed level-2 family: rich enough to catch non-cancelling sequences
-    base = lp_step(tag.p, tag.measure)
-    return [
-        constant_one(base),
-        StepFunction(base, 2, np.array([1.0, -1.0, 2.0, 0.5])),
-        StepFunction(base, 2, np.array([1.0, 0.0, 0.0, 0.0])),
-    ]
+    "step_family": lambda seq: _step_functionals(seq, [1.0, -1.0, 2.0, 0.5], [1.0, 0.0, 0.0, 0.0]),
+    "constant_one": lambda seq: _step_functionals(seq),
+    "summable_units": lambda seq: [quasi_interior_point(seq.tag)],
+}
 
 
-def resolve_tests(spec, seq: VectorSequence) -> list[Element]:
-    """Positive test vectors for the un diagnostic."""
+def resolve(families: Mapping, spec, seq: VectorSequence) -> list[Element]:
+    """The family named ``spec`` in ``families``, or a list of element literals."""
     if isinstance(spec, str):
-        if spec == "qip":
-            return [quasi_interior_point(seq.tag)]
-        if spec == "l1_part_units":
-            return [DirectSumVector(quasi_interior_point(lp(1)), zero(linf()))]
-        if spec == "direct_sum_witness":
-            return [direct_sum_witness()]
-        if spec == "profile":
-            return [seq.at(1).abs()]
-        raise ValidationError(f"unknown test family {spec!r}")
-    return [element_from_dict(d) for d in spec]
-
-
-def resolve_functionals(spec, seq: VectorSequence) -> list[Element]:
-    if isinstance(spec, str):
-        if spec == "step_family":
-            return _step_functional_family(seq.tag)
-        if spec == "constant_one":
-            return [constant_one(lp_step(seq.tag.p, seq.tag.measure))]
-        if spec == "summable_units":
-            return [quasi_interior_point(seq.tag)]
-        raise ValidationError(f"unknown functional family {spec!r}")
+        if spec not in families:
+            raise ValidationError(f"unknown family {spec!r}; known: {list(families)}")
+        return families[spec](seq)
     return [element_from_dict(d) for d in spec]
 
 
@@ -74,68 +107,49 @@ def resolve_functionals(spec, seq: VectorSequence) -> list[Element]:
 # diagnostic dispatch
 # ---------------------------------------------------------------------------
 
+def _limit(limit, seq: VectorSequence) -> Element:
+    return zero(seq.tag) if limit is None else element_from_dict(limit)
+
+
+#: One adapter per diagnostic; its keyword parameters are the diagnostic's
+#: params, and it looks the diagnostic up in ``convergence`` at call time.
+DIAGNOSTICS = {
+    "norm": lambda seq, ts, limit=None: cv.norm_tail(seq, _limit(limit, seq), ts),
+    "un": lambda seq, ts, tests="qip", limit=None: cv.un_tail(
+        seq, _limit(limit, seq), resolve(TEST_FAMILIES, tests, seq), ts),
+    "un_qip": lambda seq, ts, horizon=cv.DEFAULT_HORIZON, limit=None: cv.un_tail_qip(
+        seq, _limit(limit, seq), ts, horizon=horizon),
+    "in_measure": lambda seq, ts, delta: cv.in_measure_tail(seq, delta, ts),
+    "pointwise": lambda seq, ts: cv.pointwise_tail(seq, ts),
+    "weak": lambda seq, ts, functionals, modulus=False: cv.weak_tail(
+        seq, resolve(FUNCTIONAL_FAMILIES, functionals, seq), ts, modulus=modulus),
+}
+
+
 def run_diagnostic(seq: VectorSequence, diag: Mapping, ts: ToleranceSpec) -> TailReport:
-    params = dict(diag)
-    name = params.pop("name", None)
-    if name is None:
-        raise ValidationError("diagnostic spec needs a 'name'")
-    limit = params.pop("limit", None)
-    limit = element_from_dict(limit) if limit is not None else zero(seq.tag)
-
-    if name == "norm":
-        _reject_extra(params)
-        return cv.norm_tail(seq, limit, ts)
-    if name == "un":
-        tests = resolve_tests(params.pop("tests", "qip"), seq)
-        _reject_extra(params)
-        return cv.un_tail(seq, limit, tests, ts)
-    if name == "un_qip":
-        horizon = int(params.pop("horizon", cv.DEFAULT_HORIZON))
-        _reject_extra(params)
-        return cv.un_tail_qip(seq, limit, ts, horizon=horizon)
-    if name == "in_measure":
-        delta = float(params.pop("delta"))
-        _reject_extra(params)
-        return cv.in_measure_tail(seq, delta, ts)
-    if name == "pointwise":
-        _reject_extra(params)
-        return cv.pointwise_tail(seq, ts)
-    if name == "weak":
-        functionals = resolve_functionals(params.pop("functionals"), seq)
-        modulus = bool(params.pop("modulus", False))
-        _reject_extra(params)
-        return cv.weak_tail(seq, functionals, ts, modulus=modulus)
-    raise ValidationError(f"unknown diagnostic {name!r}")
-
-
-def _reject_extra(params: dict) -> None:
-    if params:
-        raise ValidationError(f"unknown diagnostic parameters: {sorted(params)}")
+    """Run the diagnostic ``{"name": <diagnostic>, ...params}`` on ``seq``."""
+    name = diag.get("name")
+    if not isinstance(name, str) or name not in DIAGNOSTICS:
+        raise ValidationError(f"unknown diagnostic {name!r}; known: {list(DIAGNOSTICS)}")
+    params = {k: v for k, v in diag.items() if k != "name"}
+    return bind(DIAGNOSTICS[name], params, f"{name} diagnostic", seq, ts)
 
 
 # ---------------------------------------------------------------------------
 # sequence sources
 # ---------------------------------------------------------------------------
 
+def _gallery_source(gallery, params=None) -> VectorSequence:
+    return bind(get_entry(gallery).build, params or {}, f"{gallery} params")
+
+
+def _inline_source(inline) -> VectorSequence:
+    return bind(lambda elements, name="inline": cv.sequence_from_list(
+        [element_from_dict(d) for d in elements], name=name), inline, "inline")
+
+
 def build_sequence(source: Mapping) -> VectorSequence:
-    source = dict(source)
-    if "gallery" in source:
-        entry = get_entry(source.pop("gallery"))
-        params = source.pop("params", None)
-        if source:
-            raise ValidationError(f"unknown source fields: {sorted(source)}")
-        params = {} if params is None else params
-        if not isinstance(params, Mapping):
-            raise ValidationError("gallery params must be an object")
-        unknown = set(params) - set(entry.params)
-        if unknown:
-            raise ValidationError(f"unknown params {sorted(unknown)} for gallery entry "
-                                  f"{entry.name!r}; it takes {list(entry.params)}")
-        return entry.build(**params)
-    if "inline" in source:
-        inline = source.pop("inline")
-        if source:
-            raise ValidationError(f"unknown source fields: {sorted(source)}")
-        elements = [element_from_dict(d) for d in inline["elements"]]
-        return cv.sequence_from_list(elements, name=inline.get("name", "inline"))
-    raise ValidationError("scenario source must name a gallery entry or be inline")
+    """The sequence ``{"gallery": <entry>, "params": {...}}`` or
+    ``{"inline": {"elements": [...], "name": ...}}`` describes."""
+    inline = isinstance(source, dict) and "inline" in source
+    return bind(_inline_source if inline else _gallery_source, source, "source")

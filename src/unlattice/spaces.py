@@ -280,9 +280,22 @@ class LatticeVector(_ElementOps):
         p = self.tag.p
         if p == 1.0:
             return math.fsum(math.fabs(v) for v in self.coords.values())
+        big, s = 1.0, _power_sum(self.coords.values(), p)
+        if not 2.0 ** -1022 <= s < math.inf:
+            # the sum is subnormal, zero or overflowed: sum the powers of x / max|x|
+            big = max(math.fabs(v) for v in self.coords.values())
+            s = _power_sum([v / big for v in self.coords.values()], p)
+        return big * (math.sqrt(s) if p == 2.0 else s ** (1.0 / p))
+
+
+def _power_sum(values, p: float) -> float:
+    """sum |v|**p, or inf when a power overflows."""
+    try:
         if p == 2.0:
-            return math.sqrt(math.fsum(v * v for v in self.coords.values()))
-        return math.fsum(math.fabs(v) ** p for v in self.coords.values()) ** (1.0 / p)
+            return math.fsum(v * v for v in values)
+        return math.fsum(math.fabs(v) ** p for v in values)
+    except OverflowError:
+        return math.inf
 
 
 def unit(tag: SpaceTag, n: int) -> LatticeVector:
@@ -543,12 +556,10 @@ def tag_to_dict(tag: SpaceTag) -> dict:
 
 
 def tag_from_dict(d: Mapping) -> SpaceTag:
-    kind = d.get("kind")
-    measure = None
-    if "measure" in d and d["measure"] is not None:
-        measure = MeasureModel(int(d["measure"]["level"]),
-                               tuple(float(w) for w in d["measure"]["weights"]))
-    return SpaceTag(kind, p=d.get("p"), measure=measure)
+    m = d.get("measure")
+    measure = (None if m is None
+               else MeasureModel(int(m["level"]), tuple(float(w) for w in m["weights"])))
+    return SpaceTag(d.get("kind"), p=d.get("p"), measure=measure)
 
 
 def element_to_dict(x: Element) -> dict:
@@ -566,9 +577,13 @@ def element_to_dict(x: Element) -> dict:
 
 
 def element_from_dict(d: Mapping) -> Element:
-    tag = tag_from_dict(d["tag"])
-    if tag.is_sequence_kind:
-        return LatticeVector(tag, {int(i): float(v) for i, v in d["coords"].items()})
-    if tag.kind == "lp_step":
-        return StepFunction(tag, int(d["level"]), np.asarray(d["values"], dtype=float))
-    return DirectSumVector(element_from_dict(d["left"]), element_from_dict(d["right"]))
+    """The element a literal describes; ``ValidationError`` if it does not parse."""
+    try:
+        tag = tag_from_dict(d["tag"])
+        if tag.is_sequence_kind:
+            return LatticeVector(tag, {int(i): float(v) for i, v in d["coords"].items()})
+        if tag.kind == "lp_step":
+            return StepFunction(tag, int(d["level"]), np.asarray(d["values"], dtype=float))
+        return DirectSumVector(element_from_dict(d["left"]), element_from_dict(d["right"]))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise ValidationError(f"malformed element literal: {type(exc).__name__}: {exc}") from None

@@ -1,10 +1,16 @@
 """Command-line runner: exit codes, report stability, scenario handling."""
 
+import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unlattice import cli
+from unlattice.runner import SCHEMA
 
 UN_NULL_SCENARIO = {
     "schema": 1,
@@ -53,20 +59,89 @@ def test_run_expect_mismatch(tmp_path, capsys):
     assert result["expect_met"] is False
 
 
+TYPEWRITER = {"gallery": "typewriter", "params": {"max_level": 4}}
+RADEMACHER = {"gallery": "rademacher"}
+C0_LITERAL = {"tag": {"kind": "c0"}, "coords": {"1": 1.0}}
+STEP_TAG = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}
+STEP_LITERAL = {"tag": STEP_TAG, "level": 1, "values": [1.0, 0.5]}
+
+
+def inline(*elements):
+    return {"inline": {"elements": list(elements)}}
+
+
+MALFORMED = (
+    {"schema": 2},
+    {"schema": "1"},
+    {"surprise": 1},
+    {"expect": 5},
+    {"expect": "MAYBE"},
+    {"diagnostic": {"name": "un_qip", "bogus": 3}},
+    {"diagnostic": {"name": 5}},
+    {"source": {"gallery": "unknown_entry"}},
+    {"source": {"gallery": "std_units_c0", "params": {"length": 64}}},
+    # an object that is not one
+    {"tolerance": 5},
+    {"source": "std_units_c0"},
+    {"source": {"inline": [C0_LITERAL]}},
+    {"diagnostic": "norm"},
+    # a required key missing
+    {"source": TYPEWRITER, "diagnostic": {"name": "in_measure"}},
+    {"source": RADEMACHER, "diagnostic": {"name": "weak"}},
+    {"source": {"inline": {"name": "no elements"}}},
+    {"source": inline({"tag": {"kind": "c0"}})},
+    {"source": inline({"coords": {"1": 1.0}})},
+    {"source": inline({"tag": STEP_TAG, "values": [1.0]})},
+    # a value of the wrong type
+    {"tolerance": {"window": "16"}},
+    {"tolerance": {"window": 1.5}},
+    {"tolerance": {"tol": "1e-6"}},
+    {"tolerance": {"tol": True}},
+    {"source": {"gallery": "std_units_c0", "params": {"horizon": True}}},
+    {"source": {"gallery": "typewriter", "params": {"max_level": "4"}}},
+    {"source": {"gallery": "typewriter", "params": {"p": "2"}}},
+    {"source": {"gallery": 5}},
+    {"source": {"gallery": ["std_units_c0"]}},
+    {"source": {"inline": {"elements": [C0_LITERAL], "name": 5}}},
+    {"diagnostic": {"name": "un", "tests": 5}},
+    {"diagnostic": {"name": "un", "tests": [5]}},
+    {"diagnostic": {"name": "norm", "limit": "zero"}},
+    {"source": RADEMACHER, "diagnostic": {"name": "weak", "functionals": 5}},
+    # element literals that do not parse
+    {"source": inline({"tag": {"kind": "c0"}, "coords": {"one": 1.0}})},
+    {"source": inline({"tag": {"kind": "c0"}, "coords": {"1": "abc"}})},
+    {"source": inline({"tag": {"kind": "c0"}, "coords": [1.0]})},
+    {"source": inline({"tag": "c0", "coords": {"1": 1.0}})},
+    {"source": inline(dict(STEP_LITERAL, values=["a", "b"]))},
+    {"source": inline(dict(STEP_LITERAL, values={"a": 1}))},
+    {"source": inline(dict(STEP_LITERAL, tag=dict(STEP_TAG, p="1")))},
+    # step functionals on a sequence that is not a step model
+    {"diagnostic": {"name": "weak", "functionals": "constant_one"}},
+    {"diagnostic": {"name": "weak", "functionals": "step_family"}},
+    # values that used to be coerced or ignored
+    {"source": {"gallery": "std_units_c0", "params": {"horizon": "64"}}},
+    {"source": {"gallery": "std_units_c0", "params": {"horizon": 6.7}}},
+    {"diagnostic": {"name": "un_qip", "horizon": "64"}},
+    {"source": TYPEWRITER, "diagnostic": {"name": "in_measure", "delta": "0.5"}},
+    {"source": RADEMACHER, "diagnostic": {"name": "weak", "functionals": "constant_one",
+                                          "modulus": "false"}},
+    {"source": TYPEWRITER, "diagnostic": {"name": "in_measure", "delta": 0.5, "limit": 1}},
+    {"diagnostic": {"name": "pointwise", "limit": C0_LITERAL}},
+    {"source": RADEMACHER, "diagnostic": {"name": "weak", "functionals": "step_family",
+                                          "limit": None}},
+)
+
+
 def test_run_validation_failures(tmp_path, capsys):
     garbled = tmp_path / "garbled.json"
-    garbled.write_text("{not json")
-    assert run_cli(["run", garbled]) == cli.EXIT_VALIDATION
+    for text in (b"{not json", b"\xff\xfe", b"[" * 100_000, b"[1, 2]"):
+        garbled.write_bytes(text)
+        assert run_cli(["run", garbled]) == cli.EXIT_VALIDATION
+        assert "error (validation)" in capsys.readouterr().err
 
-    for mutation in (
-        {"schema": 2},
-        {"surprise": 1},
-        {"diagnostic": {"name": "un_qip", "bogus": 3}},
-        {"source": {"gallery": "unknown_entry"}},
-        {"source": {"gallery": "std_units_c0", "params": {"length": 64}}},
-    ):
+    for mutation in MALFORMED:
         path = write_scenario(tmp_path, dict(UN_NULL_SCENARIO, **mutation))
-        assert run_cli(["run", path]) == cli.EXIT_VALIDATION
+        assert run_cli(["run", path]) == cli.EXIT_VALIDATION, mutation
         assert "error (validation)" in capsys.readouterr().err
 
     missing = {"schema": 1, "source": UN_NULL_SCENARIO["source"]}
@@ -98,6 +173,11 @@ def test_tol_override_flips_verdict(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "NOT_NULL"
     assert run_cli(["run", path, "--tol", "2.0"]) == cli.EXIT_OK
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "NULL"
+    # the flag also overrides a tolerance the scenario gives
+    path = write_scenario(tmp_path, dict(scenario, tolerance={"tol": 1e-6, "window": 8}))
+    assert run_cli(["run", path, "--tol", "2.0", "--window", "4"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert (report["verdict"], report["tol"], report["window"]) == ("NULL", 2.0, 4)
 
 
 def test_env_tol_default(tmp_path, capsys, monkeypatch):
@@ -159,6 +239,7 @@ def test_axioms_verb(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["total_failures"] == 0
     assert run_cli(["axioms", "weird-space", "--samples", "5"]) == cli.EXIT_VALIDATION
+    assert run_cli(["axioms", "lfoo", "--samples", "5"]) == cli.EXIT_VALIDATION
 
 
 def test_kp_verb(tmp_path, capsys):
@@ -193,3 +274,115 @@ def test_inline_source(tmp_path, capsys):
 def test_gallery_dump_needs_name(capsys):
     with pytest.raises(SystemExit):
         run_cli(["gallery", "dump"])
+
+
+# ---------------------------------------------------------------------------
+# mutated scenarios
+# ---------------------------------------------------------------------------
+
+FUZZ_STEP_TAG = {"kind": "lp_step", "p": 2.0, "measure": {"level": 1, "weights": [0.25, 0.75]}}
+FUZZ_BASES = (
+    {"schema": 1, "name": "units",
+     "source": {"gallery": "std_units_c0", "params": {"horizon": 16}},
+     "diagnostic": {"name": "un_qip", "horizon": 16},
+     "tolerance": {"tol": 1e-3, "window": 4}, "expect": "NULL"},
+    {"schema": 1, "name": "typewriter",
+     "source": {"gallery": "typewriter", "params": {"max_level": 4, "p": 1.0}},
+     "diagnostic": {"name": "in_measure", "delta": 0.5},
+     "tolerance": {"tol": 0.2, "window": 4}, "expect": "NULL"},
+    {"schema": 1, "name": "sparse",
+     "source": {"inline": {"name": "sparse", "elements": [
+         {"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 2.0 ** -n, str(n): 1.0}}
+         for n in range(2, 6)]}},
+     "diagnostic": {"name": "un", "tests": [
+         {"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 1.0, "2": 0.5, "3": 0.25}}]},
+     "tolerance": {"tol": 0.1, "window": 2}, "expect": "NULL"},
+    {"schema": 1, "name": "step",
+     "source": {"inline": {"name": "step", "elements": [
+         {"tag": FUZZ_STEP_TAG, "level": 2, "values": [1.0, -1.0, 1.0, -1.0]},
+         {"tag": FUZZ_STEP_TAG, "level": 1, "values": [0.5, 0.25]},
+         {"tag": FUZZ_STEP_TAG, "level": 1, "values": [0.0, 0.0625]}]}},
+     "diagnostic": {"name": "weak", "modulus": False, "functionals": [
+         {"tag": FUZZ_STEP_TAG, "level": 1, "values": [1.0, 0.0]}]},
+     "tolerance": {"tol": 0.1, "window": 1}, "expect": "NULL"},
+)
+
+_small_int = st.integers(min_value=-8, max_value=8)
+JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": _small_int,
+    "number": st.floats(min_value=-8, max_value=8),
+    "string": st.text(max_size=4),
+    "array": st.lists(_small_int | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), _small_int, max_size=2),
+}
+_TYPE_OF = {type(None): "null", bool: "boolean", int: "integer", float: "number",
+            str: "string", list: "array", dict: "object"}
+
+
+def _paths(node, path=()):
+    """The path of ``node`` and of every value below it."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A base scenario with one to three mutations at any depth: a key
+    dropped, an unknown key added, or a value replaced by one of another
+    JSON type."""
+    scenario = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(_paths(scenario))
+        kind = draw(st.sampled_from(("drop", "add", "replace")))
+        if kind == "add":
+            path = draw(st.sampled_from([q for q in paths if isinstance(_at(scenario, q), dict)]))
+            target = _at(scenario, path)
+            key = draw((st.sampled_from(sorted(SCHEMA)) | st.text(max_size=4))
+                       .filter(lambda k: k not in target))
+            target[key] = draw(st.one_of(*JSON_VALUES.values()))
+            continue
+        if kind == "drop":
+            paths = [q for q in paths if q and isinstance(_at(scenario, q[:-1]), dict)]
+        path = draw(st.sampled_from([q for q in paths if q]))
+        parent, key = _at(scenario, path[:-1]), path[-1]
+        if kind == "drop":
+            del parent[key]
+        else:
+            other = sorted(set(JSON_VALUES) - {_TYPE_OF[type(parent[key])]})
+            parent[key] = draw(JSON_VALUES[draw(st.sampled_from(other))])
+    return scenario
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(mutated_scenarios())
+def test_mutated_scenarios_exit_cleanly(scenario):
+    """Any mutation of a valid scenario exits 0, 1, 2 or 3 without raising,
+    and 1 (a verdict mismatch) only when the scenario states an ``expect``.
+
+    Drawn integers stay small (at most 8): a huge ``horizon`` or
+    ``max_level`` is well-formed and asks for a sequence of that size, which
+    is a resource limit rather than a schema error.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        code = cli.main(["run", str(path), "--output", str(Path(tmp) / "report.json")])
+    assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_VALIDATION, cli.EXIT_NUMERIC)
+    if code == cli.EXIT_MISMATCH:
+        assert "expect" in scenario
+
+
+def test_fuzz_bases_meet_their_expectations(tmp_path):
+    for base in FUZZ_BASES:
+        assert run_cli(["run", write_scenario(tmp_path, base)]) == cli.EXIT_OK, base["name"]

@@ -128,13 +128,20 @@ def test_build_sequence_gallery_params():
     seq = build_sequence({"gallery": "typewriter", "params": {"max_level": 4, "p": 2}})
     assert seq.length == 15
     assert seq.tag.p == 2.0
-    assert get_entry("typewriter").params == ("max_level", "p")
-    assert get_entry("rademacher").params == ()
+    assert build_sequence({"gallery": "typewriter", "params": {"p": 2}}).tag.p == 2.0
+    assert build_sequence({"gallery": "rademacher", "params": None}).length == 10
     for source in (
         {"gallery": "rademacher", "params": {"horizon": 3}},
         {"gallery": "std_units_c0", "params": {"length": 64}},
         {"gallery": "std_units_c0", "params": [["horizon", 12]]},
         {"gallery": "std_units_c0", "params": 12},
+        {"gallery": "std_units_c0", "params": {"horizon": "64"}},
+        {"gallery": "std_units_c0", "params": {"horizon": None}},
+        {"gallery": "typewriter", "params": {"max_level": 4.5}},
+        {"gallery": "typewriter", "params": {"p": True}},
+        {"gallery": "typewriter", "params": {"max_level": 4}, "surprise": 1},
+        {"inline": {"elements": []}, "gallery": "typewriter"},
+        {},
     ):
         with pytest.raises(ValidationError):
             build_sequence(source)

@@ -119,6 +119,13 @@ def test_sequence_norms():
     assert vec(coords, linf()).norm() == 2.0
     assert vec(coords, c0()).norm() == 2.0
     assert zero(L2).norm() == 0.0
+    # power sums that underflow or overflow are rescaled by the largest modulus
+    tiny = {1: 2.0 ** -600}
+    assert vec(tiny, lp(2)).norm() == 2.0 ** -600
+    assert vec(tiny, lp(3)).norm() == 2.0 ** -600
+    huge = vec({1: 1e200, 2: 1e200}, lp(2)).norm()
+    assert abs(huge - 1e200 * math.sqrt(2)) <= math.ulp(huge)
+    assert vec({1: 1e200}, lp(3)).norm() == 1e200
 
 
 @given(coords_st, coords_st)
