@@ -53,9 +53,13 @@ def _env_default(name, cast, fallback):
         raise ValidationError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
+def _not_a_number(constant: str):
+    raise ValueError(f"{constant} is not a JSON number")
+
+
 def load_scenario(path: Path) -> dict:
     try:
-        scenario = json.loads(path.read_text())
+        scenario = json.loads(path.read_text(), parse_constant=_not_a_number)
     except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read scenario {path}: {exc}") from exc
     bind(_check_scenario, scenario, "scenario")

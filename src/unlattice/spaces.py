@@ -10,11 +10,18 @@ Three element families are provided:
 
 All values are immutable after construction and every operation is a pure
 function, so elements are safe to share freely.
+
+Data is validated where it enters: the public constructors check every
+element, tag and measure.  Operations on valid elements build their results
+through the private ``_trusted`` constructors, which skip the checks the
+result passes by construction; an operation that can overflow, underflow to
+zero or produce a zero coordinate goes through ``_checked`` instead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -39,6 +46,8 @@ class MeasureModel:
 
     level: int
     weights: tuple[float, ...]
+    #: level -> read-only cell weights at that level, filled on first use
+    _arrays: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.level < 0:
@@ -54,9 +63,16 @@ class MeasureModel:
     def lebesgue(cls, level: int) -> "MeasureModel":
         return cls(level, (2.0 ** -level,) * 2 ** level)
 
-    @property
-    def total_mass(self) -> float:
-        return float(sum(self.weights))
+    @classmethod
+    def _trusted(cls, level: int, w: np.ndarray) -> "MeasureModel":
+        """The measure of ``w``, a fresh array of 2**level finite weights >= 0
+        with positive total mass, which becomes read-only."""
+        w.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "level", level)
+        object.__setattr__(m, "weights", tuple(w.tolist()))
+        object.__setattr__(m, "_arrays", {level: w})
+        return m
 
     def refined(self, level: int) -> "MeasureModel":
         """Split each cell into equal-mass children down to ``level``."""
@@ -65,11 +81,22 @@ class MeasureModel:
         if level == self.level:
             return self
         factor = 2 ** (level - self.level)
-        w = np.repeat(np.asarray(self.weights, dtype=float) / factor, factor)
-        return MeasureModel(level, tuple(float(v) for v in w))
+        w = np.repeat(self.weight_array(self.level) / factor, factor)
+        if not w.any():
+            raise ValidationError("total mass must be positive")
+        return MeasureModel._trusted(level, w)
 
     def weight_array(self, level: int) -> np.ndarray:
-        return np.asarray(self.refined(level).weights, dtype=float)
+        """The cell weights at ``level``, read-only; one array per level."""
+        w = self._arrays.get(level)
+        if w is None:
+            if level == self.level:
+                w = np.array(self.weights, dtype=float)
+                w.setflags(write=False)
+            else:
+                w = self.refined(level).weight_array(level)
+            self._arrays[level] = w
+        return w
 
 
 @dataclass(frozen=True)
@@ -84,8 +111,8 @@ class SpaceTag:
         if self.kind not in ("c0", "lp", "linf", "lp_step", "l1_oplus_linf"):
             raise ValidationError(f"unknown space kind {self.kind!r}")
         if self.kind in ("lp", "lp_step"):
-            if self.p is None or self.p < 1:
-                raise ValidationError("lp spaces need p >= 1")
+            if self.p is None or not 1 <= self.p < math.inf:
+                raise ValidationError("lp spaces need a finite p >= 1")
         elif self.p is not None:
             raise ValidationError(f"{self.kind} takes no exponent")
         if self.kind == "lp_step":
@@ -131,11 +158,16 @@ def direct_sum() -> SpaceTag:
 def _step_tags_compatible(a: SpaceTag, b: SpaceTag) -> bool:
     if a.p != b.p:
         return False
-    level = max(a.measure.level, b.measure.level)
-    return a.measure.refined(level).weights == b.measure.refined(level).weights
+    ma, mb = a.measure, b.measure
+    if ma is mb:
+        return True
+    level = max(ma.level, mb.level)
+    return np.array_equal(ma.weight_array(level), mb.weight_array(level))
 
 
 def check_tags(a: SpaceTag, b: SpaceTag) -> None:
+    if a is b:
+        return
     if a.kind != b.kind:
         raise TagMismatch(f"cannot combine {a.describe()} with {b.describe()}")
     if a.kind == "lp_step":
@@ -207,6 +239,32 @@ class LatticeVector(_ElementOps):
         if not positive:
             object.__setattr__(self, "_positive", False)
 
+    @classmethod
+    def _trusted(cls, tag: SpaceTag, coords: dict[int, float],
+                 positive: bool = True) -> "LatticeVector":
+        """A vector of valid parts: nonzero finite floats at int indices >= 1."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "tag", tag)
+        object.__setattr__(x, "coords", coords)
+        if not positive:
+            object.__setattr__(x, "_positive", False)
+        return x
+
+    @classmethod
+    def _checked(cls, tag: SpaceTag, coords: dict[int, float]) -> "LatticeVector":
+        """The vector of float results at valid indices: zeros are dropped,
+        and a value that overflowed (or a nan scale) raises."""
+        out = {}
+        positive = True
+        for i, v in coords.items():
+            if v:
+                if not -math.inf < v < math.inf:
+                    raise ValidationError("coordinates must be finite")
+                out[i] = v
+                if v < 0.0:
+                    positive = False
+        return cls._trusted(tag, out, positive)
+
     # -- basic access ------------------------------------------------------
 
     def __getitem__(self, i: int) -> float:
@@ -223,18 +281,19 @@ class LatticeVector(_ElementOps):
 
     def _zip(self, other: "LatticeVector", fn) -> "LatticeVector":
         check_tags(self.tag, other.tag)
-        keys = self.coords.keys() | other.coords.keys()
-        return LatticeVector(self.tag, {i: fn(self[i], other[i]) for i in keys})
+        a, b = self.coords, other.coords
+        return LatticeVector._checked(
+            self.tag, {i: fn(a.get(i, 0.0), b.get(i, 0.0)) for i in a.keys() | b.keys()})
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, operator.add)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, operator.sub)
 
     def scale(self, a: float) -> "LatticeVector":
         a = float(a)
-        return LatticeVector(self.tag, {i: a * v for i, v in self.coords.items()})
+        return LatticeVector._checked(self.tag, {i: a * v for i, v in self.coords.items()})
 
     # -- lattice structure ---------------------------------------------------
 
@@ -245,7 +304,7 @@ class LatticeVector(_ElementOps):
             a, b = self.coords, other.coords
             if len(b) < len(a):
                 a, b = b, a
-            return LatticeVector(
+            return LatticeVector._trusted(
                 self.tag, {i: min(v, b[i]) for i, v in a.items() if i in b}
             )
         return self._zip(other, min)
@@ -254,13 +313,16 @@ class LatticeVector(_ElementOps):
         return self._zip(other, max)
 
     def abs(self):
-        return LatticeVector(self.tag, {i: math.fabs(v) for i, v in self.coords.items()})
+        return LatticeVector._trusted(
+            self.tag, {i: math.fabs(v) for i, v in self.coords.items()})
 
     def pos(self):
-        return LatticeVector(self.tag, {i: v for i, v in self.coords.items() if v > 0})
+        return LatticeVector._trusted(
+            self.tag, {i: v for i, v in self.coords.items() if v > 0})
 
     def neg(self):
-        return LatticeVector(self.tag, {i: -v for i, v in self.coords.items() if v < 0})
+        return LatticeVector._trusted(
+            self.tag, {i: -v for i, v in self.coords.items() if v < 0})
 
     def leq(self, other, slack: float = 0.0) -> bool:
         check_tags(self.tag, other.tag)
@@ -324,14 +386,31 @@ class StepFunction(_ElementOps):
             raise ValidationError("StepFunction requires an lp_step tag")
         if self.level < self.tag.measure.level:
             raise ValidationError("function level below the measure's base level")
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy the caller cannot write
         if v.shape != (2 ** self.level,):
             raise ValidationError("values must have 2**level entries")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValidationError("values must be finite")
-        v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def _trusted(cls, tag: SpaceTag, level: int, values: np.ndarray) -> "StepFunction":
+        """A step function of valid parts; ``values`` is a fresh finite float
+        array of 2**level entries, which becomes read-only."""
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        object.__setattr__(f, "tag", tag)
+        object.__setattr__(f, "level", level)
+        object.__setattr__(f, "values", values)
+        return f
+
+    @classmethod
+    def _checked(cls, tag: SpaceTag, level: int, values: np.ndarray) -> "StepFunction":
+        """As ``_trusted``, for values that may have overflowed."""
+        if not np.isfinite(values).all():
+            raise ValidationError("values must be finite")
+        return cls._trusted(tag, level, values)
 
     # -- refinement ----------------------------------------------------------
 
@@ -341,14 +420,17 @@ class StepFunction(_ElementOps):
         if level == self.level:
             return self
         v = np.repeat(self.values, 2 ** (level - self.level))
-        return StepFunction(self.tag, level, v)
+        return StepFunction._trusted(self.tag, level, v)
 
-    def _zip(self, other: "StepFunction", fn):
+    def _aligned(self, other: "StepFunction"):
+        """The common level and both operands' values refined to it."""
         check_tags(self.tag, other.tag)
         level = max(self.level, other.level)
-        a = self.refined(level)
-        b = other.refined(level)
-        return StepFunction(self.tag, level, fn(a.values, b.values))
+        return level, self.refined(level).values, other.refined(level).values
+
+    def _zip(self, other: "StepFunction", fn):
+        level, a, b = self._aligned(other)
+        return StepFunction._checked(self.tag, level, fn(a, b))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -359,7 +441,7 @@ class StepFunction(_ElementOps):
         return self._zip(other, np.subtract)
 
     def scale(self, a: float):
-        return StepFunction(self.tag, self.level, float(a) * self.values)
+        return StepFunction._checked(self.tag, self.level, float(a) * self.values)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
@@ -371,32 +453,31 @@ class StepFunction(_ElementOps):
     # -- lattice structure ---------------------------------------------------
 
     def meet(self, other):
-        return self._zip(other, np.minimum)
+        level, a, b = self._aligned(other)
+        return StepFunction._trusted(self.tag, level, np.minimum(a, b))
 
     def join(self, other):
-        return self._zip(other, np.maximum)
+        level, a, b = self._aligned(other)
+        return StepFunction._trusted(self.tag, level, np.maximum(a, b))
 
     def abs(self):
-        return StepFunction(self.tag, self.level, np.abs(self.values))
+        return StepFunction._trusted(self.tag, self.level, np.abs(self.values))
 
     def pos(self):
-        return StepFunction(self.tag, self.level, np.maximum(self.values, 0.0))
+        return StepFunction._trusted(self.tag, self.level, np.maximum(self.values, 0.0))
 
     def neg(self):
-        return StepFunction(self.tag, self.level, np.maximum(-self.values, 0.0))
+        return StepFunction._trusted(self.tag, self.level, np.maximum(-self.values, 0.0))
 
     def leq(self, other, slack: float = 0.0) -> bool:
-        check_tags(self.tag, other.tag)
-        level = max(self.level, other.level)
-        return bool(
-            np.all(self.refined(level).values <= other.refined(level).values + slack)
-        )
+        _, a, b = self._aligned(other)
+        return bool((a <= b + slack).all())
 
     def is_positive(self, slack: float = 0.0) -> bool:
-        return bool(np.all(self.values >= -slack))
+        return bool((self.values >= -slack).all())
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.values == 0.0))
+        return bool((self.values == 0.0).all())
 
     # -- measure-aware quantities ---------------------------------------------
 
@@ -405,10 +486,19 @@ class StepFunction(_ElementOps):
 
     def norm(self) -> float:
         w = self.weights()
+        a = np.abs(self.values)
         p = self.tag.p
         if p == 1.0:
-            return float(np.dot(w, np.abs(self.values)))
-        return float(np.dot(w, np.abs(self.values) ** p) ** (1.0 / p))
+            return float(np.dot(w, a))
+        with np.errstate(over="ignore"):
+            s = np.dot(w, a ** p)
+        if not 2.0 ** -1022 <= s < math.inf:
+            # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
+            big = a.max()
+            if big == 0.0:
+                return 0.0
+            return float(big * np.dot(w, (a / big) ** p) ** (1.0 / p))
+        return float(s ** (1.0 / p))
 
     def measure_where(self, predicate) -> float:
         """Total mass of the cells whose value satisfies ``predicate``."""

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -129,6 +130,12 @@ MALFORMED = (
     {"diagnostic": {"name": "pointwise", "limit": C0_LITERAL}},
     {"source": RADEMACHER, "diagnostic": {"name": "weak", "functionals": "step_family",
                                           "limit": None}},
+    # the JSON constants NaN, Infinity and -Infinity are not numbers
+    {"source": {"gallery": "typewriter", "params": {"max_level": 3, "p": math.nan}},
+     "diagnostic": {"name": "norm"}},
+    {"source": inline({"tag": {"kind": "lp", "p": math.inf}, "coords": {"1": 1.0}})},
+    {"tolerance": {"tol": math.nan}},
+    {"source": TYPEWRITER, "diagnostic": {"name": "in_measure", "delta": -math.inf}},
 )
 
 

@@ -1,6 +1,7 @@
 """Element models: lattice algebra, norms, tags, serialization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from unlattice.spaces import (
     DirectSumVector,
     LatticeVector,
     MeasureModel,
+    SpaceTag,
     StepFunction,
     c0,
     check_tags,
@@ -145,6 +147,14 @@ def test_step_norms():
     mu = MeasureModel(1, (0.75, 0.25))
     h = StepFunction(lp_step(1, mu), 1, np.array([2.0, 4.0]))
     assert h.norm() == pytest.approx(0.75 * 2 + 0.25 * 4)
+    # power sums that underflow or overflow are rescaled by the largest modulus
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert StepFunction(lp_step(2), 0, np.array([1e-200])).norm() == 1e-200
+        huge = StepFunction(lp_step(2, level=1), 1, np.array([1e200, 1e200])).norm()
+        assert abs(huge - 1e200) <= math.ulp(huge)
+        assert StepFunction(lp_step(3), 0, np.array([1e200])).norm() == 1e200
+        assert StepFunction(lp_step(2, level=1), 1, np.zeros(2)).norm() == 0.0
 
 
 def test_direct_sum_norm_is_max():
@@ -185,6 +195,24 @@ def test_step_tags_compatible_across_levels():
     with pytest.raises(TagMismatch):
         f.meet(h)
     check_tags(lp_step(1, mu), lp_step(1, mu.refined(3)))
+    check_tags(lp_step(1, mu.refined(3)), lp_step(1, MeasureModel(2, (0.35, 0.35, 0.15, 0.15))))
+    # equal levels, different weights
+    with pytest.raises(TagMismatch):
+        check_tags(lp_step(1, mu), lp_step(1, MeasureModel(1, (0.3, 0.7))))
+    with pytest.raises(TagMismatch):
+        check_tags(lp_step(1, mu.refined(2)), lp_step(1, MeasureModel(2, (0.35, 0.35, 0.3, 0.0))))
+    with pytest.raises(TagMismatch):
+        check_tags(lp_step(1, mu), lp_step(2, mu))
+
+
+def test_weight_arrays_are_cached_and_read_only():
+    mu = MeasureModel(1, (0.75, 0.25))
+    for level in (1, 3):
+        w = mu.weight_array(level)
+        assert w is mu.weight_array(level)
+        assert not w.flags.writeable
+        assert w.tolist() == list(mu.refined(level).weights)
+    assert mu.weight_array(3).tolist() == [0.1875] * 4 + [0.0625] * 4
 
 
 def test_vector_validation():
@@ -200,6 +228,72 @@ def test_vector_validation():
         MeasureModel(1, (0.0, 0.0))
     with pytest.raises(ValidationError):
         lp(0.5)
+    for p in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            SpaceTag("lp", p=p)
+        with pytest.raises(ValidationError):
+            lp_step(p)
+
+
+def test_checked_results_overflow_and_underflow():
+    big = vec({1: 1e308})
+    with pytest.raises(ValidationError):
+        big + big
+    with pytest.raises(ValidationError):
+        vec({1: 1e300}).scale(1e10)
+    with pytest.raises(ValidationError):
+        vec({1: 1.0}).scale(math.nan)
+    tiny = vec({1: 2.0 ** -600, 2: -1.0})
+    for r in (tiny - tiny, tiny.scale(0.0), vec({1: 2.0 ** -600}).scale(2.0 ** -600)):
+        assert r.coords == {} and r.is_zero()
+    # a zero produced by a signed meet or join is dropped too
+    assert vec({1: -1.0}).meet(vec({2: 1.0})).coords == {1: -1.0}
+    assert vec({1: -1.0}).join(vec({2: 1.0})).coords == {2: 1.0}
+
+    tag = lp_step(1)
+    big = StepFunction(tag, 0, np.array([1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValidationError):
+            big + big
+        with pytest.raises(ValidationError):
+            StepFunction(tag, 0, np.array([1e300])).scale(1e10)
+        with pytest.raises(ValidationError):
+            big * big
+    tiny = StepFunction(tag, 0, np.array([2.0 ** -600]))
+    for r in (tiny - tiny, tiny.scale(0.0), tiny.scale(2.0 ** -600)):
+        assert r.is_zero()
+
+
+@given(coords_st, coords_st, st.floats(min_value=-4, max_value=4))
+def test_results_keep_vector_invariants(a, b, c):
+    x, y = vec(a), vec(b)
+    for r in (x.abs(), x.pos(), x.neg(), x.abs().meet(y.abs()), x.meet(y), x.join(y),
+              x + y, x - y, x.scale(c)):
+        # validating a result again changes nothing
+        again = LatticeVector(r.tag, r.coords)
+        assert r.coords == again.coords and r._positive == again._positive
+        assert all(type(i) is int and i >= 1 for i in r.coords)
+        assert all(type(v) is float and v != 0.0 for v in r.coords.values())
+
+
+def test_step_results_own_read_only_values():
+    mu = MeasureModel(1, (0.75, 0.25))
+    tag = lp_step(2, mu)
+    raw = np.array([1.5, -2.0])
+    f = StepFunction(tag, 1, raw)
+    g = StepFunction(tag, 2, np.array([0.5, -1.0, 3.0, 0.0]))
+    results = (f.abs(), f.pos(), f.neg(), f.meet(g), f.join(g), f.meet(f), f.refined(3),
+               f + g, f - g, f * g, f.scale(2.0))
+    for r in results:
+        v = r.values
+        assert v.dtype == np.float64 and v.shape == (2 ** r.level,)
+        assert not v.flags.writeable and v.flags.owndata
+        assert not np.shares_memory(v, raw) and not np.shares_memory(v, f.values)
+        assert not np.shares_memory(v, g.values)
+        assert np.isfinite(v).all()
+    assert f.refined(3).values.tolist() == [1.5] * 4 + [-2.0] * 4
+    assert f.meet(g).values.tolist() == [0.5, -1.0, -2.0, -2.0]
+    assert f.neg().values.tolist() == [0.0, 2.0]
 
 
 def test_zero_coords_dropped():
