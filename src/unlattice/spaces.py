@@ -82,7 +82,7 @@ class MeasureModel:
             return self
         factor = 2 ** (level - self.level)
         w = np.repeat(self.weight_array(self.level) / factor, factor)
-        if not w.any():
+        if not w.any():  # splitting can underflow subnormal weights to zero
             raise ValidationError("total mass must be positive")
         return MeasureModel._trusted(level, w)
 
