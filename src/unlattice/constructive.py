@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .convergence import (
-    NOT_NULL,
     NULL,
     TailReport,
     ToleranceSpec,
@@ -123,15 +122,28 @@ class DisjointificationResult:
         }
 
 
-def _un_null_advisory(seq: VectorSequence, ts: ToleranceSpec) -> list[str]:
+def _kp_prologue(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
+                 check_un_null: bool, require_un_null: bool) -> list[str]:
+    """Check ``target_count`` and run the un-null advisory; its warnings.
+
+    |x_n| and x_n meet the quasi-interior point in the same norm, so a signed
+    sequence is checked as it is.
+    """
+    if target_count < 1:
+        raise ValidationError("target_count must be >= 1")
+    if not check_un_null:
+        return []
     try:
         report = un_tail_qip(seq, zero(seq.tag), ts)
     except Exception as exc:  # advisory only; never fatal
         return [f"un-null precondition could not be checked: {exc}"]
-    if report.verdict == NOT_NULL:
-        return ["input sequence is not un-null against the default test family; "
-                "the greedy scan may stall"]
-    return []
+    if report.verdict == NULL:
+        return []
+    warning = ("input sequence is not un-null against the default test family; "
+               "the greedy scan may stall")
+    if require_un_null:
+        raise ValidationError(warning)
+    return [warning]
 
 
 def kp_disjointify_positive(seq: VectorSequence, target_count: int,
@@ -145,14 +157,12 @@ def kp_disjointify_positive(seq: VectorSequence, target_count: int,
     are d_k = (x_{a_k} - v_k)+ where v_k collects the pairwise meets of the
     selected terms.
     """
-    if target_count < 1:
-        raise ValidationError("target_count must be >= 1")
-    warnings = []
-    if check_un_null:
-        warnings = _un_null_advisory(seq, ts)
-        if warnings and require_un_null:
-            raise ValidationError(warnings[0])
+    warnings = _kp_prologue(seq, target_count, ts, check_un_null, require_un_null)
+    return _greedy_disjoint(seq, target_count, warnings)
 
+
+def _greedy_disjoint(seq: VectorSequence, target_count: int,
+                     warnings: list[str]) -> DisjointificationResult:
     def term(n: int) -> Element:
         x = seq.at(n)
         if not x.is_positive():
@@ -208,11 +218,10 @@ def kp_disjointify(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
                    check_un_null: bool = True,
                    require_un_null: bool = False) -> DisjointificationResult:
     """General (signed) disjointification: moduli first, then Riesz splitting."""
+    warnings = _kp_prologue(seq, target_count, ts, check_un_null, require_un_null)
     moduli = VectorSequence(seq.tag, seq.length, lambda n: seq.at(n).abs(),
                             name=f"|{seq.name}|")
-    base = kp_disjointify_positive(moduli, target_count, ts,
-                                   check_un_null=check_un_null,
-                                   require_un_null=require_un_null)
+    base = _greedy_disjoint(moduli, target_count, warnings)
     parts = []
     residuals = []
     for n, wk in zip(base.selected_indices, base.disjoint_parts):

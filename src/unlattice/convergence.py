@@ -36,11 +36,13 @@ from .errors import (
 from .spaces import (
     DEFAULT_HORIZON,
     MAX_REFINE_LEVEL,
+    MIN_NORMAL,
     DirectSumVector,
     Element,
     LatticeVector,
     SpaceTag,
     StepFunction,
+    _power_norm,
     check_tags,
     quasi_interior_point,
     zero,
@@ -178,10 +180,109 @@ def _make_report(quantity, values, ts, length, witness_extra=None, extras=None):
 # norm and un diagnostics
 # ---------------------------------------------------------------------------
 
+#: Stored coordinates per block chunk: large enough to amortize the numpy
+#: calls, small enough for a chunk to stay in cache.
+_CHUNK_CELLS = 2 ** 16
+
+
+def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
+    """The moduli |seq(n) - limit| in CSR chunks ``(indptr, indices, data)`` of
+    about ``_CHUNK_CELLS`` stored coordinates, generating each term once."""
+    limit_is_zero = limit.is_zero()
+    indptr, indices, data = [0], [], []
+    for n, x in enumerate(seq, start=1):
+        if limit_is_zero:
+            check_tags(seq.tag, x.tag)
+            coords = x.coords
+        else:
+            coords = (x - limit).coords
+        indices += coords
+        data += coords.values()
+        indptr.append(len(data))
+        if len(data) >= _CHUNK_CELLS or n == seq.length:
+            yield (np.array(indptr), np.fromiter(indices, np.int64, len(indices)),
+                   np.abs(np.fromiter(data, float, len(data))))
+            indptr, indices, data = [0], [], []
+
+
+def _fsums(values: np.ndarray, bounds) -> np.ndarray:
+    """math.fsum of each segment values[s:e], inf where the sum overflows."""
+    flat = memoryview(values)
+    out = []
+    for s, e in bounds:
+        try:
+            out.append(math.fsum(flat[s:e]))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The norm of each row of the CSR block ``(indptr, a)`` of values >= 0,
+    bit for bit ``LatticeVector.norm`` of the row's vector."""
+    starts, ends = indptr[:-1], indptr[1:]
+    big = np.zeros(len(starts))
+    full = ends > starts
+    if a.size:
+        big[full] = np.maximum.reduceat(a, starts[full])
+    if tag.kind in ("c0", "linf"):
+        return big
+    p = tag.p
+    bounds = list(zip(starts.tolist(), ends.tolist()))
+    flat = memoryview(a)
+    if p == 1.0:
+        return np.array([math.fsum(flat[s:e]) for s, e in bounds])
+    if p != 2.0:  # numpy's power may differ from libm's in the last bit
+        return np.array([_power_norm(flat[s:e], p) if m else 0.0
+                         for (s, e), m in zip(bounds, big.tolist())])
+    with np.errstate(over="ignore"):
+        sums = _fsums(a * a, bounds)
+    out = np.sqrt(sums)
+    # a sum that is subnormal, zero or overflowed is taken of v / max|v|
+    redo = np.flatnonzero(~((sums >= MIN_NORMAL) & (sums < math.inf)) & (big > 0))
+    if redo.size:
+        counts = ends[redo] - starts[redo]
+        offsets = np.cumsum(counts) - counts
+        cells = np.arange(counts.sum()) + np.repeat(starts[redo] - offsets, counts)
+        r = a[cells] / np.repeat(big[redo], counts)
+        sums = _fsums(r * r, zip(offsets.tolist(), (offsets + counts).tolist()))
+        out[redo] = big[redo] * np.sqrt(sums)
+    return out
+
+
+def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
+                  tests: Sequence[LatticeVector] = ()) -> np.ndarray:
+    """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
+    /\\ u for each test u, or of |seq(n) - limit| when no test is given."""
+    dense = [_dense(u) for u in tests]
+    blocks = []
+    for indptr, indices, a in _sparse_chunks(seq, limit):
+        if not dense:
+            blocks.append(_row_norms(seq.tag, indptr, a)[:, None])
+            continue
+        top = int(indices.max()) + 1 if indices.size else 0
+        dense = [u if len(u) >= top else np.concatenate([u, np.zeros(top - len(u))])
+                 for u in dense]
+        blocks.append(np.stack(
+            [_row_norms(seq.tag, indptr, np.minimum(a, u[indices])) for u in dense],
+            axis=1))
+    return np.concatenate(blocks)
+
+
+def _dense(u: LatticeVector) -> np.ndarray:
+    """The coordinates of u at their indices, 0 elsewhere, up to the largest."""
+    out = np.zeros(max(u.coords, default=0) + 1)
+    out[list(u.coords)] = list(u.coords.values())
+    return out
+
+
 def norm_tail(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:
     """values[n] = ||seq(n) - limit||."""
     check_tags(seq.tag, limit.tag)
-    values = [(x - limit).norm() for x in seq]
+    if seq.tag.is_sequence_kind:
+        values = _sparse_norms(seq, limit)[:, 0].tolist()
+    else:
+        values = [(x - limit).norm() for x in seq]
     return _make_report("norm-tail", values, ts, seq.length)
 
 
@@ -202,15 +303,14 @@ def un_tail(seq: VectorSequence, limit: Element, tests: Sequence[Element],
     check_tags(seq.tag, limit.tag)
     tests = list(tests)
     _check_tests(seq.tag, tests)
-    limit_is_zero = limit.is_zero()
-    values = []
-    argmax = []
-    for x in seq:
-        d = x.abs() if limit_is_zero else (x - limit).abs()
-        norms = [d.meet(u).norm() for u in tests]
-        j = int(np.argmax(norms))
-        values.append(norms[j])
-        argmax.append(j)
+    if seq.tag.is_sequence_kind:
+        norms = _sparse_norms(seq, limit, tests)
+    else:
+        limit_is_zero = limit.is_zero()
+        moduli = (x.abs() if limit_is_zero else (x - limit).abs() for x in seq)
+        norms = np.array([[d.meet(u).norm() for u in tests] for d in moduli])
+    values = norms.max(axis=1).tolist()
+    argmax = norms.argmax(axis=1).tolist()
     return _make_report(
         "un-tail", values, ts, seq.length,
         witness_extra=lambda n: {"test_index": argmax[n - 1]},
@@ -245,25 +345,17 @@ def truncation_index(u: Element, e: Element, eps: float, m_max: int = 2 ** 20) -
 
 
 def un_tail_qip(seq: VectorSequence, limit: Element, ts: ToleranceSpec,
-                horizon: int = DEFAULT_HORIZON,
-                m_request: tuple[Element, float] | None = None,
-                m_max: int = 2 ** 20) -> TailReport:
-    """Single-vector un-test against the model's quasi-interior point.
+                horizon: int = DEFAULT_HORIZON) -> TailReport:
+    """Single-vector un-test against the model's quasi-interior point e.
 
-    When ``m_request=(u, eps)`` is given, the report also carries the
-    smallest m with ||u - u /\\ (m e)|| < eps, the reduction step that makes
-    the single-vector test sufficient.
+    ``truncation_index`` gives the reduction step that makes the single
+    vector sufficient: u /\\ (m e) approximates any test u >= 0.
     """
     e = quasi_interior_point(seq.tag, horizon)
     report = un_tail(seq, limit, [e], ts)
     report.quantity = "un-tail-qip"
     report.extras["test_family"] = "quasi-interior-point"
     report.extras["qip_horizon"] = horizon
-    if m_request is not None:
-        u, eps = m_request
-        m = truncation_index(u, e, eps, m_max=m_max)
-        report.extras["m_selected"] = m
-        report.extras["m_eps"] = eps
     return report
 
 
@@ -287,7 +379,7 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
 # ---------------------------------------------------------------------------
 
 def _coordinate_matrix(seq: VectorSequence, max_level: int):
-    """(N, C) matrix of per-coordinate (per-cell) values, plus cell labels."""
+    """(N, C) matrix of per-cell values, or of per-coordinate moduli, plus labels."""
     if seq.tag.kind == "lp_step":
         levels = [seq.at(n).level for n in range(1, seq.length + 1)]
         level = max(levels)
@@ -299,13 +391,13 @@ def _coordinate_matrix(seq: VectorSequence, max_level: int):
         labels = [f"cell[{level}:{i}]" for i in range(2 ** level)]
         return np.stack(rows), labels, level
     if seq.tag.is_sequence_kind:
-        touched = sorted(set().union(*(x.support for x in seq)) or {1})
+        indptrs, indices, moduli = zip(*_sparse_chunks(seq, zero(seq.tag)))
+        indices = np.concatenate(indices)
+        touched = np.unique(indices) if indices.size else np.ones(1, np.int64)
+        rows = np.repeat(np.arange(seq.length), np.concatenate([np.diff(i) for i in indptrs]))
         mat = np.zeros((seq.length, len(touched)))
-        pos = {c: j for j, c in enumerate(touched)}
-        for n, x in enumerate(seq):
-            for i, v in x.coords.items():
-                mat[n, pos[i]] = v
-        return mat, [str(c) for c in touched], None
+        mat[rows, np.searchsorted(touched, indices)] = np.concatenate(moduli)
+        return mat, [str(c) for c in touched.tolist()], None
     raise ValidationError("pointwise diagnostic supports sequence and step models")
 
 
@@ -421,8 +513,8 @@ class OrderWitness:
         return {"atoms": self.atoms, "entries": self.entries}
 
 
-def order_witness_atomic(seq: VectorSequence, bound: Element, ts: ToleranceSpec,
-                         max_steps: int | None = None) -> OrderWitness:
+def order_witness_atomic(seq: VectorSequence, bound: Element,
+                         ts: ToleranceSpec) -> OrderWitness:
     """Construct the decreasing dominators v_k over the atoms of ``bound``.
 
     v_k agrees with ``bound`` beyond the first k atoms and is capped at 1/k on
@@ -441,7 +533,7 @@ def order_witness_atomic(seq: VectorSequence, bound: Element, ts: ToleranceSpec,
                 f"|seq({n})| is not dominated by the bound", witness_index=n
             )
     atoms = sorted(bound.coords)
-    steps = max_steps if max_steps is not None else max(len(atoms), 8)
+    steps = max(len(atoms), 8)
     entries = []
     for k in range(1, steps + 1):
         cap = 1.0 / k

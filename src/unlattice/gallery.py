@@ -29,7 +29,6 @@ from .spaces import (
     lp,
     lp_step,
     ones,
-    unit,
     zero,
 )
 
@@ -42,18 +41,31 @@ DEFAULT_RADEMACHER_TERMS = 10
 # generators
 # ---------------------------------------------------------------------------
 
+def _index(n: int) -> int:
+    """A generator's term index, which is also a coordinate index."""
+    if n < 1:
+        raise ValidationError("term indices are 1-based")
+    return n
+
+
+def _unit(tag: SpaceTag, n: int) -> LatticeVector:
+    return LatticeVector._trusted(tag, {_index(n): 1.0})
+
+
 def std_units(tag: SpaceTag, horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     """seq(n) = e_n, the standard unit sequence."""
     if not tag.is_sequence_kind:
         raise ValidationError("std_units needs a sequence-space tag")
-    return VectorSequence(tag, horizon, lambda n: unit(tag, n),
+    return VectorSequence(tag, horizon, lambda n: _unit(tag, n),
                           name=f"std_units_{tag.describe()}")
 
 
 def direct_sum_seq(horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     """seq(n) = f_n (+) g_n with f_n the l1 units and g_n the linf units."""
+    l1, sup = lp(1), linf()
+
     def at(n: int) -> DirectSumVector:
-        return DirectSumVector(unit(lp(1), n), unit(linf(), n))
+        return DirectSumVector(_unit(l1, n), _unit(sup, n))
 
     return VectorSequence(SpaceTag("l1_oplus_linf"), horizon, at, name="direct_sum")
 
@@ -114,10 +126,10 @@ def overlap_seq(tag: SpaceTag, horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequ
         raise ValidationError("overlap_seq needs a sequence-space tag")
 
     def at(n: int) -> LatticeVector:
-        w = 2.0 ** -n
-        coords = {i: w for i in range(1, n)}
+        w = 2.0 ** -_index(n)  # 0.0 past n = 1074: those coordinates vanish
+        coords = dict.fromkeys(range(1, n), w) if w else {}
         coords[n] = 1.0
-        return LatticeVector(tag, coords)
+        return LatticeVector._trusted(tag, coords)
 
     return VectorSequence(tag, horizon, at, name=f"overlap_{tag.describe()}")
 

@@ -22,6 +22,7 @@ from .spaces import (
     StepFunction,
     constant_one,
     element_from_dict,
+    elements_from_dicts,
     linf,
     lp,
     lp_step,
@@ -100,7 +101,7 @@ def resolve(families: Mapping, spec, seq: VectorSequence) -> list[Element]:
         if spec not in families:
             raise ValidationError(f"unknown family {spec!r}; known: {list(families)}")
         return families[spec](seq)
-    return [element_from_dict(d) for d in spec]
+    return elements_from_dicts(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,7 @@ def _gallery_source(gallery, params=None) -> VectorSequence:
 
 def _inline_source(inline) -> VectorSequence:
     return bind(lambda elements, name="inline": cv.sequence_from_list(
-        [element_from_dict(d) for d in elements], name=name), inline, "inline")
+        elements_from_dicts(elements), name=name), inline, "inline")
 
 
 def build_sequence(source: Mapping) -> VectorSequence:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +34,9 @@ DEFAULT_HORIZON = 4096
 
 #: Default maximum dyadic refinement level for step functions.
 MAX_REFINE_LEVEL = 14
+
+#: The smallest normal float: a power sum below it has lost precision.
+MIN_NORMAL = 2.0 ** -1022
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +345,17 @@ class LatticeVector(_ElementOps):
         p = self.tag.p
         if p == 1.0:
             return math.fsum(math.fabs(v) for v in self.coords.values())
-        big, s = 1.0, _power_sum(self.coords.values(), p)
-        if not 2.0 ** -1022 <= s < math.inf:
-            # the sum is subnormal, zero or overflowed: sum the powers of x / max|x|
-            big = max(math.fabs(v) for v in self.coords.values())
-            s = _power_sum([v / big for v in self.coords.values()], p)
-        return big * (math.sqrt(s) if p == 2.0 else s ** (1.0 / p))
+        return _power_norm(self.coords.values(), p)
+
+
+def _power_norm(values, p: float) -> float:
+    """(sum |v|**p)**(1/p) for p > 1 over ``values``, not all zero."""
+    big, s = 1.0, _power_sum(values, p)
+    if not MIN_NORMAL <= s < math.inf:
+        # the sum is subnormal, zero or overflowed: sum the powers of v / max|v|
+        big = max(math.fabs(v) for v in values)
+        s = _power_sum([v / big for v in values], p)
+    return big * (math.sqrt(s) if p == 2.0 else s ** (1.0 / p))
 
 
 def _power_sum(values, p: float) -> float:
@@ -430,7 +438,9 @@ class StepFunction(_ElementOps):
 
     def _zip(self, other: "StepFunction", fn):
         level, a, b = self._aligned(other)
-        return StepFunction._checked(self.tag, level, fn(a, b))
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked rejects the result
+            values = fn(a, b)
+        return StepFunction._checked(self.tag, level, values)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -441,7 +451,9 @@ class StepFunction(_ElementOps):
         return self._zip(other, np.subtract)
 
     def scale(self, a: float):
-        return StepFunction._checked(self.tag, self.level, float(a) * self.values)
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked rejects the result
+            values = float(a) * self.values
+        return StepFunction._checked(self.tag, self.level, values)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
@@ -492,7 +504,7 @@ class StepFunction(_ElementOps):
             return float(np.dot(w, a))
         with np.errstate(over="ignore"):
             s = np.dot(w, a ** p)
-        if not 2.0 ** -1022 <= s < math.inf:
+        if not MIN_NORMAL <= s < math.inf:
             # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
             big = a.max()
             if big == 0.0:
@@ -668,12 +680,32 @@ def element_to_dict(x: Element) -> dict:
 
 def element_from_dict(d: Mapping) -> Element:
     """The element a literal describes; ``ValidationError`` if it does not parse."""
+    return _element_from_dict(d, tag_from_dict)
+
+
+def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
+    """The elements a list of literals describes; tag literals that print alike
+    give one shared ``SpaceTag``, so their elements combine without comparing
+    measures."""
+    tags: dict[str, SpaceTag] = {}
+
+    def tag_of(literal: Mapping) -> SpaceTag:
+        key = repr(literal)
+        if key not in tags:
+            tags[key] = tag_from_dict(literal)
+        return tags[key]
+
+    return [_element_from_dict(d, tag_of) for d in ds]
+
+
+def _element_from_dict(d: Mapping, tag_of) -> Element:
     try:
-        tag = tag_from_dict(d["tag"])
+        tag = tag_of(d["tag"])
         if tag.is_sequence_kind:
             return LatticeVector(tag, {int(i): float(v) for i, v in d["coords"].items()})
         if tag.kind == "lp_step":
             return StepFunction(tag, int(d["level"]), np.asarray(d["values"], dtype=float))
-        return DirectSumVector(element_from_dict(d["left"]), element_from_dict(d["right"]))
+        return DirectSumVector(_element_from_dict(d["left"], tag_of),
+                               _element_from_dict(d["right"], tag_of))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed element literal: {type(exc).__name__}: {exc}") from None

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unlattice import cli
-from unlattice.runner import SCHEMA
+from unlattice.errors import TagMismatch
+from unlattice.runner import SCHEMA, build_sequence
 
 UN_NULL_SCENARIO = {
     "schema": 1,
@@ -276,6 +278,36 @@ def test_inline_source(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["sequence"] == "const"
     assert result["report"]["values"] == [0.5] * 8
+
+
+def test_inline_step_elements_share_one_tag():
+    step_tag = {"kind": "lp_step", "p": 1.0, "measure": {"level": 1, "weights": [0.25, 0.75]}}
+    elements = [{"tag": dict(step_tag), "level": 1, "values": [v, 1.0]} for v in (1.0, 2.0, 3.0)]
+    seq = build_sequence({"inline": {"elements": elements}})
+    assert all(seq.at(n).tag is seq.tag for n in range(1, 4))
+    # each call parses its own tags
+    assert build_sequence({"inline": {"elements": elements}}).tag is not seq.tag
+
+    other = dict(step_tag, measure={"level": 1, "weights": [0.5, 0.5]})
+    elements.append({"tag": other, "level": 1, "values": [1.0, 1.0]})
+    with pytest.raises(TagMismatch):
+        build_sequence({"inline": {"elements": elements}})
+
+
+def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
+    tag = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}
+    scenario = {
+        "schema": 1,
+        "source": {"inline": {"elements": [{"tag": tag, "level": 0, "values": [1e308]}]}},
+        "diagnostic": {"name": "norm",
+                       "limit": {"tag": tag, "level": 0, "values": [-1e308]}},
+    }
+    path = write_scenario(tmp_path, scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", path]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error (validation)") and err.count("\n") == 1
 
 
 def test_gallery_dump_needs_name(capsys):

@@ -1,8 +1,11 @@
 """Constructive witnesses: decomposition, disjointification, subsequences."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from unlattice import constructive
 from unlattice.constructive import (
     kp_disjointify,
     kp_disjointify_positive,
@@ -159,6 +162,19 @@ def test_kp_advisory_warning_on_non_un_null_input():
     assert res.warnings and "not un-null" in res.warnings[0]
     with pytest.raises(ValidationError):
         kp_disjointify_positive(seq, 4, TS, require_un_null=True)
+
+
+def test_kp_signed_advisory_runs_once_on_the_signed_sequence():
+    seq = VectorSequence(linf(), 64, lambda n: unit(linf(), n).scale((-1.0) ** n))
+    with mock.patch.object(constructive, "un_tail_qip", wraps=un_tail_qip) as advisory:
+        res = kp_disjointify(seq, 4, TS)
+    advisory.assert_called_once()
+    assert advisory.call_args.args[0] is seq
+    assert res.warnings and "not un-null" in res.warnings[0]
+    with pytest.raises(ValidationError, match="not un-null"):
+        kp_disjointify(std_units(linf(), 64), 4, TS, require_un_null=True)
+    assert kp_disjointify(std_units(linf(), 64), 4, TS, check_un_null=False).warnings == []
+    assert kp_disjointify(overlap_seq(lp(2), 64), 4, TS).warnings == []
 
 
 def test_kp_signed_preserves_signs():

@@ -1,9 +1,14 @@
 """Tail diagnostics: frozen examples plus the algebraic invariants."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from unlattice import convergence
 
 from unlattice.convergence import (
     NOT_NULL,
@@ -28,6 +33,7 @@ from unlattice.errors import (
     NoIndexFound,
     NonStepSequence,
     NotOrderBounded,
+    TagMismatch,
     ValidationError,
 )
 from unlattice.gallery import (
@@ -141,6 +147,84 @@ def test_un_values_dominated_by_norm_values():
 
 
 # ---------------------------------------------------------------------------
+# the sparse block reducer
+# ---------------------------------------------------------------------------
+
+BLOCK_TAGS = (c0(), linf(), lp(1), lp(1.5), lp(2), lp(3))
+# near 1e-310 values are subnormal, near 1e-200 their squares underflow and
+# near 1e200 their squares overflow
+block_value = st.builds(lambda m, f, sign: sign * m * f,
+                        st.sampled_from([1e-310, 1e-200, 1.0, 1e200]),
+                        st.floats(min_value=0.5, max_value=2.0),
+                        st.sampled_from([1.0, -1.0]))
+block_row = st.dictionaries(st.integers(1, 24), block_value, max_size=10)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _counted(seq: VectorSequence):
+    """seq, and the list of the indices it generated."""
+    calls = []
+
+    def at(n):
+        calls.append(n)
+        return seq.at(n)
+
+    return VectorSequence(seq.tag, seq.length, at, name=seq.name), calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(BLOCK_TAGS), st.lists(block_row, min_size=1, max_size=12),
+       st.dictionaries(st.integers(1, 30), st.floats(min_value=1e-3, max_value=2.0),
+                       min_size=1, max_size=6),
+       st.integers(1, 16))
+def test_block_row_norms_are_vector_norms(tag, rows, test_coords, chunk_cells):
+    terms = [LatticeVector(tag, row) for row in rows]
+    seq = sequence_from_list(terms)
+    u = LatticeVector(tag, test_coords)
+    far = LatticeVector(tag, {100: 1.0})  # its support misses every row
+    # small chunks: rows straddle chunk boundaries, and some chunks hold one row
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        norms = convergence._sparse_norms(seq, zero(tag))
+        meets = convergence._sparse_norms(seq, zero(tag), [u, far])
+    assert _bits(norms[:, 0]) == _bits(x.norm() for x in terms)
+    assert _bits(meets[:, 0]) == _bits(x.abs().meet(u).norm() for x in terms)
+    assert _bits(meets[:, 1]) == [(0.0).hex()] * len(terms)
+
+
+@pytest.mark.parametrize("tag", BLOCK_TAGS, ids=lambda t: t.describe())
+def test_block_tails_over_several_chunks(tag):
+    rng = np.random.default_rng(3)
+    length = 96
+    terms = [LatticeVector(tag, {int(i): float(v) for i, v in zip(
+        rng.choice(4000, 1500, replace=False) + 1,
+        rng.uniform(-2.0, 2.0, 1500) * 2.0 ** -(n % 8))}) for n in range(length)]
+    seq, calls = _counted(sequence_from_list(terms))
+    limit = LatticeVector(tag, {1: 0.5, 7: -1.0, 3999: 0.25})
+    tests = [quasi_interior_point(tag, 2048), LatticeVector(tag, {i: 1.5 for i in range(2, 3000, 3)})]
+    assert len(list(convergence._sparse_chunks(seq, limit))) >= 3
+    calls.clear()
+
+    report = norm_tail(seq, limit, TS)
+    assert _bits(report.values) == _bits((x - limit).norm() for x in terms)
+    report = un_tail(seq, limit, tests, TS)
+    ref = [[(x - limit).abs().meet(u).norm() for u in tests] for x in terms]
+    assert _bits(report.values) == _bits(max(r) for r in ref)
+    assert report.witness["test_index"] == int(np.argmax(ref[report.witness["index"] - 1]))
+    assert calls == list(range(1, length + 1)) * 2  # each term once per diagnostic
+
+
+def test_block_tail_checks_term_tags():
+    seq = VectorSequence(c0(), 4, lambda n: unit(lp(2), n))
+    with pytest.raises(TagMismatch):
+        norm_tail(seq, zero(c0()), TS)
+    with pytest.raises(TagMismatch):
+        un_tail_qip(seq, zero(c0()), TS)
+
+
+# ---------------------------------------------------------------------------
 # truncation index (m-selection)
 # ---------------------------------------------------------------------------
 
@@ -182,12 +266,11 @@ def test_truncation_index_is_minimal():
 
 def test_un_tail_qip_with_m_request():
     seq = std_units(c0(), 64)
-    u = unit(c0(), 1)
-    report = un_tail_qip(seq, zero(c0()), TS, horizon=64,
-                         m_request=(u, 0.5))
+    report = un_tail_qip(seq, zero(c0()), TS, horizon=64)
     assert report.verdict == NULL
-    assert report.extras["m_selected"] == 2
     assert report.extras["test_family"] == "quasi-interior-point"
+    e = quasi_interior_point(c0(), 64)
+    assert truncation_index(unit(c0(), 1), e, 0.5) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +319,20 @@ def test_pointwise_typewriter_not_null():
     assert set(report.extras["limsup"]) == {1.0}
     assert set(report.extras["liminf"]) == {0.0}
     assert report.extras["refinement_level"] == 5
+
+
+def test_pointwise_generates_each_term_once():
+    tag = lp(2)
+    rows = [{}, {5: -1.0, 2: 0.5}, {}, {9: 2.0, 5: 0.25}, {2: -3.0}]
+    seq, calls = _counted(sequence_from_list([LatticeVector(tag, r) for r in rows]))
+    report = pointwise_tail(seq, ToleranceSpec(window=1))
+    assert calls == [1, 2, 3, 4, 5]
+    assert report.extras["coordinates"] == ["2", "5", "9"]
+    assert report.values == [0.0, 1.0, 0.0, 2.0, 3.0]
+    empty, calls = _counted(VectorSequence(tag, 3, lambda n: zero(tag)))
+    report = pointwise_tail(empty, ToleranceSpec(window=1))
+    assert calls == [1, 2, 3] and report.extras["coordinates"] == ["1"]
+    assert report.verdict == NULL
 
 
 def test_pointwise_transient_burst_is_null():

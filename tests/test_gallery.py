@@ -18,6 +18,7 @@ from unlattice.gallery import (
 )
 from unlattice.runner import build_sequence, run_diagnostic
 from unlattice.spaces import (
+    LatticeVector,
     StepFunction,
     c0,
     is_disjoint,
@@ -104,6 +105,22 @@ def test_overlap_pairwise_meets():
             meet = seq.at(n).meet(seq.at(m))
             assert meet.norm() == 2.0 ** -m  # sup-norm meet = 2**-max(n,m)
     assert seq.at(4).coords == {1: 0.0625, 2: 0.0625, 3: 0.0625, 4: 1.0}
+
+
+def test_overlap_terms_equal_validated_vectors():
+    tag = lp(2)
+    seq = overlap_seq(tag, 2000)
+    for n in (1, 1074, 1075, 2000):
+        coords = {i: 2.0 ** -n for i in range(1, n)}
+        coords[n] = 1.0
+        expected = LatticeVector(tag, coords)  # drops the coordinates 2**-n == 0.0
+        x = seq.at(n)
+        assert list(x.coords.items()) == list(expected.coords.items())
+        assert x.is_positive() and x.norm() == expected.norm()
+    assert len(seq.at(1074).coords) == 1074 and seq.at(1075).coords == {1075: 1.0}
+    for build in (lambda: overlap_seq(tag, 4), lambda: std_units(tag, 4), direct_sum_seq):
+        with pytest.raises(ValidationError):
+            build().at(0)
 
 
 def test_direct_sum_witness_shape():

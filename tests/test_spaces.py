@@ -264,6 +264,18 @@ def test_checked_results_overflow_and_underflow():
         assert r.is_zero()
 
 
+def test_step_overflow_raises_without_warning():
+    tag = lp_step(1)
+    big = StepFunction(tag, 0, np.array([1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for overflow in (lambda: big + big, lambda: big - big.scale(-1.0),
+                         lambda: big.scale(1e10), lambda: big * big,
+                         lambda: big.scale(math.inf)):
+            with pytest.raises(ValidationError):
+                overflow()
+
+
 @given(coords_st, coords_st, st.floats(min_value=-4, max_value=4))
 def test_results_keep_vector_invariants(a, b, c):
     x, y = vec(a), vec(b)
