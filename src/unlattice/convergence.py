@@ -35,6 +35,7 @@ from .errors import (
 )
 from .spaces import (
     DEFAULT_HORIZON,
+    MAX_INDEX,
     MAX_REFINE_LEVEL,
     MIN_NORMAL,
     DirectSumVector,
@@ -254,26 +255,27 @@ def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
                   tests: Sequence[LatticeVector] = ()) -> np.ndarray:
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
     /\\ u for each test u, or of |seq(n) - limit| when no test is given."""
-    dense = [_dense(u) for u in tests]
+    supports = [_sorted_support(u) for u in tests]
     blocks = []
     for indptr, indices, a in _sparse_chunks(seq, limit):
-        if not dense:
+        if not supports:
             blocks.append(_row_norms(seq.tag, indptr, a)[:, None])
             continue
-        top = int(indices.max()) + 1 if indices.size else 0
-        dense = [u if len(u) >= top else np.concatenate([u, np.zeros(top - len(u))])
-                 for u in dense]
-        blocks.append(np.stack(
-            [_row_norms(seq.tag, indptr, np.minimum(a, u[indices])) for u in dense],
-            axis=1))
+        meets = []
+        for keys, values in supports:
+            at = np.searchsorted(keys, indices)
+            u = np.where(keys[at] == indices, values[at], 0.0)
+            meets.append(_row_norms(seq.tag, indptr, np.minimum(a, u)))
+        blocks.append(np.stack(meets, axis=1))
     return np.concatenate(blocks)
 
 
-def _dense(u: LatticeVector) -> np.ndarray:
-    """The coordinates of u at their indices, 0 elsewhere, up to the largest."""
-    out = np.zeros(max(u.coords, default=0) + 1)
-    out[list(u.coords)] = list(u.coords.values())
-    return out
+def _sorted_support(u: LatticeVector) -> tuple[np.ndarray, np.ndarray]:
+    """u's indices in increasing order and its values there, each closed by a
+    sentinel (the largest index, value 0.0) that no coordinate reaches."""
+    keys = sorted(u.coords)
+    return (np.array(keys + [MAX_INDEX], dtype=np.int64),
+            np.array([u.coords[i] for i in keys] + [0.0]))
 
 
 def norm_tail(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:

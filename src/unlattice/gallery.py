@@ -19,6 +19,7 @@ from .convergence import ToleranceSpec, VectorSequence
 from .errors import RefinementOverflow, ValidationError
 from .spaces import (
     DEFAULT_HORIZON,
+    MAX_INDEX,
     MAX_REFINE_LEVEL,
     DirectSumVector,
     LatticeVector,
@@ -43,8 +44,8 @@ DEFAULT_RADEMACHER_TERMS = 10
 
 def _index(n: int) -> int:
     """A generator's term index, which is also a coordinate index."""
-    if n < 1:
-        raise ValidationError("term indices are 1-based")
+    if not 1 <= n < MAX_INDEX:
+        raise ValidationError("term indices must be >= 1 and < 2**62")
     return n
 
 

@@ -38,6 +38,9 @@ MAX_REFINE_LEVEL = 14
 #: The smallest normal float: a power sum below it has lost precision.
 MIN_NORMAL = 2.0 ** -1022
 
+#: Coordinate indices are below this bound, which fits numpy's int64.
+MAX_INDEX = 2 ** 62
+
 
 # ---------------------------------------------------------------------------
 # measures and space tags
@@ -213,8 +216,8 @@ def _clean_coords(coords: Mapping[int, float]) -> tuple[dict[int, float], bool]:
     for i, v in coords.items():
         i = int(i)
         v = float(v)
-        if i < 1:
-            raise ValidationError("coordinate indices are 1-based")
+        if not 1 <= i < MAX_INDEX:
+            raise ValidationError("coordinate indices must be >= 1 and < 2**62")
         if not math.isfinite(v):
             raise ValidationError("coordinates must be finite")
         if v != 0.0:

@@ -219,6 +219,9 @@ def test_vector_validation():
     with pytest.raises(ValidationError):
         vec({0: 1.0})
     with pytest.raises(ValidationError):
+        vec({2 ** 62: 1.0})  # indices must fit numpy's int64 blocks
+    assert vec({2 ** 62 - 1: 1.0}).norm() == 1.0
+    with pytest.raises(ValidationError):
         vec({1: float("nan")})
     with pytest.raises(ValidationError):
         StepFunction(lp_step(1), 1, np.array([1.0]))
