@@ -21,9 +21,11 @@ from .convergence import (
     TailReport,
     ToleranceSpec,
     VectorSequence,
+    _coordinate_matrix,
     _make_report,
+    _pointwise_report,
     norm_tail,
-    pointwise_tail,
+    sequence_from_list,
     un_tail_qip,
 )
 from .errors import (
@@ -34,10 +36,7 @@ from .errors import (
     SelectionStalled,
     ValidationError,
 )
-from .spaces import Element, StepFunction, check_tags, zero
-
-#: relative tolerance for the algebraic identity checks in the witnesses
-IDENTITY_RTOL = 1e-12
+from .spaces import Element, check_tags, zero
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +280,6 @@ class UoExtraction:
     degenerate: bool = False
 
 
-def _unsettled_mass_report(sub: VectorSequence, e: StepFunction,
-                           ts: ToleranceSpec) -> TailReport:
-    """Borel-Cantelli style a.e. certificate for a step subsequence.
-
-    values[j] = mass of the cells (inside the test vector's support) on which
-    some term at position >= j still exceeds tol.  A decaying tail certifies
-    that, outside a set of vanishing measure, the subsequence settles.
-    """
-    level = max(e.level, *(sub.at(j).level for j in range(1, sub.length + 1)))
-    weights = sub.tag.measure.weight_array(level)
-    mask = e.refined(level).values > 0
-    active = np.zeros(2 ** level, dtype=bool)
-    values = [0.0] * sub.length
-    for j in range(sub.length, 0, -1):
-        f = sub.at(j).refined(level).values
-        active |= (np.abs(f) >= ts.tol) & mask
-        values[j - 1] = float(weights[active].sum())
-    return _make_report("uo-subsequence-unsettled-mass", values, ts, sub.length,
-                        extras={"refinement_level": level})
-
-
 def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
                target_count: int | None = None) -> UoExtraction:
     """Build the weighted test vector e and select n_k with ||x_{n_k}| /\\ e|| <= 2**-k.
@@ -312,7 +290,8 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
     "a.e. convergence along the subsequence"; for atomic models it is the
     coordinatewise report.
     """
-    norms = [seq.at(n).norm() for n in range(1, seq.length + 1)]
+    terms = seq.terms()
+    norms = [x.norm() for x in terms]
     nonzero = [n for n, v in enumerate(norms, start=1) if v > 0]
     if not nonzero:
         report = TailReport("pointwise-tail", [0.0] * seq.length, NULL,
@@ -326,23 +305,23 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         w = 2.0 ** -n / norms[n - 1]
         if w == 0.0:
             break  # underflow past the representable horizon
-        e = e + seq.at(n).abs().scale(w)
+        e = e + terms[n - 1].abs().scale(w)
 
     subindices, meet_norms = _select_geometric(
-        seq.length, lambda n: seq.at(n).abs().meet(e).norm(), target_count,
+        seq.length, lambda n: terms[n - 1].abs().meet(e).norm(), target_count,
         "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
-    sub = seq.subsequence(subindices, name=f"{seq.name}[uo]")
+    sub = sequence_from_list([terms[n - 1] for n in subindices])
+    mat, labels, level = _coordinate_matrix(sub, band=e)
     if seq.tag.kind == "lp_step":
-        report = _unsettled_mass_report(sub, e, ts)
+        # Borel-Cantelli style a.e. certificate: values[j] is the mass of the
+        # cells of e's support on which some term at position >= j reaches tol
+        weights = seq.tag.measure.weight_array(level)
+        active = np.logical_or.accumulate((mat >= ts.tol)[::-1], axis=0)[::-1]
+        report = _make_report("uo-subsequence-unsettled-mass",
+                              [float(weights[row].sum()) for row in active],
+                              ts, sub.length, extras={"refinement_level": level})
     else:
-        support = e.support
-
-        def restrict(j: int):
-            x = sub.at(j)
-            return type(x)(x.tag, {i: v for i, v in x.coords.items() if i in support})
-
-        restricted = VectorSequence(sub.tag, sub.length, restrict, name=sub.name)
-        report = pointwise_tail(restricted, ts)
+        report = _pointwise_report(mat, labels, level, ts)
     return UoExtraction(e, subindices, meet_norms, report)
 
 

@@ -10,9 +10,9 @@ The pointwise (uo-proxy) diagnostic is the one exception: its verdict is
 decided coordinate-by-coordinate (cell-by-cell for step functions), because
 coordinatewise convergence is weaker than uniform smallness of the reported
 sup values.  A coordinate counts as failing only when its violations
-*persist*: inside the recurrence zone (the last three quarters of the run by
-default) the first and last indices with |value| >= tol must be at least a
-full tail window apart.  A transient burst shorter than the window is
+*persist*: inside the recurrence zone (the last three quarters of the run)
+the first and last indices with |value| >= tol must be at least a full tail
+window apart.  A transient burst shorter than the window is
 indistinguishable from a settling coordinate at a finite horizon.
 """
 
@@ -43,6 +43,7 @@ from .spaces import (
     LatticeVector,
     SpaceTag,
     StepFunction,
+    _fsum,
     _power_norm,
     check_tags,
     quasi_interior_point,
@@ -80,15 +81,6 @@ class VectorSequence:
 
     def terms(self) -> list[Element]:
         return [self.at(n) for n in range(1, self.length + 1)]
-
-    def subsequence(self, indices: Sequence[int], name: str = "") -> "VectorSequence":
-        idx = list(indices)
-        if not idx:
-            raise ValidationError("subsequence needs at least one index")
-        return VectorSequence(
-            self.tag, len(idx), lambda j: self.at(idx[j - 1]),
-            name=name or f"{self.name}[sub]",
-        )
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
@@ -209,13 +201,7 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
 def _fsums(values: np.ndarray, bounds) -> np.ndarray:
     """math.fsum of each segment values[s:e], inf where the sum overflows."""
     flat = memoryview(values)
-    out = []
-    for s, e in bounds:
-        try:
-            out.append(math.fsum(flat[s:e]))
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out)
+    return np.array([_fsum(flat[s:e]) for s, e in bounds])
 
 
 def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -230,10 +216,10 @@ def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
         return big
     p = tag.p
     bounds = list(zip(starts.tolist(), ends.tolist()))
-    flat = memoryview(a)
     if p == 1.0:
-        return np.array([math.fsum(flat[s:e]) for s, e in bounds])
+        return _fsums(a, bounds)
     if p != 2.0:  # numpy's power may differ from libm's in the last bit
+        flat = memoryview(a)
         return np.array([_power_norm(flat[s:e], p) if m else 0.0
                          for (s, e), m in zip(bounds, big.tolist())])
     with np.errstate(over="ignore"):
@@ -247,7 +233,8 @@ def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
         cells = np.arange(counts.sum()) + np.repeat(starts[redo] - offsets, counts)
         r = a[cells] / np.repeat(big[redo], counts)
         sums = _fsums(r * r, zip(offsets.tolist(), (offsets + counts).tolist()))
-        out[redo] = big[redo] * np.sqrt(sums)
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, as in LatticeVector.norm
+            out[redo] = big[redo] * np.sqrt(sums)
     return out
 
 
@@ -377,72 +364,99 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
 
 
 # ---------------------------------------------------------------------------
-# pointwise / uo-proxy diagnostic
+# the coordinate matrix and the pointwise / uo-proxy diagnostic
 # ---------------------------------------------------------------------------
 
-def _coordinate_matrix(seq: VectorSequence, max_level: int):
-    """(N, C) matrix of per-cell values, or of per-coordinate moduli, plus labels."""
+#: Cells of the largest coordinate matrix: 2**26 doubles (512 MiB) admit
+#: typewriter(13) and refuse typewriter(14).
+_MAX_CELLS = 2 ** 26
+
+#: The pointwise recurrence zone is this final fraction of the run.
+_RECURRENCE_FRACTION = 0.75
+
+
+def _check_cells(rows: int, columns: int) -> None:
+    if rows * columns > _MAX_CELLS:
+        raise ValidationError(f"a {rows} x {columns} matrix exceeds {_MAX_CELLS} cells")
+
+
+def _coordinate_matrix(seq: VectorSequence, band: Element | None = None,
+                       max_level: int | None = None):
+    """The (N, C) matrix of |seq(n)| per cell or per touched coordinate, its
+    column labels and its step level (None for sequence models), from one
+    generation of each term.  With ``band``, of the band projection onto the
+    support of ``band``.  A matrix over ``_MAX_CELLS`` cells, or a step level
+    over ``max_level``, is refused before it is allocated.
+    """
+    _check_cells(seq.length, 1)
     if seq.tag.kind == "lp_step":
-        levels = [seq.at(n).level for n in range(1, seq.length + 1)]
-        level = max(levels)
-        if level > max_level:
-            raise RefinementOverflow(
-                f"common refinement level {level} exceeds the maximum {max_level}"
-            )
-        rows = [seq.at(n).refined(level).values for n in range(1, seq.length + 1)]
-        labels = [f"cell[{level}:{i}]" for i in range(2 ** level)]
-        return np.stack(rows), labels, level
-    if seq.tag.is_sequence_kind:
-        indptrs, indices, moduli = zip(*_sparse_chunks(seq, zero(seq.tag)))
-        indices = np.concatenate(indices)
-        touched = np.unique(indices) if indices.size else np.ones(1, np.int64)
-        rows = np.repeat(np.arange(seq.length), np.concatenate([np.diff(i) for i in indptrs]))
-        mat = np.zeros((seq.length, len(touched)))
-        mat[rows, np.searchsorted(touched, indices)] = np.concatenate(moduli)
-        return mat, [str(c) for c in touched.tolist()], None
-    raise ValidationError("pointwise diagnostic supports sequence and step models")
+        level, terms = (0 if band is None else band.level), []
+        for x in seq:
+            level = max(level, x.level)
+            _check_cells(seq.length, 2 ** level)
+            terms.append(x)
+        if max_level is not None and level > max_level:
+            raise RefinementOverflow(f"common refinement level {level} exceeds "
+                                     f"the maximum {max_level}")
+        mat = np.empty((seq.length, 2 ** level))
+        for row, x in zip(mat, terms):
+            row.reshape(x.values.size, -1)[:] = x.values[:, None]
+        np.abs(mat, out=mat)
+        if band is not None:
+            mat[:, band.refined(level).values == 0.0] = 0.0
+        return mat, [f"cell[{level}:{i}]" for i in range(2 ** level)], level
+    if not seq.tag.is_sequence_kind:
+        raise ValidationError("pointwise diagnostic supports sequence and step models")
+    indptrs, indices, moduli = zip(*_sparse_chunks(seq, zero(seq.tag)))
+    rows = np.repeat(np.arange(seq.length), np.concatenate([np.diff(i) for i in indptrs]))
+    indices, moduli = np.concatenate(indices), np.concatenate(moduli)
+    if band is not None:
+        keep = np.isin(indices, list(band.coords))
+        rows, indices, moduli = rows[keep], indices[keep], moduli[keep]
+    touched = np.unique(indices) if indices.size else np.ones(1, np.int64)
+    _check_cells(seq.length, touched.size)
+    mat = np.zeros((seq.length, touched.size))
+    mat[rows, np.searchsorted(touched, indices)] = moduli
+    return mat, [str(c) for c in touched.tolist()], None
 
 
-def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec,
-                   max_level: int = MAX_REFINE_LEVEL,
-                   recurrence_fraction: float = 0.75) -> TailReport:
+def _pointwise_report(mat: np.ndarray, labels: list[str], level: int | None,
+                      ts: ToleranceSpec) -> TailReport:
+    """The pointwise verdict on the coordinate matrix ``mat`` of moduli."""
+    n = mat.shape[0]
+    window = ts.window_for(n)
+    zone_start = n - max(window, math.ceil(_RECURRENCE_FRACTION * n))
+    zone = mat[zone_start:]
+    bad = zone >= ts.tol
+    first = bad.argmax(axis=0)
+    last = len(bad) - 1 - bad[::-1].argmax(axis=0)
+    persistent = np.flatnonzero(bad.any(axis=0) & (last - first >= window))
+    witness = None
+    if persistent.size:
+        c = persistent[0]
+        hits = zone_start + 1 + np.flatnonzero(bad[:, c])
+        witness = {"coordinate": labels[c], "violation_indices": hits[:8].tolist()}
+    extras = {"zone_start": zone_start + 1, "limsup": zone.max(axis=0).tolist(),
+              "liminf": zone.min(axis=0).tolist(), "coordinates": labels}
+    if level is not None:
+        extras["refinement_level"] = level
+    return TailReport("pointwise-tail", mat.max(axis=1).tolist(),
+                      NOT_NULL if persistent.size else NULL,
+                      ts.tol, window, n, witness, extras)
+
+
+def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec) -> TailReport:
     """uo-proxy: coordinatewise / cellwise convergence to zero.
 
     values[n] is the sup of |seq(n)| over the touched coordinates
     (informational).  The verdict is per coordinate: a coordinate fails only
-    if, inside the recurrence zone (the final ``recurrence_fraction`` of the
-    run), its violations |seq(n)(c)| >= tol span at least a full tail window;
-    per-coordinate limsup and liminf over the zone are reported.
+    if, inside the recurrence zone (the final three quarters of the run), its
+    violations |seq(n)(c)| >= tol span at least a full tail window;
+    per-coordinate limsup and liminf over the zone are reported.  Step models
+    are refined to at most ``MAX_REFINE_LEVEL``.
     """
-    mat, labels, level = _coordinate_matrix(seq, max_level)
-    amat = np.abs(mat)
-    n = seq.length
-    window = ts.window_for(n)
-    zone_start = n - max(window, int(math.ceil(recurrence_fraction * n)))
-    zone = amat[zone_start:, :]
-    bad = zone >= ts.tol
-    persistent = []
-    for c in range(bad.shape[1]):
-        hits = np.where(bad[:, c])[0]
-        if hits.size >= 2 and hits[-1] - hits[0] >= window:
-            persistent.append(c)
-    values = amat.max(axis=1) if amat.size else np.zeros(n)
-    verdict = NULL if not persistent else NOT_NULL
-    witness = None
-    if verdict == NOT_NULL:
-        c = persistent[0]
-        hits = [int(zone_start + i + 1) for i in np.where(bad[:, c])[0]]
-        witness = {"coordinate": labels[c], "violation_indices": hits[:8]}
-    extras = {
-        "zone_start": zone_start + 1,
-        "limsup": [float(v) for v in zone.max(axis=0)] if zone.size else [],
-        "liminf": [float(v) for v in zone.min(axis=0)] if zone.size else [],
-        "coordinates": labels,
-    }
-    if level is not None:
-        extras["refinement_level"] = level
-    return TailReport("pointwise-tail", [float(v) for v in values], verdict,
-                      ts.tol, window, n, witness, extras)
+    mat, labels, level = _coordinate_matrix(seq, max_level=MAX_REFINE_LEVEL)
+    return _pointwise_report(mat, labels, level, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -528,27 +542,27 @@ def order_witness_atomic(seq: VectorSequence, bound: Element,
     check_tags(seq.tag, bound.tag)
     if not bound.is_positive():
         raise ValidationError("bound must be >= 0")
-    moduli = [x.abs() for x in seq]
-    for n, m in enumerate(moduli, start=1):
-        if not m.leq(bound, slack=ORDER_SLACK):
-            raise NotOrderBounded(
-                f"|seq({n})| is not dominated by the bound", witness_index=n
-            )
+    mat, labels, _ = _coordinate_matrix(seq)
+    columns = [int(c) for c in labels]
+
+    def undominated(v: LatticeVector) -> np.ndarray:  # the rows n - 1 where |seq(n)| <= v fails
+        return np.flatnonzero((mat > np.array([v[c] for c in columns]) + ORDER_SLACK).any(axis=1))
+
+    unbounded = undominated(bound)
+    if unbounded.size:
+        n = int(unbounded[0]) + 1
+        raise NotOrderBounded(f"|seq({n})| is not dominated by the bound", witness_index=n)
     atoms = sorted(bound.coords)
-    steps = max(len(atoms), 8)
     entries = []
-    for k in range(1, steps + 1):
+    for k in range(1, max(len(atoms), 8) + 1):
         cap = 1.0 / k
         vk = LatticeVector(
             seq.tag,
             {a: (min(cap, bound[a]) if i < k else bound[a])
              for i, a in enumerate(atoms)},
         )
-        last_bad = 0
-        for n in range(seq.length, 0, -1):
-            if not moduli[n - 1].leq(vk, slack=ORDER_SLACK):
-                last_bad = n
-                break
+        bad = undominated(vk)
+        last_bad = int(bad[-1]) + 1 if bad.size else 0
         if last_bad == seq.length:
             raise NoIndexFound(
                 f"no index n_k within the horizon dominates step k={k}", step=k

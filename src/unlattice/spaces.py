@@ -347,8 +347,16 @@ class LatticeVector(_ElementOps):
             return max(math.fabs(v) for v in self.coords.values())
         p = self.tag.p
         if p == 1.0:
-            return math.fsum(math.fabs(v) for v in self.coords.values())
+            return _fsum(math.fabs(v) for v in self.coords.values())
         return _power_norm(self.coords.values(), p)
+
+
+def _fsum(values) -> float:
+    """math.fsum of ``values``, or inf when the sum overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def _power_norm(values, p: float) -> float:
@@ -362,13 +370,10 @@ def _power_norm(values, p: float) -> float:
 
 
 def _power_sum(values, p: float) -> float:
-    """sum |v|**p, or inf when a power overflows."""
-    try:
-        if p == 2.0:
-            return math.fsum(v * v for v in values)
-        return math.fsum(math.fabs(v) ** p for v in values)
-    except OverflowError:
-        return math.inf
+    """sum |v|**p, or inf when a power or the sum overflows."""
+    if p == 2.0:
+        return _fsum(v * v for v in values)
+    return _fsum(math.fabs(v) ** p for v in values)
 
 
 def unit(tag: SpaceTag, n: int) -> LatticeVector:

@@ -310,6 +310,21 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     assert err.startswith("error (validation)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source, diagnostic", [
+    # the l1 norm overflows to inf, which a report may not hold
+    (inline({"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 1e308, "2": 1e308}}), "norm"),
+    # 32767 x 16384 cells exceed the coordinate matrix budget
+    ({"gallery": "typewriter", "params": {"max_level": 15}}, "pointwise"),
+])
+def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
+    scenario = {"schema": 1, "source": source, "diagnostic": {"name": diagnostic}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error (validation)") and err.count("\n") == 1
+
+
 def test_gallery_dump_needs_name(capsys):
     with pytest.raises(SystemExit):
         run_cli(["gallery", "dump"])

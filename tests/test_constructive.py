@@ -17,6 +17,7 @@ from unlattice.convergence import (
     NULL,
     ToleranceSpec,
     VectorSequence,
+    sequence_from_list,
     un_tail_qip,
 )
 from unlattice.errors import (
@@ -207,7 +208,7 @@ def test_kp_signed_overlap():
 def test_kp_subsequence_stays_un_null():
     seq = overlap_seq(lp(2), 512)
     res = kp_disjointify_positive(seq, 6, TS, check_un_null=False)
-    sub = seq.subsequence(res.selected_indices)
+    sub = sequence_from_list([seq.at(n) for n in res.selected_indices])
     report = un_tail_qip(sub, zero(seq.tag), ToleranceSpec(tol=1e-2, window=2))
     assert report.verdict == NULL
 
@@ -240,6 +241,31 @@ def test_uo_extract_typewriter():
     assert out.test_vector.level == 8
     assert out.report.extras["refinement_level"] == 8
     assert out.report.values == [0.5, 0.125, 0.03125, 0.0078125]
+
+
+def test_uo_extract_generates_each_term_once():
+    for seq in (typewriter(6), std_units(c0(), 32),
+                VectorSequence(lp(2), 24, lambda n: unit(lp(2), n % 5 + 1).scale(2.0 ** -n))):
+        calls = []
+
+        def at(n, seq=seq):
+            calls.append(n)
+            return seq.at(n)
+
+        uo_extract(VectorSequence(seq.tag, seq.length, at), ToleranceSpec(tol=1e-2, window=2))
+        assert calls == list(range(1, seq.length + 1))
+
+
+def test_uo_extract_certificate_outside_the_band():
+    # the selected terms are zero, so no coordinate of e's support is touched
+    tag = c0()
+    seq = sequence_from_list([zero(tag), zero(tag), unit(tag, 5), unit(tag, 6)])
+    out = uo_extract(seq, TS, target_count=2)
+    assert out.subindices == [1, 2]
+    assert out.test_vector.coords == {5: 2.0 ** -3, 6: 2.0 ** -4}
+    assert out.report.extras["coordinates"] == ["1"]
+    assert out.report.extras["limsup"] == [0.0]
+    assert out.report.verdict == NULL
 
 
 def test_uo_extract_zero_sequence_degenerate():

@@ -151,12 +151,13 @@ def test_un_values_dominated_by_norm_values():
 # ---------------------------------------------------------------------------
 
 BLOCK_TAGS = (c0(), linf(), lp(1), lp(1.5), lp(2), lp(3))
-# near 1e-310 values are subnormal, near 1e-200 their squares underflow and
-# near 1e200 their squares overflow
-block_value = st.builds(lambda m, f, sign: sign * m * f,
-                        st.sampled_from([1e-310, 1e-200, 1.0, 1e200]),
-                        st.floats(min_value=0.5, max_value=2.0),
-                        st.sampled_from([1.0, -1.0]))
+# near 1e-310 values are subnormal, near 1e-200 their squares underflow,
+# near 1e200 their squares overflow, and two of +-1e308 overflow an l1 sum
+block_value = st.one_of(st.builds(lambda m, f, sign: sign * m * f,
+                                  st.sampled_from([1e-310, 1e-200, 1.0, 1e200]),
+                                  st.floats(min_value=0.5, max_value=2.0),
+                                  st.sampled_from([1.0, -1.0])),
+                        st.sampled_from([1e308, -1e308]))
 # small indices overlap; far ones must not make the reducer allocate up to them
 block_index = st.one_of(st.integers(1, 24), st.integers(10 ** 12, 10 ** 12 + 4),
                         st.just(2 ** 62 - 1))
@@ -338,6 +339,51 @@ def test_pointwise_generates_each_term_once():
     assert report.verdict == NULL
 
 
+def _persistent_columns(zone: np.ndarray, tol: float, window: int) -> list[int]:
+    """The persistence rule, one column at a time."""
+    persistent = []
+    for c in range(zone.shape[1]):
+        hits = np.where(np.abs(zone[:, c]) >= tol)[0]
+        if hits.size >= 2 and hits[-1] - hits[0] >= window:
+            persistent.append(c)
+    return persistent
+
+
+def _pointwise_of_matrix(mat: np.ndarray, window: int):
+    seq = sequence_from_list([LatticeVector(c0(), {c + 1: v for c, v in enumerate(row) if v})
+                              for row in mat])
+    return pointwise_tail(seq, ToleranceSpec(tol=0.5, window=window))
+
+
+def test_pointwise_persistence_matches_column_loop():
+    rng = np.random.default_rng(8)
+    cases = []
+    for _ in range(80):
+        n, width = int(rng.integers(1, 40)), int(rng.integers(1, 6))
+        hit = rng.random((n, width)) < rng.uniform(0.02, 0.3)
+        cases.append((np.where(hit, rng.uniform(-2.0, 2.0, (n, width)), 0.0),
+                      int(rng.integers(1, n + 1))))
+    # coordinate 1 has one hit, 2 has hits window - 1 apart, 3 hits window apart
+    for window in (1, 2, 3, 5, 12):
+        mat = np.zeros((24, 3))
+        mat[10, 0] = mat[8, 1] = mat[8 + window - 1, 1] = mat[8, 2] = mat[8 + window, 2] = 1.0
+        cases.append((mat, window))
+        assert _pointwise_of_matrix(mat, window).witness == {
+            "coordinate": "3", "violation_indices": [9, 9 + window]}
+    for mat, window in cases:
+        report = _pointwise_of_matrix(mat, window)
+        touched = [c for c in range(mat.shape[1]) if mat[:, c].any()]
+        assert report.extras["coordinates"] == ([str(c + 1) for c in touched] or ["1"])
+        zone = mat[report.extras["zone_start"] - 1:, touched]
+        persistent = _persistent_columns(zone, 0.5, window)
+        assert report.verdict == (NOT_NULL if persistent else NULL)
+        if persistent:
+            c = persistent[0]
+            hits = np.where(np.abs(zone[:, c]) >= 0.5)[0] + report.extras["zone_start"]
+            assert report.witness == {"coordinate": str(touched[c] + 1),
+                                      "violation_indices": hits[:8].tolist()}
+
+
 def test_pointwise_transient_burst_is_null():
     # three consecutive spikes span less than one window: settling artifact
     tag = c0()
@@ -363,14 +409,32 @@ def test_pointwise_uniform_decay_null():
 
 
 def test_pointwise_rejects_direct_sum():
-    seq = VectorSequence(
-        lp(1), 8, lambda n: unit(lp(1), n)).subsequence(range(1, 9))
+    seq = VectorSequence(lp(1), 8, lambda n: unit(lp(1), n))
     assert pointwise_tail(seq, TS).verdict == NULL
     ds = VectorSequence(
         DirectSumVector(unit(lp(1), 1), unit(linf(), 1)).tag, 8,
         lambda n: DirectSumVector(unit(lp(1), n), unit(linf(), n)))
     with pytest.raises(ValidationError):
         pointwise_tail(ds, TS)
+
+
+def test_coordinate_matrix_budget():
+    ts = ToleranceSpec(window=1)
+    with mock.patch.object(convergence, "_MAX_CELLS", 31 * 16):
+        assert pointwise_tail(typewriter(5), ts).extras["refinement_level"] == 4
+        seq, calls = _counted(typewriter(6))
+        with pytest.raises(ValidationError, match="matrix exceeds"):
+            pointwise_tail(seq, ts)
+        assert calls == list(range(1, 9))  # refused when term 8 reaches level 3
+        pointwise_tail(std_units(c0(), 22), ts)
+        with pytest.raises(ValidationError, match="matrix exceeds"):
+            pointwise_tail(std_units(c0(), 23), ts)
+        with pytest.raises(ValidationError, match="matrix exceeds"):
+            order_witness_atomic(std_units(c0(), 23), ones(c0(), 23), ts)
+    seq, calls = _counted(std_units(c0(), 2 ** 40))
+    with pytest.raises(ValidationError, match="matrix exceeds"):
+        pointwise_tail(seq, ts)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +515,58 @@ def test_order_witness_disjoint_units_run_out_of_room():
     with pytest.raises(NoIndexFound) as exc:
         order_witness_atomic(seq, ones(tag, 8), TS)
     assert exc.value.step == 8
+
+
+def _order_witness_reference(terms, bound):
+    """order_witness_atomic's outcome from one ``leq`` comparison per term."""
+    moduli = [x.abs() for x in terms]
+    for n, m in enumerate(moduli, start=1):
+        if not m.leq(bound, slack=convergence.ORDER_SLACK):
+            return NotOrderBounded, n
+    atoms = sorted(bound.coords)
+    entries = []
+    for k in range(1, max(len(atoms), 8) + 1):
+        vk = LatticeVector(bound.tag, {a: (min(1.0 / k, bound[a]) if i < k else bound[a])
+                                       for i, a in enumerate(atoms)})
+        last_bad = max((n for n, m in enumerate(moduli, start=1)
+                        if not m.leq(vk, slack=convergence.ORDER_SLACK)), default=0)
+        if last_bad == len(terms):
+            return NoIndexFound, k
+        entries.append({"k": k, "index": last_bad + 1, "dominator_norm": vk.norm()})
+    return atoms, entries
+
+
+def test_order_witness_matches_per_term_leq():
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for case in range(60):
+        tag = (c0(), lp(1), lp(2), linf())[case % 4]
+        atoms = rng.choice(np.arange(1, 13), int(rng.integers(1, 10)), replace=False)
+        bound = LatticeVector(tag, dict(zip(atoms.tolist(), rng.uniform(0.2, 2.0, atoms.size))))
+        decay = rng.choice([0.5, 0.9, 1.0])
+        terms = []
+        for n in range(1, int(rng.integers(1, 40)) + 1):
+            picked = [a for a in bound.coords if rng.random() < 0.6]
+            coords = {a: rng.choice([-1.0, 1.0]) * bound[a] * rng.uniform(0.0, 1.0) * decay ** n
+                      for a in picked}
+            if rng.random() < 0.05:  # slack-sized excess, or a coordinate the bound misses
+                a = picked[0] if picked else 13
+                coords[a] = (bound[a] + rng.choice([0.5, 2.0]) * convergence.ORDER_SLACK
+                             if picked else 1e-3)
+            terms.append(LatticeVector(tag, coords))
+        seq, calls = _counted(sequence_from_list(terms))
+        want = _order_witness_reference(terms, bound)
+        try:
+            witness = order_witness_atomic(seq, bound, TS)
+            got = witness.atoms, witness.entries
+        except NotOrderBounded as exc:
+            got = NotOrderBounded, exc.witness_index
+        except NoIndexFound as exc:
+            got = NoIndexFound, exc.step
+        assert got == want
+        assert calls == list(range(1, len(terms) + 1))
+        outcomes.add(want[0] if isinstance(want[0], type) else "witness")
+    assert outcomes == {NotOrderBounded, NoIndexFound, "witness"}
 
 
 def test_almost_order_bounded():
