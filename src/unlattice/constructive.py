@@ -168,25 +168,19 @@ def _greedy_disjoint(seq: VectorSequence, target_count: int,
             raise NegativeInput(f"seq({n}) has a negative coordinate")
         return x
 
-    selected = [1]
-    terms = [term(1)]
-    while len(selected) < target_count:
+    selected, terms = [1], [term(1)]
+    for n in range(2, seq.length + 1):
+        if len(selected) == target_count:
+            break
+        x, k = term(n), len(selected) + 1
+        if all(x.meet(t).norm() <= 2.0 ** -(k + i) for i, t in enumerate(terms, start=1)):
+            selected.append(n)
+            terms.append(x)
+    if len(selected) < target_count:
         k = len(selected) + 1
-        found = None
-        for n in range(selected[-1] + 1, seq.length + 1):
-            x = term(n)
-            if all(x.meet(terms[i - 1]).norm() <= 2.0 ** -(k + i)
-                   for i in range(1, k)):
-                found = (n, x)
-                break
-        if found is None:
-            partial = _assemble_disjoint(selected, terms, warnings)
-            raise HorizonExhausted(
-                f"no admissible index for selection slot {k} "
-                f"(bound 2**-(k+i), k={k})", step=k, partial=partial,
-            )
-        selected.append(found[0])
-        terms.append(found[1])
+        raise HorizonExhausted(
+            f"no admissible index for selection slot {k} (bound 2**-(k+i), k={k})",
+            step=k, partial=_assemble_disjoint(selected, terms, warnings))
     return _assemble_disjoint(selected, terms, warnings)
 
 
@@ -241,31 +235,24 @@ def _select_geometric(length: int, q, target_count: int | None,
                       stall_message: str) -> tuple[list[int], list[float]]:
     """Greedy n_1 < n_2 < ...: n_k is the first index after n_{k-1} with q(n) <= 2**-k.
 
-    Stops at ``target_count`` picks or when the horizon runs out; raises
+    One forward pass calls q once per index, in order.  Stops at
+    ``target_count`` picks or when the horizon runs out; raises
     SelectionStalled (``stall_message`` formatted with k) if that leaves fewer
     than ``target_count`` picks, or none at all.  Returns the picks and their q.
     """
     picks: list[int] = []
     values: list[float] = []
-    prev = 0
-    k = 1
-    while True:
-        found = None
-        for n in range(prev + 1, length + 1):
-            v = q(n)
-            if v <= 2.0 ** -k:
-                found = (n, v)
+    for n in range(1, length + 1):
+        v = q(n)
+        if v <= 2.0 ** -(len(picks) + 1):
+            picks.append(n)
+            values.append(v)
+            if len(picks) == target_count:
                 break
-        if found is None:
-            if target_count is not None and len(picks) < target_count:
-                raise SelectionStalled(stall_message.format(k=k), step=k, partial=picks)
-            break
-        picks.append(found[0])
-        values.append(found[1])
-        prev = found[0]
-        k += 1
-        if target_count is not None and len(picks) == target_count:
-            break
+    else:
+        if target_count is not None and len(picks) < target_count:
+            k = len(picks) + 1
+            raise SelectionStalled(stall_message.format(k=k), step=k, partial=picks)
     if not picks:
         raise SelectionStalled("no admissible first index", step=1, partial=[])
     return picks, values
@@ -294,9 +281,8 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
     norms = [x.norm() for x in terms]
     nonzero = [n for n, v in enumerate(norms, start=1) if v > 0]
     if not nonzero:
-        report = TailReport("pointwise-tail", [0.0] * seq.length, NULL,
-                            ts.tol, ts.window_for(seq.length), seq.length, None,
-                            {"degenerate": True})
+        report = _make_report("pointwise-tail", [0.0] * seq.length, ts,
+                              extras={"degenerate": True})
         return UoExtraction(zero(seq.tag), list(range(1, seq.length + 1)),
                             [0.0] * seq.length, report, degenerate=True)
 
@@ -319,7 +305,7 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         active = np.logical_or.accumulate((mat >= ts.tol)[::-1], axis=0)[::-1]
         report = _make_report("uo-subsequence-unsettled-mass",
                               [float(weights[row].sum()) for row in active],
-                              ts, sub.length, extras={"refinement_level": level})
+                              ts, extras={"refinement_level": level})
     else:
         report = _pointwise_report(mat, labels, level, ts)
     return UoExtraction(e, subindices, meet_norms, report)
@@ -346,10 +332,11 @@ def norm_to_order_subsequence(seq: VectorSequence, ts: ToleranceSpec,
     The certificate z_m = sum_{k >= m} |seq(n_k)| satisfies |seq(n_k)| <= z_m
     for k >= m and ||z_m|| <= 2**-m+1, the desk-scale order-convergence bound.
     """
-    if norm_tail(seq, zero(seq.tag), ts).verdict != NULL:
+    norms = norm_tail(seq, zero(seq.tag), ts)
+    if norms.verdict != NULL:
         raise ValidationError("sequence is not norm-null at the given tolerance")
     subindices, _ = _select_geometric(
-        seq.length, lambda n: seq.at(n).norm(), target_count,
+        seq.length, lambda n: norms.values[n - 1], target_count,
         "norm tail decays too slowly for step k={k}")
     cert = []
     tail = zero(seq.tag)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ ORDER_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class VectorSequence:
-    """Finite, 1-based, deterministic sequence of tagged elements."""
+    """Finite, 1-based, deterministic sequence of tagged elements.  Iterating
+    one of more than ``_MAX_CELLS`` terms is refused before a term is made."""
 
     tag: SpaceTag
     length: int
@@ -77,10 +79,11 @@ class VectorSequence:
             raise ValidationError("sequence length must be >= 1")
 
     def __iter__(self):
+        _check_cells(self.length, 1)
         return (self.at(n) for n in range(1, self.length + 1))
 
     def terms(self) -> list[Element]:
-        return [self.at(n) for n in range(1, self.length + 1)]
+        return list(self)
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
@@ -157,8 +160,8 @@ def _tail_verdict(values: Sequence[float], tol: float, window: int):
     return NULL, None
 
 
-def _make_report(quantity, values, ts, length, witness_extra=None, extras=None):
-    window = ts.window_for(length)
+def _make_report(quantity, values, ts, witness_extra=None, extras=None):
+    window = ts.window_for(len(values))
     verdict, bad = _tail_verdict(values, ts.tol, window)
     witness = None
     if verdict == NOT_NULL:
@@ -166,7 +169,15 @@ def _make_report(quantity, values, ts, length, witness_extra=None, extras=None):
         if witness_extra:
             witness.update(witness_extra(bad))
     return TailReport(quantity, [float(v) for v in values], verdict,
-                      ts.tol, window, length, witness, extras or {})
+                      ts.tol, window, len(values), witness, extras or {})
+
+
+def _table_report(quantity, table: np.ndarray, ts, key: str, extras: dict):
+    """The report on the row maxima of ``table``; the witness names the first
+    maximal column of its row under ``key``."""
+    return _make_report(quantity, table.max(axis=1).tolist(), ts,
+                        witness_extra=lambda n: {key: int(table[n - 1].argmax())},
+                        extras=extras)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +249,28 @@ def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
-                  tests: Sequence[LatticeVector] = ()) -> np.ndarray:
+def _tail_norms(seq: VectorSequence, limit: Element,
+                tests: Sequence[Element] = ()) -> np.ndarray:
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
-    /\\ u for each test u, or of |seq(n) - limit| when no test is given."""
+    /\\ u for each test u, or of |seq(n) - limit| when no test is given.
+    Each term is generated once and its tag checked; sequence models are
+    reduced in CSR chunks, step models and the direct sum term by term."""
+    if not seq.tag.is_sequence_kind:
+        limit_is_zero, rows = limit.is_zero(), []
+        for x in seq:
+            check_tags(seq.tag, x.tag)
+            d = x.abs() if limit_is_zero else (x - limit).abs()
+            rows.append([d.meet(u).norm() for u in tests] or [d.norm()])
+        return np.array(rows)
     supports = [_sorted_support(u) for u in tests]
     blocks = []
     for indptr, indices, a in _sparse_chunks(seq, limit):
-        if not supports:
-            blocks.append(_row_norms(seq.tag, indptr, a)[:, None])
-            continue
-        meets = []
+        norms = []
         for keys, values in supports:
             at = np.searchsorted(keys, indices)
             u = np.where(keys[at] == indices, values[at], 0.0)
-            meets.append(_row_norms(seq.tag, indptr, np.minimum(a, u)))
-        blocks.append(np.stack(meets, axis=1))
+            norms.append(_row_norms(seq.tag, indptr, np.minimum(a, u)))
+        blocks.append(np.stack(norms or [_row_norms(seq.tag, indptr, a)], axis=1))
     return np.concatenate(blocks)
 
 
@@ -268,22 +285,7 @@ def _sorted_support(u: LatticeVector) -> tuple[np.ndarray, np.ndarray]:
 def norm_tail(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:
     """values[n] = ||seq(n) - limit||."""
     check_tags(seq.tag, limit.tag)
-    if seq.tag.is_sequence_kind:
-        values = _sparse_norms(seq, limit)[:, 0].tolist()
-    else:
-        values = [(x - limit).norm() for x in seq]
-    return _make_report("norm-tail", values, ts, seq.length)
-
-
-def _check_tests(tag, tests):
-    if not tests:
-        raise ValidationError("un_tail needs at least one test vector")
-    for u in tests:
-        check_tags(tag, u.tag)
-        if not u.is_positive():
-            raise NegativeTestVector("test vectors must be >= 0")
-        if u.is_zero():
-            raise ValidationError("test vectors must be nonzero")
+    return _make_report("norm-tail", _tail_norms(seq, limit)[:, 0].tolist(), ts)
 
 
 def un_tail(seq: VectorSequence, limit: Element, tests: Sequence[Element],
@@ -291,20 +293,16 @@ def un_tail(seq: VectorSequence, limit: Element, tests: Sequence[Element],
     """values[n] = max over test vectors u of || |seq(n) - limit| /\\ u ||."""
     check_tags(seq.tag, limit.tag)
     tests = list(tests)
-    _check_tests(seq.tag, tests)
-    if seq.tag.is_sequence_kind:
-        norms = _sparse_norms(seq, limit, tests)
-    else:
-        limit_is_zero = limit.is_zero()
-        moduli = (x.abs() if limit_is_zero else (x - limit).abs() for x in seq)
-        norms = np.array([[d.meet(u).norm() for u in tests] for d in moduli])
-    values = norms.max(axis=1).tolist()
-    argmax = norms.argmax(axis=1).tolist()
-    return _make_report(
-        "un-tail", values, ts, seq.length,
-        witness_extra=lambda n: {"test_index": argmax[n - 1]},
-        extras={"num_tests": len(tests)},
-    )
+    if not tests:
+        raise ValidationError("un_tail needs at least one test vector")
+    for u in tests:
+        check_tags(seq.tag, u.tag)
+        if not u.is_positive():
+            raise NegativeTestVector("test vectors must be >= 0")
+        if u.is_zero():
+            raise ValidationError("test vectors must be nonzero")
+    return _table_report("un-tail", _tail_norms(seq, limit, tests), ts, "test_index",
+                         {"num_tests": len(tests)})
 
 
 def truncation_index(u: Element, e: Element, eps: float, m_max: int = 2 ** 20) -> int:
@@ -359,8 +357,7 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
     if not delta > 0:
         raise ValidationError("delta must be > 0")
     values = [f.measure_where(lambda v: np.abs(v) > delta) for f in seq]
-    return _make_report("in-measure-tail", values, ts, seq.length,
-                        extras={"delta": delta})
+    return _make_report("in-measure-tail", values, ts, extras={"delta": delta})
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +383,9 @@ def _coordinate_matrix(seq: VectorSequence, band: Element | None = None,
     column labels and its step level (None for sequence models), from one
     generation of each term.  With ``band``, of the band projection onto the
     support of ``band``.  A matrix over ``_MAX_CELLS`` cells, or a step level
-    over ``max_level``, is refused before it is allocated.
+    over ``max_level``, is refused before it is allocated; a sequence of over
+    ``_MAX_CELLS`` terms before a term is generated.
     """
-    _check_cells(seq.length, 1)
     if seq.tag.kind == "lp_step":
         level, terms = (0 if band is None else band.level), []
         for x in seq:
@@ -467,17 +464,28 @@ def pairing(f: Element, x: Element) -> float:
     """Duality pairing <f, x> for the representable functional families."""
     check_tags(f.tag, x.tag)
     if isinstance(f, LatticeVector):
-        keys = f.coords.keys() & x.coords.keys()
-        return math.fsum(f.coords[i] * x.coords[i] for i in keys)
+        prods = [f.coords[i] * x.coords[i] for i in f.coords.keys() & x.coords.keys()]
+        if all(map(math.isfinite, prods)):
+            try:
+                return math.fsum(prods)
+            except OverflowError:  # a partial sum left the float range, the sum may not
+                try:
+                    return float(sum(map(Fraction, prods)))
+                except OverflowError:
+                    pass
+        raise ValidationError("the pairing exceeds the float range")
     if isinstance(f, StepFunction):
         level = max(f.level, x.level)
-        prod = (f.tag.measure.weight_array(level)
-                * f.refined(level).values * x.refined(level).values)
-        if prod.size % 2 == 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod = (f.tag.measure.weight_array(level)
+                    * f.refined(level).values * x.refined(level).values)
             # adjacent-pair summation: exact cancellation for sign-modulated
             # integrands that flip within equal-mass cell pairs
-            return float(prod.reshape(-1, 2).sum(axis=1).sum())
-        return float(prod.sum())
+            total = float(prod.reshape(-1, 2).sum(axis=1).sum() if prod.size % 2 == 0
+                          else prod.sum())
+        if not math.isfinite(total):
+            raise ValidationError("the pairing exceeds the float range")
+        return total
     if isinstance(f, DirectSumVector):
         return pairing(f.left, x.left) + pairing(f.right, x.right)
     raise ValidationError("unsupported functional type")
@@ -495,23 +503,14 @@ def weak_tail(seq: VectorSequence, functionals: Sequence[Element], ts: Tolerance
         raise ValidationError("weak_tail needs at least one functional")
     for f in functionals:
         check_tags(seq.tag, f.tag)
-    values = []
-    argmax = []
-    for x in seq:
-        if modulus:
-            vals = [abs(pairing(f.abs(), x.abs())) for f in functionals]
-        else:
-            vals = [abs(pairing(f, x)) for f in functionals]
-        j = int(np.argmax(vals))
-        values.append(vals[j])
-        argmax.append(j)
-    quantity = "modulus-weak-tail" if modulus else "weak-tail"
-    report = _make_report(
-        quantity, values, ts, seq.length,
-        witness_extra=lambda n: {"functional_index": argmax[n - 1]},
-        extras={"family_size": len(functionals), "verdict_scope": "against family"},
-    )
-    return report
+    terms = iter(seq)
+    if modulus:
+        functionals = [f.abs() for f in functionals]
+        terms = (x.abs() for x in terms)
+    table = np.array([[abs(pairing(f, x)) for f in functionals] for x in terms])
+    return _table_report("modulus-weak-tail" if modulus else "weak-tail", table, ts,
+                         "functional_index",
+                         {"family_size": len(functionals), "verdict_scope": "against family"})
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +594,9 @@ def almost_order_bounded_check(vectors: Sequence[Element], u: Element,
         raise ValidationError("need at least one vector")
     if not u.is_positive():
         raise ValidationError("u must be >= 0")
-    worst_value = -1.0
-    worst_index = 0
-    for i, x in enumerate(vectors):
+    values = []
+    for x in vectors:
         check_tags(x.tag, u.tag)
-        v = (x.abs() - u).pos().norm()
-        if v > worst_value:
-            worst_value = v
-            worst_index = i
-    return AlmostOrderBoundedResult(worst_value < eps, worst_value, worst_index)
+        values.append((x.abs() - u).pos().norm())
+    i = int(np.argmax(values))
+    return AlmostOrderBoundedResult(values[i] < eps, values[i], i)

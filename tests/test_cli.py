@@ -315,6 +315,8 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     (inline({"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 1e308, "2": 1e308}}), "norm"),
     # 32767 x 16384 cells exceed the coordinate matrix budget
     ({"gallery": "typewriter", "params": {"max_level": 15}}, "pointwise"),
+    # 2**40 terms exceed it too, and are refused before one is generated
+    ({"gallery": "std_units_c0", "params": {"horizon": 2 ** 40}}, "norm"),
 ])
 def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
     scenario = {"schema": 1, "source": source, "diagnostic": {"name": diagnostic}}
@@ -323,6 +325,26 @@ def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
         assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error (validation)") and err.count("\n") == 1
+
+
+L1 = {"kind": "lp", "p": 1.0}
+STEP = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}
+
+
+@pytest.mark.parametrize("term, functional", [
+    ({"tag": L1, "coords": {"1": 1.0, "2": 1.0}}, {"tag": L1, "coords": {"1": 1e308, "2": 1e308}}),
+    ({"tag": L1, "coords": {"1": 1e308, "2": -1e308}},
+     {"tag": L1, "coords": {"1": 1e308, "2": 1e308}}),
+    ({"tag": STEP, "level": 0, "values": [1e308]}, {"tag": STEP, "level": 0, "values": [1e308]}),
+])
+def test_pairing_beyond_the_float_range_exits_2(tmp_path, capsys, term, functional):
+    scenario = {"schema": 1, "source": inline(term),
+                "diagnostic": {"name": "weak", "functionals": [functional]}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == "error (validation): the pairing exceeds the float range\n"
 
 
 def test_gallery_dump_needs_name(capsys):

@@ -178,6 +178,76 @@ def test_kp_signed_advisory_runs_once_on_the_signed_sequence():
     assert kp_disjointify(overlap_seq(lp(2), 64), 4, TS).warnings == []
 
 
+def _greedy_disjoint_nested(seq, target_count, warnings):
+    """The slot-by-slot greedy scan: one rescan from the last pick per slot."""
+    def term(n):
+        x = seq.at(n)
+        if not x.is_positive():
+            raise NegativeInput(f"seq({n}) has a negative coordinate")
+        return x
+
+    selected = [1]
+    terms = [term(1)]
+    while len(selected) < target_count:
+        k = len(selected) + 1
+        found = None
+        for n in range(selected[-1] + 1, seq.length + 1):
+            x = term(n)
+            if all(x.meet(terms[i - 1]).norm() <= 2.0 ** -(k + i) for i in range(1, k)):
+                found = (n, x)
+                break
+        if found is None:
+            partial = constructive._assemble_disjoint(selected, terms, warnings)
+            raise HorizonExhausted(
+                f"no admissible index for selection slot {k} "
+                f"(bound 2**-(k+i), k={k})", step=k, partial=partial,
+            )
+        selected.append(found[0])
+        terms.append(found[1])
+    return constructive._assemble_disjoint(selected, terms, warnings)
+
+
+def _disjoint_outcome(scan, terms, target_count):
+    """What ``scan`` returns or raises on ``terms``, and the indices it generated."""
+    calls = []
+
+    def at(n):
+        calls.append(n)
+        return terms[n - 1]
+
+    try:
+        out = scan(VectorSequence(lp(1), len(terms), at), target_count, [])
+        result = ("ok", out.selected_indices, out.residual_norms, out.meet_matrix)
+    except HorizonExhausted as exc:
+        result = ("exhausted", str(exc), exc.step, exc.partial.selected_indices,
+                  exc.partial.residual_norms)
+    except NegativeInput as exc:
+        result = ("negative", str(exc))
+    return result, calls
+
+
+def test_greedy_disjoint_scan_matches_the_nested_scan():
+    rng = np.random.default_rng(17)
+    kinds = set()
+    for _ in range(150):
+        length = int(rng.integers(1, 16))
+        terms = [LatticeVector(lp(1), {int(i): float(2.0 ** -rng.integers(0, 9)) for i in
+                                       rng.choice(6, int(rng.integers(0, 3)), replace=False) + 1})
+                 for _ in range(length)]
+        if rng.random() < 0.1:
+            terms[int(rng.integers(length))] = LatticeVector(lp(1), {2: -1.0})
+        for target_count in (1, 2, 3, 5, length):
+            nested = _disjoint_outcome(_greedy_disjoint_nested, terms, target_count)
+            assert _disjoint_outcome(constructive._greedy_disjoint, terms, target_count) == nested
+            kinds.add(nested[0][0])
+            if nested[0][0] == "ok" and nested[0][1][-1] == length and target_count > 1:
+                kinds.add("target at the last index")
+            if nested[0][0] == "exhausted" and nested[0][2] > 2:
+                kinds.add("exhausted after slot 2")
+    assert kinds == {"ok", "exhausted", "negative", "target at the last index",
+                     "exhausted after slot 2"}
+
+
 def test_kp_signed_preserves_signs():
     tag = lp(2)
     seq = VectorSequence(tag, 16, lambda n: unit(tag, n).scale((-1.0) ** n))
@@ -216,6 +286,71 @@ def test_kp_subsequence_stays_un_null():
 # ---------------------------------------------------------------------------
 # uo-subsequence extraction
 # ---------------------------------------------------------------------------
+
+def _select_geometric_nested(length, q, target_count, stall_message):
+    """The slot-by-slot selection: one rescan from the last pick per slot."""
+    picks, values = [], []
+    prev = 0
+    k = 1
+    while True:
+        found = None
+        for n in range(prev + 1, length + 1):
+            v = q(n)
+            if v <= 2.0 ** -k:
+                found = (n, v)
+                break
+        if found is None:
+            if target_count is not None and len(picks) < target_count:
+                raise SelectionStalled(stall_message.format(k=k), step=k, partial=picks)
+            break
+        picks.append(found[0])
+        values.append(found[1])
+        prev = found[0]
+        k += 1
+        if target_count is not None and len(picks) == target_count:
+            break
+    if not picks:
+        raise SelectionStalled("no admissible first index", step=1, partial=[])
+    return picks, values
+
+
+def _selection_outcome(scan, table, target_count):
+    """What ``scan`` returns or raises over the q values ``table``, and the
+    indices at which it called q."""
+    calls = []
+
+    def q(n):
+        calls.append(n)
+        return table[n - 1]
+
+    try:
+        result = scan(len(table), q, target_count, "stalled at k={k}")
+    except SelectionStalled as exc:
+        result = (str(exc), exc.step, exc.partial)
+    return result, calls
+
+
+def test_select_geometric_scan_matches_the_nested_scan():
+    rng = np.random.default_rng(29)
+    kinds = set()
+    for _ in range(300):
+        length = int(rng.integers(1, 30))
+        table = (rng.uniform(0.0, 1.0, length) * 2.0 ** -rng.integers(0, 10, length)).tolist()
+        if rng.random() < 0.5:
+            table[-1] = 0.0  # always admissible: some selection ends at the last index
+        picks = len(_selection_outcome(_select_geometric_nested, table, None)[0][0])
+        for target_count in (None, 0, 1, 3, picks, picks + 1, picks + 4):
+            nested = _selection_outcome(_select_geometric_nested, table, target_count)
+            assert _selection_outcome(constructive._select_geometric, table, target_count) == nested
+            (result, calls) = nested
+            if target_count is None:
+                kinds.add("no target")
+            if isinstance(result[1], int) and result[1] > 1:
+                kinds.add("stall at slot k > 1")
+            if target_count and isinstance(result[0], list) and result[0][-1] == length:
+                kinds.add("target at the last index")
+    assert kinds == {"no target", "stall at slot k > 1", "target at the last index"}
+
 
 def test_uo_extract_units():
     seq = std_units(c0(), 32)
@@ -321,6 +456,23 @@ def test_norm_to_order_slow_decay():
     assert out.subindices == [2 ** k for k in range(1, 13)]
     with pytest.raises(SelectionStalled):
         norm_to_order_subsequence(seq, ToleranceSpec(tol=1e-2), target_count=20)
+
+
+def test_norm_to_order_generates_each_term_once_plus_the_selected():
+    for tag in (lp(2), lp_step(1)):
+        base = VectorSequence(tag, 40, lambda n, tag=tag: (
+            unit(tag, n % 3 + 1) if tag.is_sequence_kind
+            else StepFunction(tag, 1, np.array([1.0, -0.5]))).scale(0.8 ** n))
+        calls = []
+
+        def at(n, base=base):
+            calls.append(n)
+            return base.at(n)
+
+        out = norm_to_order_subsequence(VectorSequence(tag, 40, at), ToleranceSpec(tol=1e-2))
+        assert len(out.subindices) > 3
+        assert calls[:40] == list(range(1, 41))
+        assert sorted(calls[40:]) == out.subindices
 
 
 def test_norm_to_order_requires_norm_null():

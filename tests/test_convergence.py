@@ -1,6 +1,7 @@
 """Tail diagnostics: frozen examples plus the algebraic invariants."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -191,8 +192,8 @@ def test_block_row_norms_are_vector_norms(tag, rows, test_coords, chunk_cells):
     far = LatticeVector(tag, {100: 1.0})  # its support misses every row
     # small chunks: rows straddle chunk boundaries, and some chunks hold one row
     with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
-        norms = convergence._sparse_norms(seq, zero(tag))
-        meets = convergence._sparse_norms(seq, zero(tag), [u, far])
+        norms = convergence._tail_norms(seq, zero(tag))
+        meets = convergence._tail_norms(seq, zero(tag), [u, far])
     assert _bits(norms[:, 0]) == _bits(x.norm() for x in terms)
     assert _bits(meets[:, 0]) == _bits(x.abs().meet(u).norm() for x in terms)
     assert _bits(meets[:, 1]) == [(0.0).hex()] * len(terms)
@@ -437,6 +438,30 @@ def test_coordinate_matrix_budget():
     assert calls == []
 
 
+def test_streaming_diagnostics_budget():
+    from unlattice.constructive import norm_to_order_subsequence, uo_extract
+    step = lp_step(1)
+    units, calls = _counted(std_units(c0(), 17))
+    steps, step_calls = _counted(VectorSequence(step, 17, lambda n: constant_one(step)))
+    diagnostics = [
+        lambda: norm_tail(units, zero(c0()), TS),
+        lambda: un_tail(units, zero(c0()), [ones(c0(), 4)], TS),
+        lambda: un_tail_qip(units, zero(c0()), TS),
+        lambda: in_measure_tail(steps, 0.5, TS),
+        lambda: weak_tail(units, [unit(c0(), 1)], TS),
+        lambda: weak_tail(steps, [constant_one(step)], TS, modulus=True),
+        lambda: uo_extract(units, TS),
+        lambda: norm_to_order_subsequence(units, TS),
+    ]
+    with mock.patch.object(convergence, "_MAX_CELLS", 16):
+        for diagnostic in diagnostics:
+            with pytest.raises(ValidationError, match="a 17 x 1 matrix exceeds 16 cells"):
+                diagnostic()
+    assert calls == [] and step_calls == []
+    with mock.patch.object(convergence, "_MAX_CELLS", 17):
+        assert norm_tail(units, zero(c0()), TS).horizon == 17
+
+
 # ---------------------------------------------------------------------------
 # weak tails and pairing
 # ---------------------------------------------------------------------------
@@ -449,6 +474,23 @@ def test_pairing_sequence_and_step():
     g = StepFunction(tag, 1, np.array([1.0, -1.0]))
     h = StepFunction(tag, 1, np.array([3.0, 1.0]))
     assert pairing(g, h) == pytest.approx(1.0)
+
+
+def test_pairing_beyond_the_float_range():
+    tag = lp(1)
+    # the partial sum 2e308 overflows, the exact sum is 1e308
+    f = LatticeVector(tag, {1: 1e308, 2: 1e308, 3: -1e308})
+    assert pairing(f, LatticeVector(tag, {1: 1.0, 2: 1.0, 3: 1.0})) == 1e308
+    assert pairing(f, LatticeVector(tag, {1: 0.5, 2: 1.0, 3: 0.25})) == 1.25e308
+    with pytest.raises(ValidationError, match="float range"):
+        pairing(f, LatticeVector(tag, {1: 1.0, 2: 1.0}))
+    with pytest.raises(ValidationError, match="float range"):
+        pairing(f, LatticeVector(tag, {1: 1e308, 2: -1e308}))
+    g = StepFunction(lp_step(1), 0, np.array([1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="float range"):
+            pairing(g, g)
 
 
 def test_weak_tail_sign_modulation_cancels_exactly():
@@ -469,6 +511,21 @@ def test_modulus_weak_tail_sees_constant_mass():
     assert report.verdict == NOT_NULL
     assert report.values == [1.25] * 10
     assert report.quantity == "modulus-weak-tail"
+
+
+def test_table_ties_name_the_first_column():
+    seq = sequence_from_list([unit(c0(), 1)] * 8)
+    half, e1 = unit(c0(), 1).scale(0.5), unit(c0(), 1)
+    tied = LatticeVector(c0(), {1: 1.0, 2: 1.0})
+    assert un_tail(seq, zero(c0()), [half, e1, tied], TS).witness["test_index"] == 1
+    assert weak_tail(seq, [half, tied, e1], TS).witness["functional_index"] == 1
+    assert weak_tail(seq, [half.scale(-1.0), e1.scale(-1.0), e1], TS,
+                     modulus=True).witness["functional_index"] == 1
+    step = lp_step(2)
+    one = constant_one(step)
+    steps = VectorSequence(step, 8, lambda n: one)
+    assert un_tail(steps, zero(step), [one.scale(0.5), one, one.scale(2.0)],
+                   TS).witness["test_index"] == 1
 
 
 def test_weak_tail_direct_sum_pairing():
