@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -468,7 +467,8 @@ def pairing(f: Element, x: Element) -> float:
         if all(map(math.isfinite, prods)):
             try:
                 return math.fsum(prods)
-            except OverflowError:  # a partial sum left the float range, the sum may not
+            except OverflowError:  # a partial sum left the float range; the exact sum may not
+                from fractions import Fraction  # a rare path; the import is slow
                 try:
                     return float(sum(map(Fraction, prods)))
                 except OverflowError:

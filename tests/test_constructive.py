@@ -338,11 +338,13 @@ def test_select_geometric_scan_matches_the_nested_scan():
         table = (rng.uniform(0.0, 1.0, length) * 2.0 ** -rng.integers(0, 10, length)).tolist()
         if rng.random() < 0.5:
             table[-1] = 0.0  # always admissible: some selection ends at the last index
-        picks = len(_selection_outcome(_select_geometric_nested, table, None)[0][0])
+        free = _selection_outcome(_select_geometric_nested, table, None)[0]
+        picks = len(free[0]) if isinstance(free[0], list) else 0
         for target_count in (None, 0, 1, 3, picks, picks + 1, picks + 4):
             nested = _selection_outcome(_select_geometric_nested, table, target_count)
-            assert _selection_outcome(constructive._select_geometric, table, target_count) == nested
-            (result, calls) = nested
+            scan = _selection_outcome(constructive._select_geometric, table, target_count)
+            assert scan == nested
+            result = nested[0]
             if target_count is None:
                 kinds.add("no target")
             if isinstance(result[1], int) and result[1] > 1:
