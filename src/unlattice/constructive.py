@@ -21,6 +21,7 @@ from .convergence import (
     TailReport,
     ToleranceSpec,
     VectorSequence,
+    _check_cells,
     _coordinate_matrix,
     _make_report,
     _pointwise_report,
@@ -125,15 +126,23 @@ def _kp_prologue(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
                  check_un_null: bool, require_un_null: bool) -> list[str]:
     """Check ``target_count`` and run the un-null advisory; its warnings.
 
-    |x_n| and x_n meet the quasi-interior point in the same norm, so a signed
-    sequence is checked as it is.
+    The verdict reads only the last ``window`` values, and the value of term n
+    depends on x_n alone, so the advisory runs on that tail window: the terms
+    before it are never generated.  |x_n| and x_n meet the quasi-interior
+    point in the same norm, so a signed sequence is checked as it is.
     """
     if target_count < 1:
         raise ValidationError("target_count must be >= 1")
     if not check_un_null:
         return []
     try:
-        report = un_tail_qip(seq, zero(seq.tag), ts)
+        _check_cells(seq.length, 1)  # refused before a term is made, as iterating seq is
+        # ts.window_for's window; one over the length fails in the report, as before
+        w = ts.window or max(1, seq.length // 4)
+        head = max(0, seq.length - w)
+        tail = VectorSequence(seq.tag, seq.length - head, lambda n: seq.at(head + n),
+                              name=seq.name)
+        report = un_tail_qip(tail, zero(seq.tag), ToleranceSpec(ts.tol, w))
     except Exception as exc:  # advisory only; never fatal
         return [f"un-null precondition could not be checked: {exc}"]
     if report.verdict == NULL:

@@ -41,6 +41,11 @@ MIN_NORMAL = 2.0 ** -1022
 #: Coordinate indices are below this bound, which fits numpy's int64.
 MAX_INDEX = 2 ** 62
 
+#: The largest horizon of a linf quasi-interior point: building one takes
+#: about 160 bytes per coordinate, so it stays within 512 MiB, the memory of
+#: the largest coordinate matrix.
+MAX_QIP_HORIZON = 2 ** 29 // 160
+
 
 # ---------------------------------------------------------------------------
 # measures and space tags
@@ -336,6 +341,8 @@ class LatticeVector(_ElementOps):
         return all(self[i] <= other[i] + slack for i in keys)
 
     def is_positive(self, slack: float = 0.0) -> bool:
+        if self._positive and slack >= 0:
+            return True
         return all(v >= -slack for v in self.coords.values())
 
     # -- norm ----------------------------------------------------------------
@@ -622,15 +629,20 @@ def quasi_interior_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> Eleme
     """A canonical quasi-interior point of the tagged model.
 
     c0 and lp get the summable geometric sequence (2**-n), truncated at the
-    working horizon; linf gets its strong unit 1 on the horizon; the step
-    models get the constant-one function.
+    working horizon and stored only where 2**-n is not 0.0 (n <= 1074);
+    linf gets its strong unit 1 on the horizon, which is refused beyond
+    ``MAX_QIP_HORIZON``; the step models get the constant-one function.
     """
     if tag.kind == "lp_step":
         return constant_one(tag)
     if tag.kind == "linf":
+        if horizon > MAX_QIP_HORIZON:
+            raise ValidationError(f"a linf quasi-interior point of horizon {horizon} "
+                                  f"exceeds the maximum {MAX_QIP_HORIZON}")
         return ones(tag, horizon)
     if tag.is_sequence_kind:
-        return LatticeVector(tag, {n: 2.0 ** -n for n in range(1, horizon + 1)})
+        return LatticeVector._trusted(
+            tag, {n: 2.0 ** -n for n in range(1, min(horizon, 1074) + 1)})
     raise ValidationError(f"no canonical quasi-interior point for {tag.describe()}")
 
 

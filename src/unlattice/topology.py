@@ -105,14 +105,14 @@ def _sample_element(tag: SpaceTag, rng: np.random.Generator,
         vals = rng.uniform(-1.0, 1.0, size=2 ** level)
         if positive:
             vals = np.abs(vals)
-        return StepFunction(tag, level, vals)
+        return StepFunction._checked(tag, level, vals)
     if tag.is_sequence_kind:
         size = int(rng.integers(1, 9))
-        support = rng.choice(np.arange(1, max_index + 1), size=size, replace=False)
+        support = rng.choice(max_index, size=size, replace=False) + 1
         vals = rng.uniform(-1.0, 1.0, size=size)
         if positive:
             vals = np.abs(vals)
-        return LatticeVector(tag, {int(i): float(v) for i, v in zip(support, vals)})
+        return LatticeVector._checked(tag, dict(zip(support.tolist(), vals.tolist())))
     raise ValidationError(f"axiom suite does not sample {tag.describe()}")
 
 
@@ -148,6 +148,10 @@ def _describe(x: Element) -> str:
 
 def axiom_suite(tag: SpaceTag, samples: int = 10_000, rng_seed: int = 0) -> AxiomSuiteReport:
     """Randomized verification of the five neighborhood-base axioms."""
+    if samples < 1:  # no samples would pass every axiom vacuously
+        raise ValidationError(f"samples must be >= 1, not {samples}")
+    if rng_seed < 0:
+        raise ValidationError(f"the seed must be >= 0, not {rng_seed}")
     rng = np.random.default_rng(rng_seed)
     report = AxiomSuiteReport(tag.describe(), rng_seed)
 

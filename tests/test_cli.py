@@ -251,6 +251,21 @@ def test_axioms_verb(tmp_path, capsys):
     assert run_cli(["axioms", "lfoo", "--samples", "5"]) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--samples", "-5"], None),
+    (["--samples", "0"], None),
+    ([], "-5"),
+    (["--seed", "-1", "--samples", "5"], None),
+])
+def test_axioms_bad_values_exit_2_with_one_line(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("UNLATTICE_AXIOM_SAMPLES", env)
+    assert run_cli(["axioms", "c0", *argv]) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error (validation)") and captured.err.count("\n") == 1
+
+
 def test_kp_verb(tmp_path, capsys):
     scenario = {
         "schema": 1,
@@ -317,9 +332,14 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     ({"gallery": "typewriter", "params": {"max_level": 15}}, "pointwise"),
     # 2**40 terms exceed it too, and are refused before one is generated
     ({"gallery": "std_units_c0", "params": {"horizon": 2 ** 40}}, "norm"),
+    # a linf quasi-interior point on 2**30 coordinates would exceed 512 MiB
+    ({"gallery": "std_units_linf", "params": {"horizon": 8}},
+     {"name": "un_qip", "horizon": 2 ** 30}),
 ])
 def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
-    scenario = {"schema": 1, "source": source, "diagnostic": {"name": diagnostic}}
+    if isinstance(diagnostic, str):
+        diagnostic = {"name": diagnostic}
+    scenario = {"schema": 1, "source": source, "diagnostic": diagnostic}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION

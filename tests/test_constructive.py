@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from unlattice import constructive
+from unlattice import constructive, convergence
 from unlattice.constructive import (
     kp_disjointify,
     kp_disjointify_positive,
@@ -150,6 +150,24 @@ def test_kp_positive_constant_sequence_exhausts():
     assert exc.value.partial.selected_indices == [1]
 
 
+def test_kp_advisory_budget_reads_the_whole_length():
+    calls = []
+
+    def at(n):
+        calls.append(n)
+        return unit(c0(), n)
+
+    seq = VectorSequence(c0(), 17, at)
+    with mock.patch.object(convergence, "_MAX_CELLS", 16):
+        # the 4-term tail window fits the budget, the 17-term sequence does not
+        for kp in (kp_disjointify, kp_disjointify_positive):
+            res = kp(seq, 3, ToleranceSpec(window=4))
+            assert res.warnings == ["un-null precondition could not be checked: "
+                                    "a 17 x 1 matrix exceeds 16 cells"]
+            assert set(calls) == {1, 2, 3}  # the greedy scan's terms only
+            calls.clear()
+
+
 def test_kp_positive_rejects_signed_terms():
     tag = lp(2)
     seq = VectorSequence(tag, 8, lambda n: unit(tag, n).scale(-1.0))
@@ -166,11 +184,31 @@ def test_kp_advisory_warning_on_non_un_null_input():
 
 
 def test_kp_signed_advisory_runs_once_on_the_signed_sequence():
-    seq = VectorSequence(linf(), 64, lambda n: unit(linf(), n).scale((-1.0) ** n))
-    with mock.patch.object(constructive, "un_tail_qip", wraps=un_tail_qip) as advisory:
+    calls = []
+
+    def at(n):
+        calls.append(n)
+        return unit(linf(), n).scale((-1.0) ** n)
+
+    seq = VectorSequence(linf(), 64, at)
+    w = TS.window_for(seq.length)
+    generated = []
+
+    def advisory_run(tail, limit, ts):
+        start = len(calls)
+        report = un_tail_qip(tail, limit, ts)
+        generated.extend(calls[start:])
+        return report
+
+    with mock.patch.object(constructive, "un_tail_qip", side_effect=advisory_run) as advisory:
         res = kp_disjointify(seq, 4, TS)
     advisory.assert_called_once()
-    assert advisory.call_args.args[0] is seq
+    tail = advisory.call_args.args[0]
+    # the advisory reads the last w signed terms, each generated once, and no other
+    assert tail.length == w
+    assert generated == list(range(seq.length - w + 1, seq.length + 1))
+    assert [tail.at(k).coords for k in range(1, w + 1)] == [
+        {n: (-1.0) ** n} for n in range(seq.length - w + 1, seq.length + 1)]
     assert res.warnings and "not un-null" in res.warnings[0]
     with pytest.raises(ValidationError, match="not un-null"):
         kp_disjointify(std_units(linf(), 64), 4, TS, require_un_null=True)

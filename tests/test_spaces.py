@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unlattice import spaces
 from unlattice.errors import NegativeInput, TagMismatch, ValidationError
 from unlattice.spaces import (
     DirectSumVector,
@@ -291,6 +293,18 @@ def test_results_keep_vector_invariants(a, b, c):
         assert all(type(v) is float and v != 0.0 for v in r.coords.values())
 
 
+@given(coords_st, coords_st, st.floats(min_value=-4, max_value=4),
+       st.floats(min_value=0, max_value=20))
+def test_positive_flag_is_exact(a, b, c, slack):
+    x, y = vec(a), vec(b)
+    raw = {i: v * c for i, v in a.items()}  # zeros and signs for _checked
+    for r in (x, x.abs(), x.pos(), x.neg(), x.abs().meet(y.abs()), x.meet(y), x.join(y),
+              x + y, x - y, x.scale(c), LatticeVector._checked(L2, raw)):
+        assert r._positive == all(v > 0 for v in r.coords.values())
+        for s in (0.0, slack):
+            assert r.is_positive(s) == all(v >= -s for v in r.coords.values())
+
+
 def test_step_results_own_read_only_values():
     mu = MeasureModel(1, (0.75, 0.25))
     tag = lp_step(2, mu)
@@ -337,6 +351,19 @@ def test_quasi_interior_points():
     for tag in (c0(), lp(1), linf(), lp_step(1)):
         q = quasi_interior_point(tag, horizon=16)
         assert q.is_positive() and not q.is_zero()
+
+
+def test_quasi_interior_point_memory_is_bounded():
+    # 2**-n is 0.0 past n = 1074: a larger horizon stores no more coordinates
+    for tag in (c0(), lp(2)):
+        e = quasi_interior_point(tag, horizon=2 ** 40)
+        assert e.coords == {n: 2.0 ** -n for n in range(1, 1075)}
+        assert e.coords == quasi_interior_point(tag, horizon=1074).coords
+    # the linf point would store every coordinate: a horizon over the budget
+    # is refused before anything is built
+    with mock.patch.object(spaces, "ones", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValidationError, match="exceeds the maximum"):
+            quasi_interior_point(linf(), horizon=spaces.MAX_QIP_HORIZON + 1)
 
 
 def test_truncate_example():

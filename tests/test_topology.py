@@ -1,7 +1,13 @@
 """Neighborhood base of the unbounded-norm topology."""
 
+import hashlib
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from unlattice import topology
 
 from unlattice.convergence import NOT_NULL, NULL, ToleranceSpec, un_tail_qip, zero
 from unlattice.errors import NoRoom, ValidationError
@@ -9,6 +15,7 @@ from unlattice.gallery import std_units
 from unlattice.spaces import (
     LatticeVector,
     c0,
+    element_to_dict,
     linf,
     lp,
     lp_step,
@@ -130,6 +137,40 @@ def test_axiom_suite_deterministic_per_seed():
     a = axiom_suite(lp(2), samples=100, rng_seed=7).to_json_dict()
     b = axiom_suite(lp(2), samples=100, rng_seed=7).to_json_dict()
     assert a == b
+
+
+#: sha256 prefixes of the elements axiom_suite(tag, samples=4, rng_seed=0)
+#: samples, in order: a change that re-seeds the suite changes them
+SAMPLE_DIGESTS = {
+    "c0": "7bb6a5e00633f08e",
+    "l1": "43793f294dbf7d66",
+    "l2": "0de9c87ba65a5bee",
+    "linf": "0d8c113c0fb07036",
+    "l1-step": "1cf9b0ff2a1f8850",
+    "l2-step": "d6d9e91cdac44898",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_axiom_suite_draws_are_pinned(name):
+    drawn = []
+    sample = topology._sample_element
+
+    def record(*args, **kwargs):
+        x = sample(*args, **kwargs)
+        drawn.append(element_to_dict(x))
+        return x
+
+    with mock.patch.object(topology, "_sample_element", side_effect=record):
+        axiom_suite(tag_from_name(name), samples=4, rng_seed=0)
+    assert len(drawn) == 40
+    assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest()[:16] == SAMPLE_DIGESTS[name]
+
+
+def test_axiom_suite_refuses_bad_values():
+    for samples, seed in ((0, 0), (-5, 0), (5, -1)):
+        with pytest.raises(ValidationError):
+            axiom_suite(c0(), samples=samples, rng_seed=seed)
 
 
 def test_tag_from_name():
