@@ -136,12 +136,12 @@ def _kp_prologue(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
     if not check_un_null:
         return []
     try:
-        _check_cells(seq.length, 1)  # refused before a term is made, as iterating seq is
-        # ts.window_for's window; one over the length fails in the report, as before
+        _check_cells(seq.length, 1)  # the whole sequence is held to the budget, not the tail
+        # ts.window_for's window, unchecked: one over the length makes the view
+        # the whole sequence, and the report refuses it once the qip is built
         w = ts.window or max(1, seq.length // 4)
         head = max(0, seq.length - w)
-        tail = VectorSequence(seq.tag, seq.length - head, lambda n: seq.at(head + n),
-                              name=seq.name)
+        tail = VectorSequence(seq.tag, seq.length - head, lambda n: seq.at(head + n))
         report = un_tail_qip(tail, zero(seq.tag), ToleranceSpec(ts.tol, w))
     except Exception as exc:  # advisory only; never fatal
         return [f"un-null precondition could not be checked: {exc}"]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from unlattice import topology
-
 from unlattice.convergence import NOT_NULL, NULL, ToleranceSpec, un_tail_qip, zero
 from unlattice.errors import NoRoom, ValidationError
 from unlattice.gallery import std_units
@@ -165,12 +164,6 @@ def test_axiom_suite_draws_are_pinned(name):
         axiom_suite(tag_from_name(name), samples=4, rng_seed=0)
     assert len(drawn) == 40
     assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest()[:16] == SAMPLE_DIGESTS[name]
-
-
-def test_axiom_suite_refuses_bad_values():
-    for samples, seed in ((0, 0), (-5, 0), (5, -1)):
-        with pytest.raises(ValidationError):
-            axiom_suite(c0(), samples=samples, rng_seed=seed)
 
 
 def test_tag_from_name():
