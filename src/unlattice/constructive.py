@@ -137,11 +137,9 @@ def _kp_prologue(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
         return []
     try:
         _check_cells(seq.length, 1)  # the whole sequence is held to the budget, not the tail
-        # ts.window_for's window, unchecked: one over the length makes the view
-        # the whole sequence, and the report refuses it once the qip is built
-        w = ts.window or max(1, seq.length // 4)
-        head = max(0, seq.length - w)
-        tail = VectorSequence(seq.tag, seq.length - head, lambda n: seq.at(head + n))
+        w = ts.window_for(seq.length)
+        head = seq.length - w
+        tail = VectorSequence(seq.tag, w, lambda n: seq.at(head + n))
         report = un_tail_qip(tail, zero(seq.tag), ToleranceSpec(ts.tol, w))
     except Exception as exc:  # advisory only; never fatal
         return [f"un-null precondition could not be checked: {exc}"]
@@ -169,22 +167,28 @@ def kp_disjointify_positive(seq: VectorSequence, target_count: int,
     return _greedy_disjoint(seq, target_count, warnings)
 
 
-def _greedy_disjoint(seq: VectorSequence, target_count: int,
-                     warnings: list[str]) -> DisjointificationResult:
-    def term(n: int) -> Element:
+def _greedy_disjoint(seq: VectorSequence, target_count: int, warnings: list[str],
+                     signed: list | None = None) -> DisjointificationResult:
+    """The greedy scan over the terms of ``seq``, which must be >= 0.  Given a
+    list ``signed``, the scan reads the moduli of signed terms instead, and
+    ``signed`` receives the pair (x_n, |x_n|) of each selected index n."""
+    def term(n: int) -> tuple[Element, Element]:
         x = seq.at(n)
-        if not x.is_positive():
+        if signed is None and not x.is_positive():
             raise NegativeInput(f"seq({n}) has a negative coordinate")
-        return x
+        return x, (x if signed is None else x.abs())
 
-    selected, terms = [1], [term(1)]
+    selected, kept = [1], [term(1)]
     for n in range(2, seq.length + 1):
         if len(selected) == target_count:
             break
-        x, k = term(n), len(selected) + 1
-        if all(x.meet(t).norm() <= 2.0 ** -(k + i) for i, t in enumerate(terms, start=1)):
+        (x, ax), k = term(n), len(selected) + 1
+        if all(ax.meet(t).norm() <= 2.0 ** -(k + i) for i, (_, t) in enumerate(kept, start=1)):
             selected.append(n)
-            terms.append(x)
+            kept.append((x, ax))
+    terms = [ax for _, ax in kept]
+    if signed is not None:
+        signed += kept
     if len(selected) < target_count:
         k = len(selected) + 1
         raise HorizonExhausted(
@@ -221,14 +225,12 @@ def kp_disjointify(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
                    require_un_null: bool = False) -> DisjointificationResult:
     """General (signed) disjointification: moduli first, then Riesz splitting."""
     warnings = _kp_prologue(seq, target_count, ts, check_un_null, require_un_null)
-    moduli = VectorSequence(seq.tag, seq.length, lambda n: seq.at(n).abs(),
-                            name=f"|{seq.name}|")
-    base = _greedy_disjoint(moduli, target_count, warnings)
+    signed = []
+    base = _greedy_disjoint(seq, target_count, warnings, signed)
     parts = []
     residuals = []
-    for n, wk in zip(base.selected_indices, base.disjoint_parts):
-        x = seq.at(n)
-        hk = x.abs() - wk  # >= 0: wk = (|x| - v)+ <= |x| componentwise
+    for (x, ax), wk in zip(signed, base.disjoint_parts):
+        hk = ax - wk  # >= 0: wk = (|x| - v)+ <= |x| componentwise
         witness = riesz_decompose(x, wk, hk)
         parts.append(witness.y)
         residuals.append(witness.z.norm())

@@ -66,7 +66,8 @@ ORDER_SLACK = 1e-12
 @dataclass(frozen=True)
 class VectorSequence:
     """Finite, 1-based, deterministic sequence of tagged elements.  Iterating
-    one of more than ``_MAX_CELLS`` terms is refused before a term is made."""
+    one of more than ``_MAX_CELLS`` terms is refused before a term is made,
+    and each term it makes is checked against ``tag``."""
 
     tag: SpaceTag
     length: int
@@ -79,7 +80,10 @@ class VectorSequence:
 
     def __iter__(self):
         _check_cells(self.length, 1)
-        return (self.at(n) for n in range(1, self.length + 1))
+        for n in range(1, self.length + 1):
+            x = self.at(n)
+            check_tags(self.tag, x.tag)
+            yield x
 
     def terms(self) -> list[Element]:
         return list(self)
@@ -194,11 +198,7 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
     limit_is_zero = limit.is_zero()
     indptr, indices, data = [0], [], []
     for n, x in enumerate(seq, start=1):
-        if limit_is_zero:
-            check_tags(seq.tag, x.tag)
-            coords = x.coords
-        else:
-            coords = (x - limit).coords
+        coords = x.coords if limit_is_zero else (x - limit).coords
         indices += coords
         data += coords.values()
         indptr.append(len(data))
@@ -252,12 +252,11 @@ def _tail_norms(seq: VectorSequence, limit: Element,
                 tests: Sequence[Element] = ()) -> np.ndarray:
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
     /\\ u for each test u, or of |seq(n) - limit| when no test is given.
-    Each term is generated once and its tag checked; sequence models are
-    reduced in CSR chunks, step models and the direct sum term by term."""
+    Each term is generated once; sequence models are reduced in CSR chunks,
+    step models and the direct sum term by term."""
     if not seq.tag.is_sequence_kind:
         limit_is_zero, rows = limit.is_zero(), []
         for x in seq:
-            check_tags(seq.tag, x.tag)
             d = x.abs() if limit_is_zero else (x - limit).abs()
             rows.append([d.meet(u).norm() for u in tests] or [d.norm()])
         return np.array(rows)
@@ -335,10 +334,18 @@ def un_tail_qip(seq: VectorSequence, limit: Element, ts: ToleranceSpec,
     """Single-vector un-test against the model's quasi-interior point e.
 
     ``truncation_index`` gives the reduction step that makes the single
-    vector sufficient: u /\\ (m e) approximates any test u >= 0.
+    vector sufficient: u /\\ (m e) approximates any test u >= 0.  In linf,
+    e is the strong unit 1 and || |x| /\\ 1 || = min(||x||, 1) exactly (min
+    rounds nothing), so no e is built and ``horizon`` cuts no support off.
     """
-    e = quasi_interior_point(seq.tag, horizon)
-    report = un_tail(seq, limit, [e], ts)
+    if horizon < 1:
+        raise ValidationError("qip horizon must be >= 1")
+    if seq.tag.kind != "linf":
+        report = un_tail(seq, limit, [quasi_interior_point(seq.tag, horizon)], ts)
+    else:
+        check_tags(seq.tag, limit.tag)
+        report = _table_report("un-tail", np.minimum(_tail_norms(seq, limit), 1.0), ts,
+                               "test_index", {"num_tests": 1})
     report.quantity = "un-tail-qip"
     report.extras["test_family"] = "quasi-interior-point"
     report.extras["qip_horizon"] = horizon

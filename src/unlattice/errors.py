@@ -8,26 +8,28 @@ class LatticeError(Exception):
 
 
 class ValidationError(LatticeError):
+    """Input refused where it enters; the command line exits 2."""
+
     code = "validation"
 
 
-class TagMismatch(LatticeError):
+class TagMismatch(ValidationError):
     code = "tag-mismatch"
 
 
-class NegativeInput(LatticeError):
+class NegativeInput(ValidationError):
     code = "negative-input"
 
 
-class NegativeTestVector(LatticeError):
+class NegativeTestVector(ValidationError):
     code = "negative-test-vector"
 
 
-class NonStepSequence(LatticeError):
+class NonStepSequence(ValidationError):
     code = "non-step-sequence"
 
 
-class RefinementOverflow(LatticeError):
+class RefinementOverflow(ValidationError):
     code = "refinement-overflow"
 
 

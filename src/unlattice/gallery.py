@@ -94,7 +94,7 @@ def typewriter(max_level: int = DEFAULT_TYPEWRITER_LEVELS,
         cell = n - 2 ** k
         v = np.zeros(2 ** k)
         v[cell] = 1.0
-        return StepFunction(tag, k, v)
+        return StepFunction._trusted(tag, k, v)
 
     return VectorSequence(tag, length, at, name="typewriter")
 
@@ -103,8 +103,10 @@ def rademacher(tag: SpaceTag, level: int) -> StepFunction:
     """The level-n Rademacher function: +-1 alternating on 2**n cells."""
     if level < 1:
         raise ValidationError("Rademacher level must be >= 1")
+    if tag.kind != "lp_step" or level < tag.measure.level:
+        raise ValidationError("Rademacher functions need a step model of level <= theirs")
     v = np.where(np.arange(2 ** level) % 2 == 0, 1.0, -1.0)
-    return StepFunction(tag, level, v)
+    return StepFunction._trusted(tag, level, v)
 
 
 def rademacher_modulated(x: StepFunction,

@@ -6,8 +6,8 @@ yield byte-identical reports regardless of platform.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _string
 
 from .errors import ValidationError
 
@@ -22,46 +22,33 @@ def _fmt_float(x: float) -> str:
 
 def dumps(obj, indent: int = 0) -> str:
     """Serialize with insertion-ordered keys and canonical float formatting."""
-    out: list[str] = []
-    _emit(obj, out, indent, 0)
-    return "".join(out)
+    return _dumps(obj, "\n" if indent else "", " " * indent)
 
 
-def _emit(obj, out, indent, depth):
-    pad = " " * (indent * (depth + 1)) if indent else ""
-    close_pad = " " * (indent * depth) if indent else ""
-    nl = "\n" if indent else ""
-    sep = "," + nl if indent else ", "
-    if obj is None or isinstance(obj, (bool, int)) and not isinstance(obj, float):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{" + nl)
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise ValidationError("JSON object keys must be strings")
-            out.append(pad + json.dumps(k) + ": ")
-            _emit(v, out, indent, depth + 1)
-            if i < len(obj) - 1:
-                out.append(sep)
-        out.append(nl + close_pad + "}")
+def _key(k) -> str:
+    if not isinstance(k, str):
+        raise ValidationError("JSON object keys must be strings")
+    return _string(k)
+
+
+def _dumps(obj, nl: str, step: str) -> str:
+    """The text of ``obj``; ``nl`` breaks a line at its depth ("" on one
+    line) and ``step`` is one level of indentation."""
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = nl + step
+    if isinstance(obj, dict):
+        texts, ends = [_key(k) + ": " + _dumps(v, inner, step) for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[" + nl)
-        for i, v in enumerate(obj):
-            if indent:
-                out.append(pad)
-            _emit(v, out, indent, depth + 1)
-            if i < len(obj) - 1:
-                out.append(sep)
-        out.append(nl + close_pad + "]")
+        texts, ends = [_dumps(v, inner, step) for v in obj], "[]"
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
+    if not texts:
+        return ends
+    return ends[0] + inner + ("," + inner if inner else ", ").join(texts) + nl + ends[1]

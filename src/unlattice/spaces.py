@@ -41,11 +41,6 @@ MIN_NORMAL = 2.0 ** -1022
 #: Coordinate indices are below this bound, which fits numpy's int64.
 MAX_INDEX = 2 ** 62
 
-#: The largest horizon of a linf quasi-interior point: building one takes
-#: about 160 bytes per coordinate, so it stays within 512 MiB, the memory of
-#: the largest coordinate matrix.
-MAX_QIP_HORIZON = 2 ** 29 // 160
-
 
 # ---------------------------------------------------------------------------
 # measures and space tags
@@ -214,10 +209,11 @@ class _ElementOps:
 # sequence-space vectors
 # ---------------------------------------------------------------------------
 
-def _clean_coords(coords: Mapping[int, float]) -> tuple[dict[int, float], bool]:
-    """Validated nonzero coordinates, and whether all of them are positive."""
+def _clean_coords(coords: Mapping) -> tuple[dict[int, float], bool]:
+    """Validated nonzero coordinates, and whether all of them are positive.
+    Each entry is converted once; of two keys that name one index ("1" and
+    "01"), the later entry wins, a later zero included."""
     out = {}
-    positive = True
     for i, v in coords.items():
         i = int(i)
         v = float(v)
@@ -227,9 +223,9 @@ def _clean_coords(coords: Mapping[int, float]) -> tuple[dict[int, float], bool]:
             raise ValidationError("coordinates must be finite")
         if v != 0.0:
             out[i] = v
-            if v < 0.0:
-                positive = False
-    return out, positive
+        elif i in out:
+            del out[i]
+    return out, not out or min(out.values()) > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +385,10 @@ def unit(tag: SpaceTag, n: int) -> LatticeVector:
 
 
 def ones(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> LatticeVector:
-    return LatticeVector(tag, {i: 1.0 for i in range(1, horizon + 1)})
+    """The vector 1 on the coordinates 1 .. horizon."""
+    if not tag.is_sequence_kind:
+        raise ValidationError("LatticeVector requires a sequence-space tag")
+    return LatticeVector._trusted(tag, dict.fromkeys(range(1, horizon + 1), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +533,10 @@ class StepFunction(_ElementOps):
 
 
 def constant_one(tag: SpaceTag) -> StepFunction:
+    if tag.kind != "lp_step":
+        raise ValidationError("StepFunction requires an lp_step tag")
     level = tag.measure.level
-    return StepFunction(tag, level, np.ones(2 ** level))
+    return StepFunction._trusted(tag, level, np.ones(2 ** level))
 
 
 def indicator(tag: SpaceTag, level: int, cell: int) -> StepFunction:
@@ -630,15 +631,12 @@ def quasi_interior_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> Eleme
 
     c0 and lp get the summable geometric sequence (2**-n), truncated at the
     working horizon and stored only where 2**-n is not 0.0 (n <= 1074);
-    linf gets its strong unit 1 on the horizon, which is refused beyond
-    ``MAX_QIP_HORIZON``; the step models get the constant-one function.
+    linf gets its strong unit 1 on the horizon; the step models get the
+    constant-one function.
     """
     if tag.kind == "lp_step":
         return constant_one(tag)
     if tag.kind == "linf":
-        if horizon > MAX_QIP_HORIZON:
-            raise ValidationError(f"a linf quasi-interior point of horizon {horizon} "
-                                  f"exceeds the maximum {MAX_QIP_HORIZON}")
         return ones(tag, horizon)
     if tag.is_sequence_kind:
         return LatticeVector._trusted(
@@ -722,9 +720,9 @@ def _element_from_dict(d: Mapping, tag_of) -> Element:
     try:
         tag = tag_of(d["tag"])
         if tag.is_sequence_kind:
-            return LatticeVector(tag, {int(i): float(v) for i, v in d["coords"].items()})
+            return LatticeVector(tag, d["coords"])
         if tag.kind == "lp_step":
-            return StepFunction(tag, int(d["level"]), np.asarray(d["values"], dtype=float))
+            return StepFunction(tag, int(d["level"]), d["values"])
         return DirectSumVector(_element_from_dict(d["left"], tag_of),
                                _element_from_dict(d["right"], tag_of))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -332,9 +332,8 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     ({"gallery": "typewriter", "params": {"max_level": 15}}, "pointwise"),
     # 2**40 terms exceed it too, and are refused before one is generated
     ({"gallery": "std_units_c0", "params": {"horizon": 2 ** 40}}, "norm"),
-    # a linf quasi-interior point on 2**30 coordinates would exceed 512 MiB
-    ({"gallery": "std_units_linf", "params": {"horizon": 8}},
-     {"name": "un_qip", "horizon": 2 ** 30}),
+    # 8193 terms x 8193 touched coordinates exceed it as well
+    ({"gallery": "std_units_c0", "params": {"horizon": 8193}}, {"name": "pointwise"}),
 ])
 def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
     if isinstance(diagnostic, str):
@@ -348,7 +347,48 @@ def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
 
 
 L1 = {"kind": "lp", "p": 1.0}
+C0 = {"kind": "c0"}
 STEP = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}
+
+
+@pytest.mark.parametrize("code, source, diagnostic", [
+    ("tag-mismatch", {"inline": {"elements": [{"tag": C0, "coords": {"1": 1.0}},
+                                              {"tag": L1, "coords": {"2": 1.0}}]}}, "norm"),
+    ("tag-mismatch", inline({"tag": C0, "coords": {"1": 1.0}}),
+     {"name": "norm", "limit": {"tag": L1, "coords": {"1": 1.0}}}),
+    ("tag-mismatch", inline({"tag": C0, "coords": {"1": 1.0}}),
+     {"name": "weak", "functionals": [{"tag": L1, "coords": {"1": 1.0}}]}),
+    ("negative-test-vector", inline({"tag": C0, "coords": {"1": 1.0}}),
+     {"name": "un", "tests": [{"tag": C0, "coords": {"1": -1.0}}]}),
+    ("non-step-sequence", {"gallery": "std_units_c0", "params": {"horizon": 8}},
+     {"name": "in_measure", "delta": 0.5}),
+    # one cell past the maximum refinement level 14
+    ("refinement-overflow", inline({"tag": STEP, "level": 15, "values": [0.0] * 2 ** 15}),
+     "pointwise"),
+])
+def test_input_errors_exit_2_with_one_line(tmp_path, capsys, code, source, diagnostic):
+    if isinstance(diagnostic, str):
+        diagnostic = {"name": diagnostic}
+    scenario = {"schema": 1, "source": source, "diagnostic": diagnostic}
+    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({code}): ") and err.count("\n") == 1
+
+
+def test_linf_un_qip_reads_every_coordinate(tmp_path, capsys):
+    # the strong unit 1 has no horizon: units past the default qip horizon of
+    # 4096 are seen, and a horizon of 2**30 costs nothing
+    for horizon, params in ((8192, {"name": "un_qip"}),
+                            (8, {"name": "un_qip", "horizon": 2 ** 30})):
+        scenario = {"schema": 1, "diagnostic": params, "expect": "NOT_NULL",
+                    "source": {"gallery": "std_units_linf", "params": {"horizon": horizon}}}
+        assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert report["values"] == [1.0] * horizon
+        assert report["witness"] == {"index": horizon - horizon // 4 + 1, "value": 1.0,
+                                     "test_index": 0}
+        assert report["extras"] == {"num_tests": 1, "test_family": "quasi-interior-point",
+                                    "qip_horizon": params.get("horizon", 4096)}
 
 
 @pytest.mark.parametrize("term, functional", [
@@ -463,8 +503,9 @@ def mutated_scenarios(draw):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(mutated_scenarios())
 def test_mutated_scenarios_exit_cleanly(scenario):
-    """Any mutation of a valid scenario exits 0, 1, 2 or 3 without raising,
-    and 1 (a verdict mismatch) only when the scenario states an ``expect``.
+    """Any mutation of a valid scenario exits 0, 1 or 2 without raising, and
+    1 (a verdict mismatch) only when the scenario states an ``expect``: a
+    malformed scenario is an input error, never an internal numeric one.
 
     Drawn integers stay small (at most 8): a huge ``horizon`` or
     ``max_level`` is well-formed and asks for a sequence of that size, which
@@ -474,7 +515,7 @@ def test_mutated_scenarios_exit_cleanly(scenario):
         path = Path(tmp) / "scenario.json"
         path.write_text(json.dumps(scenario))
         code = cli.main(["run", str(path), "--output", str(Path(tmp) / "report.json")])
-    assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_VALIDATION, cli.EXIT_NUMERIC)
+    assert code in (cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_VALIDATION)
     if code == cli.EXIT_MISMATCH:
         assert "expect" in scenario
 

@@ -27,7 +27,7 @@ from unlattice.errors import (
     SelectionStalled,
     ValidationError,
 )
-from unlattice.gallery import overlap_seq, std_units, typewriter
+from unlattice.gallery import direct_sum_seq, overlap_seq, std_units, typewriter
 from unlattice.spaces import (
     DirectSumVector,
     LatticeVector,
@@ -164,8 +164,35 @@ def test_kp_advisory_budget_reads_the_whole_length():
             res = kp(seq, 3, ToleranceSpec(window=4))
             assert res.warnings == ["un-null precondition could not be checked: "
                                     "a 17 x 1 matrix exceeds 16 cells"]
-            assert set(calls) == {1, 2, 3}  # the greedy scan's terms only
+            assert calls == [1, 2, 3]  # the greedy scan's terms, each generated once
             calls.clear()
+
+
+def test_kp_advisory_window_over_the_length_warns_before_a_term_is_made():
+    calls = []
+
+    def at(n):
+        calls.append(n)
+        return unit(c0(), n)
+
+    warning = "un-null precondition could not be checked: window exceeds sequence length"
+    for kp in (kp_disjointify, kp_disjointify_positive):
+        res = kp(VectorSequence(c0(), 6, at), 3, ToleranceSpec(window=7))
+        assert res.warnings == [warning] and calls == [1, 2, 3]
+        calls.clear()
+    assert kp_disjointify(direct_sum_seq(6), 2, ToleranceSpec(window=7)).warnings == [warning]
+
+
+def test_kp_reads_each_scanned_term_once():
+    calls = []
+
+    def at(n):  # -e_1 three times, then -e_n: the scan rejects 2 and 3
+        calls.append(n)
+        return unit(c0(), 1 if n <= 3 else n).scale(-1.0)
+
+    res = kp_disjointify(VectorSequence(c0(), 8, at), 3, TS, check_un_null=False)
+    assert res.selected_indices == [1, 4, 5] and calls == [1, 2, 3, 4, 5]
+    assert [d.coords for d in res.disjoint_parts] == [{1: -1.0}, {4: -1.0}, {5: -1.0}]
 
 
 def test_kp_positive_rejects_signed_terms():

@@ -45,6 +45,7 @@ from unlattice.gallery import (
 from unlattice.spaces import (
     DirectSumVector,
     LatticeVector,
+    MeasureModel,
     StepFunction,
     c0,
     constant_one,
@@ -227,6 +228,17 @@ def test_block_tail_checks_term_tags():
         norm_tail(seq, zero(c0()), TS)
     with pytest.raises(TagMismatch):
         un_tail_qip(seq, zero(c0()), TS)
+
+
+def test_iteration_checks_term_tags():
+    # a term of another space, or of another measure, is refused as it is made
+    mu = lp_step(1, MeasureModel(1, (0.25, 0.75)))
+    for term in (lambda n: unit(c0(), n), lambda n: constant_one(mu)):
+        seq = VectorSequence(lp_step(1, level=1), 4, term)
+        with pytest.raises(TagMismatch):
+            in_measure_tail(seq, 0.5, TS)
+        with pytest.raises(TagMismatch):
+            pointwise_tail(seq, TS)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlattice import spaces
+from unlattice import convergence, spaces
+from unlattice.convergence import ToleranceSpec, un_tail_qip
 from unlattice.errors import NegativeInput, TagMismatch, ValidationError
+from unlattice.gallery import std_units
 from unlattice.spaces import (
     DirectSumVector,
     LatticeVector,
@@ -353,11 +355,13 @@ def test_quasi_interior_point_memory_is_bounded():
         e = quasi_interior_point(tag, horizon=2 ** 40)
         assert e.coords == {n: 2.0 ** -n for n in range(1, 1075)}
         assert e.coords == quasi_interior_point(tag, horizon=1074).coords
-    # the linf point would store every coordinate: a horizon over the budget
-    # is refused before anything is built
-    with mock.patch.object(spaces, "ones", side_effect=AssertionError("allocated")):
-        with pytest.raises(ValidationError, match="exceeds the maximum"):
-            quasi_interior_point(linf(), horizon=spaces.MAX_QIP_HORIZON + 1)
+    # the linf point would store every coordinate, so un_qip reads the strong
+    # unit 1 in closed form instead and builds no point at any horizon
+    seq = std_units(linf(), 8)
+    with mock.patch.object(convergence, "quasi_interior_point",
+                           side_effect=AssertionError("allocated")):
+        report = un_tail_qip(seq, zero(linf()), ToleranceSpec(), horizon=2 ** 40)
+    assert report.values == [1.0] * 8 and report.extras["qip_horizon"] == 2 ** 40
 
 
 def test_truncate_example():
@@ -422,6 +426,24 @@ def test_roundtrip_step_function():
     g = _roundtrip(f)
     assert g.tag == f.tag and g.level == f.level
     assert g.values.tolist() == f.values.tolist()
+
+
+def test_literal_coordinates_convert_once_and_the_later_entry_wins():
+    def literal(coords):
+        return element_from_dict({"tag": {"kind": "c0"}, "coords": coords})
+
+    assert literal({"1": 5.0, "01": 0.0}).is_zero()
+    for coords in ({"1": 5.0, "01": 3.0}, {"1": -5.0, "01": 3.0}, {"1": 0.0, "01": 3.0}):
+        x = literal(coords)
+        assert x.coords == {1: 3.0} and x._positive
+    x = literal({"2": 1.0, "1": 5.0, "01": -3.0})
+    assert x.coords == {2: 1.0, 1: -3.0} and not x._positive
+    with pytest.raises(ValidationError, match="malformed element literal"):
+        literal({"x": 1.0})
+    with pytest.raises(ValidationError, match="malformed element literal"):
+        element_from_dict({"tag": {"kind": "lp_step", "p": 1.0,
+                                   "measure": {"level": 0, "weights": [1.0]}},
+                           "level": 0, "values": ["a"]})
 
 
 def test_roundtrip_direct_sum():
