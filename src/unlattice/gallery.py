@@ -104,7 +104,7 @@ def rademacher(tag: SpaceTag, level: int) -> StepFunction:
     if level < 1:
         raise ValidationError("Rademacher level must be >= 1")
     if tag.kind != "lp_step" or level < tag.measure.level:
-        raise ValidationError("Rademacher functions need a step model of level <= theirs")
+        raise ValidationError("Rademacher functions need a step model of at most their level")
     v = np.where(np.arange(2 ** level) % 2 == 0, 1.0, -1.0)
     return StepFunction._trusted(tag, level, v)
 

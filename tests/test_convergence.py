@@ -228,10 +228,8 @@ def test_block_tail_checks_term_tags():
         norm_tail(seq, zero(c0()), TS)
     with pytest.raises(TagMismatch):
         un_tail_qip(seq, zero(c0()), TS)
-
-
-def test_iteration_checks_term_tags():
-    # a term of another space, or of another measure, is refused as it is made
+    # iteration refuses a term of another space, or of another measure, as it
+    # makes it, so the step-model diagnostics refuse them too
     mu = lp_step(1, MeasureModel(1, (0.25, 0.75)))
     for term in (lambda n: unit(c0(), n), lambda n: constant_one(mu)):
         seq = VectorSequence(lp_step(1, level=1), 4, term)
