@@ -45,6 +45,7 @@ from .spaces import (
     StepFunction,
     _fsum,
     _power_norm,
+    _step_norm,
     check_tags,
     quasi_interior_point,
     zero,
@@ -208,6 +209,58 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
             indptr, indices, data = [0], [], []
 
 
+def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: int = 0):
+    """The terms of the step sequence ``seq``, less ``limit``, as dense blocks
+    ``(rows, level, block)``: row i of ``block`` holds the cell values at
+    ``level`` of term ``rows[i] + 1``.  The terms of one level are buffered
+    until they fill about ``_CHUNK_CELLS`` cells at level ``top`` (or their
+    own, if higher), so a block refined to ``top`` stays that small.  Each
+    term is generated once; an overflowed difference is refused."""
+    pending: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    for n, x in enumerate(seq):
+        rows, values = pending.setdefault(x.level, ([], []))
+        rows.append(n)
+        values.append(x.values)
+        if len(rows) << max(x.level, top) >= _CHUNK_CELLS:
+            yield _step_block(*pending.pop(x.level), x.level, limit)
+    for level, (rows, values) in pending.items():
+        yield _step_block(rows, values, level, limit)
+
+
+def _step_block(rows: list[int], values: list[np.ndarray], level: int,
+                limit: StepFunction | None):
+    """The block of the buffered ``values`` of terms ``rows`` + 1 at ``level``."""
+    block = np.array(values)
+    if limit is not None:  # as x - limit: at the higher of the two levels
+        m = max(level, limit.level)
+        with np.errstate(over="ignore"):
+            block = _at_level(block, level, m) - limit.refined(m).values
+        if not np.isfinite(block).all():
+            raise ValidationError("values must be finite")
+        level = m
+    return np.array(rows), level, block
+
+
+def _at_level(block: np.ndarray, level: int, m: int) -> np.ndarray:
+    """The rows of ``block`` refined from ``level`` to ``m`` >= ``level``."""
+    return block if m == level else np.repeat(block, 2 ** (m - level), axis=1)
+
+
+def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
+                 u: StepFunction | None = None) -> list[float]:
+    """The norm of each row of the block ``a`` >= 0 at ``level``, or of its
+    meet with ``u``, bit for bit ``StepFunction.norm`` of the row."""
+    if u is not None:
+        m = max(level, u.level)
+        a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
+    w, p = tag.measure.weight_array(level), tag.p
+    if p == 1.0:
+        return [_step_norm(w, row, p) for row in a]
+    with np.errstate(over="ignore"):
+        powers = a ** p
+    return [_step_norm(w, row, p, q) for row, q in zip(a, powers)]
+
+
 def _fsums(values: np.ndarray, bounds) -> np.ndarray:
     """math.fsum of each segment values[s:e], inf where the sum overflows."""
     flat = memoryview(values)
@@ -253,7 +306,15 @@ def _tail_norms(seq: VectorSequence, limit: Element,
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
     /\\ u for each test u, or of |seq(n) - limit| when no test is given.
     Each term is generated once; sequence models are reduced in CSR chunks,
-    step models and the direct sum term by term."""
+    step models in dense blocks, and the direct sum term by term."""
+    if seq.tag.kind == "lp_step":
+        out = np.empty((seq.length, max(1, len(tests))))
+        top = max([u.level for u in tests] + [limit.level])
+        for rows, level, a in _step_blocks(seq, None if limit.is_zero() else limit, top):
+            np.abs(a, out=a)
+            out[rows] = np.stack([_block_norms(seq.tag, level, a, u) for u in tests]
+                                 or [_block_norms(seq.tag, level, a)], axis=1)
+        return out
     if not seq.tag.is_sequence_kind:
         limit_is_zero, rows = limit.is_zero(), []
         for x in seq:
@@ -362,8 +423,11 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
         raise NonStepSequence("in-measure diagnostic needs an lp_step sequence")
     if not delta > 0:
         raise ValidationError("delta must be > 0")
-    values = [f.measure_where(lambda v: np.abs(v) > delta) for f in seq]
-    return _make_report("in-measure-tail", values, ts, extras={"delta": delta})
+    values = np.empty(seq.length)
+    for rows, level, block in _step_blocks(seq):
+        w = seq.tag.measure.weight_array(level)
+        values[rows] = [w[mask].sum() for mask in np.abs(block) > delta]
+    return _make_report("in-measure-tail", values.tolist(), ts, extras={"delta": delta})
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +495,15 @@ def _pointwise_report(mat: np.ndarray, labels: list[str], level: int | None,
     zone_start = n - max(window, math.ceil(_RECURRENCE_FRACTION * n))
     zone = mat[zone_start:]
     bad = zone >= ts.tol
-    first = bad.argmax(axis=0)
-    last = len(bad) - 1 - bad[::-1].argmax(axis=0)
-    persistent = np.flatnonzero(bad.any(axis=0) & (last - first >= window))
+    # the first and last violating zone row of each column, len(bad) and -1
+    # where there is none, over row chunks that bound the index temporaries
+    first, last = np.full(bad.shape[1], len(bad)), np.full(bad.shape[1], -1)
+    step = max(1, _CHUNK_CELLS // bad.shape[1])
+    for s in range(0, len(bad), step):
+        rows = np.arange(s, min(s + step, len(bad)))[:, None]
+        np.minimum(first, np.where(bad[s:s + step], rows, len(bad)).min(axis=0), out=first)
+        np.maximum(last, np.where(bad[s:s + step], rows, -1).max(axis=0), out=last)
+    persistent = np.flatnonzero(last - first >= window)
     witness = None
     if persistent.size:
         c = persistent[0]
@@ -484,18 +554,46 @@ def pairing(f: Element, x: Element) -> float:
     if isinstance(f, StepFunction):
         level = max(f.level, x.level)
         with np.errstate(over="ignore", invalid="ignore"):
-            prod = (f.tag.measure.weight_array(level)
-                    * f.refined(level).values * x.refined(level).values)
-            # adjacent-pair summation: exact cancellation for sign-modulated
-            # integrands that flip within equal-mass cell pairs
-            total = float(prod.reshape(-1, 2).sum(axis=1).sum() if prod.size % 2 == 0
-                          else prod.sum())
+            total = float(_pair_sums(x.refined(level).values[None] * _weighted(f, level))[0])
         if not math.isfinite(total):
             raise ValidationError("the pairing exceeds the float range")
         return total
     if isinstance(f, DirectSumVector):
         return pairing(f.left, x.left) + pairing(f.right, x.right)
     raise ValidationError("unsupported functional type")
+
+
+def _weighted(f: StepFunction, level: int) -> np.ndarray:
+    """The cell weights times the values of ``f`` at ``level``."""
+    return f.tag.measure.weight_array(level) * f.refined(level).values
+
+
+def _pair_sums(prod: np.ndarray) -> np.ndarray:
+    """The sum of each row of ``prod``, over adjacent cell pairs first: exact
+    cancellation for sign-modulated integrands that flip within equal-mass
+    cell pairs."""
+    k, cells = prod.shape
+    return prod.sum(axis=1) if cells % 2 else prod.reshape(k, -1, 2).sum(axis=2).sum(axis=1)
+
+
+def _step_pairings(seq: VectorSequence, functionals: list[StepFunction],
+                   modulus: bool) -> np.ndarray:
+    """The (length, len(functionals)) table of |<f, seq(n)>| (of |<f, |seq(n)|>|
+    with ``modulus``), by blocks; each functional is weighted once per level."""
+    table = np.empty((seq.length, len(functionals)))
+    weighted: dict[tuple[int, int], np.ndarray] = {}
+    for rows, level, block in _step_blocks(seq, top=max(f.level for f in functionals)):
+        if modulus:
+            np.abs(block, out=block)
+        for j, f in enumerate(functionals):
+            m = max(level, f.level)
+            if (j, m) not in weighted:
+                weighted[j, m] = _weighted(f, m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                table[rows, j] = np.abs(_pair_sums(_at_level(block, level, m) * weighted[j, m]))
+        if not np.isfinite(table[rows]).all():
+            raise ValidationError("the pairing exceeds the float range")
+    return table
 
 
 def weak_tail(seq: VectorSequence, functionals: Sequence[Element], ts: ToleranceSpec,
@@ -510,11 +608,13 @@ def weak_tail(seq: VectorSequence, functionals: Sequence[Element], ts: Tolerance
         raise ValidationError("weak_tail needs at least one functional")
     for f in functionals:
         check_tags(seq.tag, f.tag)
-    terms = iter(seq)
     if modulus:
         functionals = [f.abs() for f in functionals]
-        terms = (x.abs() for x in terms)
-    table = np.array([[abs(pairing(f, x)) for f in functionals] for x in terms])
+    if seq.tag.kind == "lp_step":
+        table = _step_pairings(seq, functionals, modulus)
+    else:
+        terms = (x.abs() for x in seq) if modulus else iter(seq)
+        table = np.array([[abs(pairing(f, x)) for f in functionals] for x in terms])
     return _table_report("modulus-weak-tail" if modulus else "weak-tail", table, ts,
                          "functional_index",
                          {"family_size": len(functionals), "verdict_scope": "against family"})

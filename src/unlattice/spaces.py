@@ -511,25 +511,31 @@ class StepFunction(_ElementOps):
         return self.tag.measure.weight_array(self.level)
 
     def norm(self) -> float:
-        w = self.weights()
-        a = np.abs(self.values)
-        p = self.tag.p
-        if p == 1.0:
-            return float(np.dot(w, a))
-        with np.errstate(over="ignore"):
-            s = np.dot(w, a ** p)
-        if not MIN_NORMAL <= s < math.inf:
-            # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
-            big = a.max()
-            if big == 0.0:
-                return 0.0
-            return float(big * np.dot(w, (a / big) ** p) ** (1.0 / p))
-        return float(s ** (1.0 / p))
+        return _step_norm(self.weights(), np.abs(self.values), self.tag.p)
 
     def measure_where(self, predicate) -> float:
         """Total mass of the cells whose value satisfies ``predicate``."""
         mask = predicate(self.values)
         return float(self.weights()[mask].sum())
+
+
+def _step_norm(w: np.ndarray, a: np.ndarray, p: float, powers: np.ndarray | None = None) -> float:
+    """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0;
+    ``powers`` is a**p when the caller has it.  The norm of a step function
+    and of a block row."""
+    if p == 1.0:
+        return float(np.dot(w, a))
+    if powers is None:
+        with np.errstate(over="ignore"):
+            powers = a ** p
+    s = np.dot(w, powers)
+    if not MIN_NORMAL <= s < math.inf:
+        # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
+        big = a.max()
+        if big == 0.0:
+            return 0.0
+        return float(big * np.dot(w, (a / big) ** p) ** (1.0 / p))
+    return float(s ** (1.0 / p))
 
 
 def constant_one(tag: SpaceTag) -> StepFunction:
@@ -704,13 +710,18 @@ def element_from_dict(d: Mapping) -> Element:
 def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
     """The elements a list of literals describes; tag literals that print alike
     give one shared ``SpaceTag``, so their elements combine without comparing
-    measures."""
+    measures.  A literal object seen before is found by its id, unprinted."""
     tags: dict[str, SpaceTag] = {}
+    seen: dict[int, tuple[Mapping, SpaceTag]] = {}  # holding the literal keeps its id
 
     def tag_of(literal: Mapping) -> SpaceTag:
+        hit = seen.get(id(literal))
+        if hit is not None:
+            return hit[1]
         key = repr(literal)
         if key not in tags:
             tags[key] = tag_from_dict(literal)
+        seen[id(literal)] = (literal, tags[key])
         return tags[key]
 
     return [_element_from_dict(d, tag_of) for d in ds]

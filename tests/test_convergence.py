@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from unlattice import convergence
@@ -237,6 +237,117 @@ def test_block_tail_checks_term_tags():
             in_measure_tail(seq, 0.5, TS)
         with pytest.raises(TagMismatch):
             pointwise_tail(seq, TS)
+
+
+# ---------------------------------------------------------------------------
+# the dense step block reducer
+# ---------------------------------------------------------------------------
+
+# (level offset above the base, magnitude, seed) of one random step function;
+# rows near 1e-170 (p = 2) and 1e-250 (p = 1.5) underflow their power sums
+step_part = st.tuples(st.integers(0, 3), st.sampled_from([1e-250, 1e-170, 1e-5, 1.0, 3.0]),
+                      st.integers(0, 2 ** 16))
+
+
+def _random_step(tag, part, positive=False, extra_level=0):
+    offset, magnitude, seed = part
+    rng = np.random.default_rng(seed)
+    level = tag.measure.level + offset + extra_level
+    v = rng.uniform(0.5, 1.5, 2 ** level) * magnitude
+    if not positive:
+        v *= rng.choice([-1.0, 1.0], v.size)
+        v[rng.random(v.size) < 0.3] = 0.0
+    return StepFunction(tag, level, v)
+
+
+def _pair_sum_ref(f, x):
+    """<f, x> as the per-term pairing takes it: w * f * x at the common level,
+    summed over adjacent cell pairs first."""
+    level = max(f.level, x.level)
+    g = f.refined(level)
+    prod = g.weights() * g.values * x.refined(level).values
+    return float(prod.reshape(-1, 2).sum(axis=1).sum() if prod.size % 2 == 0 else prod.sum())
+
+
+@settings(max_examples=60, deadline=None)
+@example(1, 2.0, 0, [(0, 1e-170, 1), (2, 1.0, 2), (1, 1e-170, 3)], (1, 1e-5, 4), [(0, 1.0, 5)],
+         [(3, 3.0, 6)], 4)
+@example(0, 1.5, 1, [(1, 1e-250, 1), (3, 1.0, 2)], None, [(0, 1.0, 3), (3, 2.0, 4)],
+         [(0, 1.0, 5)], 64)
+@given(st.integers(0, 2), st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 2 ** 16),
+       st.lists(step_part, min_size=1, max_size=10),
+       st.one_of(st.none(), step_part), st.lists(step_part, min_size=1, max_size=2),
+       st.lists(step_part, min_size=1, max_size=2), st.integers(1, 64))
+def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part, test_parts,
+                                         functional_parts, chunk_cells):
+    weights = np.random.default_rng(weight_seed).uniform(0.1, 2.0, 2 ** base)
+    tag = lp_step(p, MeasureModel(base, tuple(weights.tolist())))
+    terms = [_random_step(tag, part) for part in parts]
+    seq, calls = _counted(sequence_from_list(terms))
+    # limits, tests and functionals reach up to two levels above every term
+    limit = zero(tag) if limit_part is None else _random_step(tag, limit_part, extra_level=2)
+    tests = [_random_step(tag, part, positive=True, extra_level=2) for part in test_parts]
+    functionals = [_random_step(tag, part, extra_level=2) for part in functional_parts]
+    diffs = [x.abs() if limit_part is None else (x - limit).abs() for x in terms]
+    ts = ToleranceSpec(window=1)
+    # small chunks: one level's terms fill several blocks, and some blocks hold one row
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        assert _bits(norm_tail(seq, limit, ts).values) == _bits(d.norm() for d in diffs)
+        table = convergence._tail_norms(seq, limit, tests)
+        assert [_bits(row) for row in table] == [_bits(d.meet(u).norm() for u in tests)
+                                                 for d in diffs]
+        assert _bits(un_tail(seq, limit, tests, ts).values) == _bits(table.max(axis=1))
+        assert _bits(un_tail_qip(seq, limit, ts).values) == _bits(
+            d.meet(constant_one(tag)).norm() for d in diffs)
+        assert _bits(in_measure_tail(seq, 1e-3, ts).values) == _bits(
+            x.measure_where(lambda v: np.abs(v) > 1e-3) for x in terms)
+        weak = weak_tail(seq, functionals, ts)
+        assert _bits(weak.values) == _bits(max(abs(_pair_sum_ref(f, x)) for f in functionals)
+                                           for x in terms)
+        modulus = weak_tail(seq, functionals, ts, modulus=True)
+        assert _bits(modulus.values) == _bits(
+            max(abs(_pair_sum_ref(f.abs(), x.abs())) for f in functionals) for x in terms)
+    assert _bits(pairing(f, x) for f in functionals for x in terms) == _bits(
+        _pair_sum_ref(f, x) for f in functionals for x in terms)
+    assert calls == list(range(1, len(terms) + 1)) * 7  # each term once per diagnostic
+
+
+@pytest.mark.parametrize("top", [0, 5])
+def test_step_blocks_bound_the_refined_cells(top):
+    seq = typewriter(6)  # terms at levels 0 .. 5
+    with mock.patch.object(convergence, "_CHUNK_CELLS", 64):
+        blocks = list(convergence._step_blocks(seq, top=top))
+    seen = []
+    for rows, level, block in blocks:
+        assert (len(rows) - 1) << max(level, top) < 64
+        for n, values in zip(rows.tolist(), block):
+            assert seq.at(n + 1).level == level and (values == seq.at(n + 1).values).all()
+        seen += rows.tolist()
+    assert sorted(seen) == list(range(seq.length))
+
+
+@pytest.mark.parametrize("chunk_cells", [1, 2 ** 16])
+def test_step_blocks_refuse_overflow(chunk_cells):
+    tag = lp_step(1, level=1)
+    big = StepFunction(tag, 2, np.array([1e308, 1.0, -1e308, 0.0]))
+    seq = sequence_from_list([constant_one(tag), big, constant_one(tag).scale(3.0)])
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        with pytest.raises(ValidationError, match="values must be finite"):
+            norm_tail(seq, big.scale(-1.0), TS)
+        with pytest.raises(ValidationError, match="values must be finite"):
+            un_tail(seq, big.scale(-1.0), [constant_one(tag)], TS)
+        # w * f * x overflows against big; against three, only the adjacent-pair sum does
+        three = constant_one(tag).scale(3.0)
+        for f, terms, x in ((big, seq, big), (StepFunction(tag, 1, np.array([1e308, 1e308])),
+                                             sequence_from_list([three]), three)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="float range"):
+                    weak_tail(terms, [constant_one(tag), f], TS)
+                with pytest.raises(ValidationError, match="float range"):
+                    weak_tail(terms, [f], TS, modulus=True)
+                with pytest.raises(ValidationError, match="float range"):
+                    pairing(f, x)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Canonical JSON emission: the exact text of small values and the refusals."""
 
+import json
 import math
 
 import pytest
@@ -16,7 +17,7 @@ NESTED = {"a": [1.0, {"b": (), "c": {}}], "d": (True, None, -3, "x\"\né")}
     ((), 2, "[]"),
     ((1, 2.5), 0, "[1, 2.5]"),
     ([True, False, None, 7, 1e16, -0.0, 0.1], 0,
-     "[true, false, null, 7, 10000000000000000, -0.0, 0.10000000000000001]"),
+     "[true, false, null, 7, 10000000000000000.0, -0.0, 0.10000000000000001]"),
     ("tab\there \"q\" ☃", 0, '"tab\\there \\"q\\" \\u2603"'),
     (NESTED, 0, '{"a": [1.0, {"b": [], "c": {}}], "d": [true, null, -3, "x\\"\\n\\u00e9"]}'),
     (NESTED, 2, '{\n  "a": [\n    1.0,\n    {\n      "b": [],\n      "c": {}\n    }\n  ],\n'
@@ -25,6 +26,18 @@ NESTED = {"a": [1.0, {"b": (), "c": {}}], "d": (True, None, -3, "x\"\né")}
 ])
 def test_emitted_text(obj, indent, text):
     assert jsonio.dumps(obj, indent=indent) == text
+
+
+@pytest.mark.parametrize("x, text", [
+    (1e16, "10000000000000000.0"),
+    (-1e16, "-10000000000000000.0"),
+    (9.999999999999999e16, "99999999999999984.0"),
+    (1e17, "1e+17"),
+])
+def test_integral_floats_read_back_as_floats(x, text):
+    assert jsonio.dumps(x) == text
+    back = json.loads(text)
+    assert type(back) is float and back == x
 
 
 @pytest.mark.parametrize("obj, message", [
