@@ -254,10 +254,8 @@ def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
         m = max(level, u.level)
         a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
     w, p = tag.measure.weight_array(level), tag.p
-    if p == 1.0:
-        return [_step_norm(w, row, p) for row in a]
     with np.errstate(over="ignore"):
-        powers = a ** p
+        powers = a if p == 1.0 else a ** p
     return [_step_norm(w, row, p, q) for row, q in zip(a, powers)]
 
 
