@@ -211,23 +211,27 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
 
 def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: int = 0):
     """The terms of the step sequence ``seq``, less ``limit``, as dense blocks
-    ``(rows, level, block)``: row i of ``block`` holds the cell values at
-    ``level`` of term ``rows[i] + 1``.  The terms of one level are buffered
-    until they fill about ``_CHUNK_CELLS`` cells at level ``top`` (or their
-    own, if higher), so a block refined to ``top`` stays that small.  Each
-    term is generated once; an overflowed difference is refused."""
-    pending: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    ``(rows, tag, level, block)``: row i of ``block`` holds the cell values at
+    ``level`` of term ``rows[i] + 1``, and ``tag`` is a term's tag whose measure
+    all the block's terms share, so a row is weighted by its own term's measure.
+    The terms of one level and measure are buffered until they fill about
+    ``_CHUNK_CELLS`` cells at level ``top`` (or their own, if higher), so a
+    block refined to ``top`` stays that small.  Each term is generated once;
+    an overflowed difference is refused."""
+    pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
     for n, x in enumerate(seq):
-        rows, values = pending.setdefault(x.level, ([], []))
+        # the entry holds the tag, so the measure's id names it while buffered
+        key = (x.level, id(x.tag.measure))
+        _, rows, values = pending.setdefault(key, (x.tag, [], []))
         rows.append(n)
         values.append(x.values)
         if len(rows) << max(x.level, top) >= _CHUNK_CELLS:
-            yield _step_block(*pending.pop(x.level), x.level, limit)
-    for level, (rows, values) in pending.items():
-        yield _step_block(rows, values, level, limit)
+            yield _step_block(*pending.pop(key), x.level, limit)
+    for (level, _), entry in pending.items():
+        yield _step_block(*entry, level, limit)
 
 
-def _step_block(rows: list[int], values: list[np.ndarray], level: int,
+def _step_block(tag: SpaceTag, rows: list[int], values: list[np.ndarray], level: int,
                 limit: StepFunction | None):
     """The block of the buffered ``values`` of terms ``rows`` + 1 at ``level``."""
     block = np.array(values)
@@ -238,7 +242,7 @@ def _step_block(rows: list[int], values: list[np.ndarray], level: int,
         if not np.isfinite(block).all():
             raise ValidationError("values must be finite")
         level = m
-    return np.array(rows), level, block
+    return np.array(rows), tag, level, block
 
 
 def _at_level(block: np.ndarray, level: int, m: int) -> np.ndarray:
@@ -254,9 +258,7 @@ def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
         m = max(level, u.level)
         a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
     w, p = tag.measure.weight_array(level), tag.p
-    with np.errstate(over="ignore"):
-        powers = a if p == 1.0 else a ** p
-    return [_step_norm(w, row, p, q) for row, q in zip(a, powers)]
+    return [_step_norm(w, row, p) for row in a]
 
 
 def _fsums(values: np.ndarray, bounds) -> np.ndarray:
@@ -308,10 +310,10 @@ def _tail_norms(seq: VectorSequence, limit: Element,
     if seq.tag.kind == "lp_step":
         out = np.empty((seq.length, max(1, len(tests))))
         top = max([u.level for u in tests] + [limit.level])
-        for rows, level, a in _step_blocks(seq, None if limit.is_zero() else limit, top):
+        for rows, tag, level, a in _step_blocks(seq, None if limit.is_zero() else limit, top):
             np.abs(a, out=a)
-            out[rows] = np.stack([_block_norms(seq.tag, level, a, u) for u in tests]
-                                 or [_block_norms(seq.tag, level, a)], axis=1)
+            out[rows] = np.stack([_block_norms(tag, level, a, u) for u in tests]
+                                 or [_block_norms(tag, level, a)], axis=1)
         return out
     if not seq.tag.is_sequence_kind:
         limit_is_zero, rows = limit.is_zero(), []
@@ -422,8 +424,8 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
     if not delta > 0:
         raise ValidationError("delta must be > 0")
     values = np.empty(seq.length)
-    for rows, level, block in _step_blocks(seq):
-        w = seq.tag.measure.weight_array(level)
+    for rows, tag, level, block in _step_blocks(seq):
+        w = tag.measure.weight_array(level)
         values[rows] = [w[mask].sum() for mask in np.abs(block) > delta]
     return _make_report("in-measure-tail", values.tolist(), ts, extras={"delta": delta})
 
@@ -580,7 +582,7 @@ def _step_pairings(seq: VectorSequence, functionals: list[StepFunction],
     with ``modulus``), by blocks; each functional is weighted once per level."""
     table = np.empty((seq.length, len(functionals)))
     weighted: dict[tuple[int, int], np.ndarray] = {}
-    for rows, level, block in _step_blocks(seq, top=max(f.level for f in functionals)):
+    for rows, _, level, block in _step_blocks(seq, top=max(f.level for f in functionals)):
         if modulus:
             np.abs(block, out=block)
         for j, f in enumerate(functionals):

@@ -519,16 +519,13 @@ class StepFunction(_ElementOps):
         return float(self.weights()[mask].sum())
 
 
-def _step_norm(w: np.ndarray, a: np.ndarray, p: float, powers: np.ndarray | None = None) -> float:
-    """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0;
-    ``powers`` is a**p when the caller has it.  The norm of a step function
-    and of a block row."""
+def _step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
+    """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0:
+    the norm of a step function and of a block row."""
     if p == 1.0:
         return float(np.dot(w, a))
-    if powers is None:
-        with np.errstate(over="ignore"):
-            powers = a ** p
-    s = np.dot(w, powers)
+    with np.errstate(over="ignore"):
+        s = np.dot(w, a ** p)
     if not MIN_NORMAL <= s < math.inf:
         # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
         big = a.max()
@@ -710,18 +707,13 @@ def element_from_dict(d: Mapping) -> Element:
 def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
     """The elements a list of literals describes; tag literals that print alike
     give one shared ``SpaceTag``, so their elements combine without comparing
-    measures.  A literal object seen before is found by its id, unprinted."""
+    measures."""
     tags: dict[str, SpaceTag] = {}
-    seen: dict[int, tuple[Mapping, SpaceTag]] = {}  # holding the literal keeps its id
 
     def tag_of(literal: Mapping) -> SpaceTag:
-        hit = seen.get(id(literal))
-        if hit is not None:
-            return hit[1]
         key = repr(literal)
         if key not in tags:
             tags[key] = tag_from_dict(literal)
-        seen[id(literal)] = (literal, tags[key])
         return tags[key]
 
     return [_element_from_dict(d, tag_of) for d in ds]

@@ -243,21 +243,22 @@ def test_block_tail_checks_term_tags():
 # the dense step block reducer
 # ---------------------------------------------------------------------------
 
-# (level offset above the base, magnitude, seed) of one random step function;
-# rows near 1e-170 (p = 2) and 1e-250 (p = 1.5) underflow their power sums
-step_part = st.tuples(st.integers(0, 3), st.sampled_from([1e-250, 1e-170, 1e-5, 1.0, 3.0]),
-                      st.integers(0, 2 ** 16))
+# (k, level offset, magnitude, seed) of one random step function whose measure
+# is the base measure refined k levels, at that many levels above the refined
+# base; rows near 1e-170 (p = 2) and 1e-250 (p = 1.5) underflow their power sums
+step_part = st.tuples(st.integers(0, 2), st.integers(0, 3),
+                      st.sampled_from([1e-250, 1e-170, 1e-5, 1.0, 3.0]), st.integers(0, 2 ** 16))
 
 
-def _random_step(tag, part, positive=False, extra_level=0):
-    offset, magnitude, seed = part
+def _random_step(tags, part, positive=False, extra_level=0):
+    k, offset, magnitude, seed = part
     rng = np.random.default_rng(seed)
-    level = tag.measure.level + offset + extra_level
+    level = tags[k].measure.level + offset + extra_level
     v = rng.uniform(0.5, 1.5, 2 ** level) * magnitude
     if not positive:
         v *= rng.choice([-1.0, 1.0], v.size)
         v[rng.random(v.size) < 0.3] = 0.0
-    return StepFunction(tag, level, v)
+    return StepFunction(tags[k], level, v)
 
 
 def _pair_sum_ref(f, x):
@@ -270,10 +271,16 @@ def _pair_sum_ref(f, x):
 
 
 @settings(max_examples=60, deadline=None)
-@example(1, 2.0, 0, [(0, 1e-170, 1), (2, 1.0, 2), (1, 1e-170, 3)], (1, 1e-5, 4), [(0, 1.0, 5)],
-         [(3, 3.0, 6)], 4)
-@example(0, 1.5, 1, [(1, 1e-250, 1), (3, 1.0, 2)], None, [(0, 1.0, 3), (3, 2.0, 4)],
-         [(0, 1.0, 5)], 64)
+@example(1, 2.0, 0, [(0, 0, 1e-170, 1), (0, 2, 1.0, 2), (0, 1, 1e-170, 3)], (0, 1, 1e-5, 4),
+         [(0, 0, 1.0, 5)], [(0, 3, 3.0, 6)], 4)
+@example(0, 1.5, 1, [(0, 1, 1e-250, 1), (0, 3, 1.0, 2)], None, [(0, 0, 1.0, 3), (0, 3, 2.0, 4)],
+         [(0, 0, 1.0, 5)], 64)
+# the sequence takes the first term's tag, whose measure has base level 2; the
+# second term lives at level 1 of the base-1 measure it refines
+@example(1, 1.0, 2, [(1, 0, 1.0, 1), (0, 0, 3.0, 2), (1, 1, 1.0, 3)], None, [(0, 0, 1.0, 4)],
+         [(0, 0, 1.0, 5)], 64)
+@example(0, 2.0, 3, [(2, 0, 1.0, 1), (0, 0, 1.0, 2), (1, 0, 1e-170, 3)], (0, 0, 1.0, 4),
+         [(1, 0, 1.0, 5)], [(0, 0, 1.0, 6)], 1)
 @given(st.integers(0, 2), st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 2 ** 16),
        st.lists(step_part, min_size=1, max_size=10),
        st.one_of(st.none(), step_part), st.lists(step_part, min_size=1, max_size=2),
@@ -281,13 +288,16 @@ def _pair_sum_ref(f, x):
 def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part, test_parts,
                                          functional_parts, chunk_cells):
     weights = np.random.default_rng(weight_seed).uniform(0.1, 2.0, 2 ** base)
-    tag = lp_step(p, MeasureModel(base, tuple(weights.tolist())))
-    terms = [_random_step(tag, part) for part in parts]
+    measure = MeasureModel(base, tuple(weights.tolist()))
+    # compatible tags of base levels base .. base + 2: each term is weighted by its own
+    tags = [lp_step(p, measure.refined(base + k)) for k in range(3)]
+    terms = [_random_step(tags, part) for part in parts]
     seq, calls = _counted(sequence_from_list(terms))
     # limits, tests and functionals reach up to two levels above every term
-    limit = zero(tag) if limit_part is None else _random_step(tag, limit_part, extra_level=2)
-    tests = [_random_step(tag, part, positive=True, extra_level=2) for part in test_parts]
-    functionals = [_random_step(tag, part, extra_level=2) for part in functional_parts]
+    limit = zero(tags[0]) if limit_part is None else _random_step(tags, limit_part,
+                                                                  extra_level=2)
+    tests = [_random_step(tags, part, positive=True, extra_level=2) for part in test_parts]
+    functionals = [_random_step(tags, part, extra_level=2) for part in functional_parts]
     diffs = [x.abs() if limit_part is None else (x - limit).abs() for x in terms]
     ts = ToleranceSpec(window=1)
     # small chunks: one level's terms fill several blocks, and some blocks hold one row
@@ -298,7 +308,7 @@ def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part
                                                  for d in diffs]
         assert _bits(un_tail(seq, limit, tests, ts).values) == _bits(table.max(axis=1))
         assert _bits(un_tail_qip(seq, limit, ts).values) == _bits(
-            d.meet(constant_one(tag)).norm() for d in diffs)
+            d.meet(constant_one(seq.tag)).norm() for d in diffs)
         assert _bits(in_measure_tail(seq, 1e-3, ts).values) == _bits(
             x.measure_where(lambda v: np.abs(v) > 1e-3) for x in terms)
         weak = weak_tail(seq, functionals, ts)
@@ -318,8 +328,8 @@ def test_step_blocks_bound_the_refined_cells(top):
     with mock.patch.object(convergence, "_CHUNK_CELLS", 64):
         blocks = list(convergence._step_blocks(seq, top=top))
     seen = []
-    for rows, level, block in blocks:
-        assert (len(rows) - 1) << max(level, top) < 64
+    for rows, tag, level, block in blocks:
+        assert tag is seq.tag and (len(rows) - 1) << max(level, top) < 64
         for n, values in zip(rows.tolist(), block):
             assert seq.at(n + 1).level == level and (values == seq.at(n + 1).values).all()
         seen += rows.tolist()
