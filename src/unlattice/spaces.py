@@ -21,6 +21,7 @@ zero or produce a zero coordinate goes through ``_checked`` instead.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
@@ -58,7 +59,7 @@ class MeasureModel:
     def __post_init__(self):
         if self.level < 0:
             raise ValidationError("measure level must be >= 0")
-        if len(self.weights) != 2 ** self.level:
+        if not _is_power_length(len(self.weights), self.level):
             raise ValidationError("measure needs 2**level cell weights")
         if any(w < 0 or not math.isfinite(w) for w in self.weights):
             raise ValidationError("cell weights must be finite and >= 0")
@@ -103,6 +104,12 @@ class MeasureModel:
                 w = self.refined(level).weight_array(level)
             self._arrays[level] = w
         return w
+
+
+def _is_power_length(n: int, level: int) -> bool:
+    """Whether n == 2**level, for a level >= 0; a huge level is told by bit
+    length, without building 2**level."""
+    return n.bit_length() == level + 1 and n == 1 << level
 
 
 @dataclass(frozen=True)
@@ -409,7 +416,7 @@ class StepFunction(_ElementOps):
         if self.level < self.tag.measure.level:
             raise ValidationError("function level below the measure's base level")
         v = np.array(self.values, dtype=float)  # a copy the caller cannot write
-        if v.shape != (2 ** self.level,):
+        if v.ndim != 1 or not _is_power_length(len(v), self.level):
             raise ValidationError("values must have 2**level entries")
         if not np.isfinite(v).all():
             raise ValidationError("values must be finite")
@@ -680,9 +687,53 @@ def tag_to_dict(tag: SpaceTag) -> dict:
 
 def tag_from_dict(d: Mapping) -> SpaceTag:
     m = d.get("measure")
-    measure = (None if m is None
-               else MeasureModel(int(m["level"]), tuple(float(w) for w in m["weights"])))
-    return SpaceTag(d.get("kind"), p=d.get("p"), measure=measure)
+    measure = (None if m is None  # + 0.0 writes a weight of -0.0 as 0.0
+               else MeasureModel(_level(m["level"]), tuple(float(w) + 0.0 for w in m["weights"])))
+    p = d.get("p")
+    return SpaceTag(d.get("kind"), p=float(p) if isinstance(p, numbers.Real) else p,
+                    measure=measure)
+
+
+def _level(v) -> int:
+    """The level a literal gives: an integer, or a float of integral value."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValidationError(f"a level must be an integer, not {v!r:.40}") from None
+
+
+class _TagKey(tuple):
+    """A tag literal's (kind, p, level, weights), hashed by its head and first
+    weights: a lookup hashes a few numbers and compares all weights only with
+    the entry it lands on."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self[:3] + self[3][:8])
+
+
+def _tag_key(d) -> _TagKey | None:
+    """The fields of the tag literal ``d`` that ``tag_from_dict`` reads, as a
+    key: literals with one key give equal tags.  None when the key cannot be
+    built, which leaves any refusal to ``tag_from_dict``."""
+    try:
+        p, m = d.get("p"), d.get("measure")
+        if p is not None:
+            if not isinstance(p, numbers.Real):
+                return None
+            p = float(p)
+        level, w = None, ()
+        if m is not None:
+            w = m["weights"]
+            if not isinstance(w, (list, tuple)):
+                return None
+            level, w = _level(m["level"]), tuple(w)
+        return _TagKey((d.get("kind"), p, level, w))
+    except (AttributeError, KeyError, TypeError, OverflowError, ValidationError):
+        return None
 
 
 def element_to_dict(x: Element) -> dict:
@@ -705,16 +756,21 @@ def element_from_dict(d: Mapping) -> Element:
 
 
 def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
-    """The elements a list of literals describes; tag literals that print alike
-    give one shared ``SpaceTag``, so their elements combine without comparing
-    measures."""
-    tags: dict[str, SpaceTag] = {}
+    """The elements a list of literals describes; equal tag literals give one
+    shared ``SpaceTag``, so their elements combine without comparing measures."""
+    tags: dict[_TagKey, SpaceTag] = {}
 
     def tag_of(literal: Mapping) -> SpaceTag:
-        key = repr(literal)
-        if key not in tags:
-            tags[key] = tag_from_dict(literal)
-        return tags[key]
+        key = _tag_key(literal)
+        if key is None:
+            return tag_from_dict(literal)
+        try:
+            tag = tags.get(key)
+        except TypeError:  # an unhashable field: a list kind or weight
+            return tag_from_dict(literal)
+        if tag is None:
+            tag = tags[key] = tag_from_dict(literal)
+        return tag
 
     return [_element_from_dict(d, tag_of) for d in ds]
 
@@ -725,7 +781,7 @@ def _element_from_dict(d: Mapping, tag_of) -> Element:
         if tag.is_sequence_kind:
             return LatticeVector(tag, d["coords"])
         if tag.kind == "lp_step":
-            return StepFunction(tag, int(d["level"]), d["values"])
+            return StepFunction(tag, _level(d["level"]), d["values"])
         return DirectSumVector(_element_from_dict(d["left"], tag_of),
                                _element_from_dict(d["right"], tag_of))
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlattice import cli
+from unlattice import cli, jsonio
 from unlattice.errors import TagMismatch
 from unlattice.runner import SCHEMA, build_sequence
 
@@ -118,6 +118,16 @@ MALFORMED = (
     {"source": inline(dict(STEP_LITERAL, values=["a", "b"]))},
     {"source": inline(dict(STEP_LITERAL, values={"a": 1}))},
     {"source": inline(dict(STEP_LITERAL, tag=dict(STEP_TAG, p="1")))},
+    # levels that are not integers, or too large to have their 2**level cells
+    {"source": inline(dict(STEP_LITERAL, level=1.9))},
+    {"source": inline(dict(STEP_LITERAL, level="1"))},
+    {"source": inline(dict(STEP_LITERAL, level=2, values=[1.0] * 4,
+                           tag=dict(STEP_TAG, measure={"level": 2.7, "weights": [0.25] * 4})))},
+    {"source": inline(dict(STEP_LITERAL, tag=dict(STEP_TAG, measure={"level": "0",
+                                                                     "weights": [1.0]})))},
+    {"source": inline(dict(STEP_LITERAL, level=10 ** 12))},
+    {"source": inline(dict(STEP_LITERAL, tag=dict(STEP_TAG, measure={"level": 10 ** 12,
+                                                                     "weights": [1.0]})))},
     # step functionals on a sequence that is not a step model
     {"diagnostic": {"name": "weak", "functionals": "constant_one"}},
     {"diagnostic": {"name": "weak", "functionals": "step_family"}},
@@ -307,6 +317,44 @@ def test_inline_step_elements_share_one_tag():
     elements.append({"tag": other, "level": 1, "values": [1.0, 1.0]})
     with pytest.raises(TagMismatch):
         build_sequence({"inline": {"elements": elements}})
+
+
+def inline_step_scenario(diagnostic):
+    """A step scenario whose elements share one tag object in memory and
+    hold separate, equal copies of it once written out and parsed."""
+    tag = {"kind": "lp_step", "p": 2, "measure": {"level": 2, "weights": [0.1, 0.2, 0.3, 0.4]}}
+    elements = [{"tag": tag, "level": 2 + n % 2,
+                 "values": [(-1.0) ** (n + k) * 0.25 ** n * (1 + k) for k in range(4 << n % 2)]}
+                for n in range(24)]
+    return {"schema": 1, "source": {"inline": {"name": "step", "elements": elements}},
+            "diagnostic": diagnostic}
+
+
+STEP_DIAGNOSTICS = (
+    {"name": "norm"},
+    {"name": "un"},
+    {"name": "in_measure", "delta": 0.001},
+    {"name": "weak", "functionals": [{"tag": {"kind": "lp_step", "p": 2.0, "measure": {
+        "level": 2, "weights": [0.1, 0.2, 0.3, 0.4]}}, "level": 3, "values": [1.0] * 8}]},
+    {"name": "pointwise"},
+)
+
+
+@pytest.mark.parametrize("diagnostic", STEP_DIAGNOSTICS, ids=lambda d: d["name"])
+def test_inline_step_reports_do_not_depend_on_parsing(diagnostic):
+    scenario = inline_step_scenario(diagnostic)
+    parsed = json.loads(json.dumps(scenario))
+    ts = cli.ToleranceSpec()
+    reports = [jsonio.dumps(cli.execute_scenario(s, ts)["report"], indent=2)
+               for s in (scenario, parsed)]
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["verdict"] == "NULL"
+
+
+def test_inline_step_scenario_file_runs(tmp_path, capsys):
+    scenario = dict(inline_step_scenario({"name": "norm"}), expect="NULL")
+    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "NULL"
 
 
 def test_step_overflow_exits_2_without_warning(tmp_path, capsys):

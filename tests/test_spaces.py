@@ -1,5 +1,6 @@
 """Element models: lattice algebra, norms, tags, serialization."""
 
+import json
 import math
 import warnings
 from unittest import mock
@@ -25,6 +26,7 @@ from unlattice.spaces import (
     direct_sum,
     element_from_dict,
     element_to_dict,
+    elements_from_dicts,
     indicator,
     is_disjoint,
     linf,
@@ -32,6 +34,7 @@ from unlattice.spaces import (
     lp_step,
     ones,
     quasi_interior_point,
+    tag_from_dict,
     truncate,
     unit,
     zero,
@@ -444,6 +447,103 @@ def test_literal_coordinates_convert_once_and_the_later_entry_wins():
         element_from_dict({"tag": {"kind": "lp_step", "p": 1.0,
                                    "measure": {"level": 0, "weights": [1.0]}},
                            "level": 0, "values": ["a"]})
+
+
+STEP_TAG_LITERAL = {"kind": "lp_step", "p": 1,
+                    "measure": {"level": 2, "weights": [0.1, 0.2, 0.3, 0.4]}}
+
+
+def test_json_parsed_step_literals_share_one_tag():
+    literals = [{"tag": STEP_TAG_LITERAL, "level": 2 + n % 2, "values": [float(n)] * (4 << n % 2)}
+                for n in range(6)]
+    xs = elements_from_dicts(json.loads(json.dumps(literals)))
+    assert all(x.tag is xs[0].tag for x in xs)
+    assert xs[0].tag == tag_from_dict(STEP_TAG_LITERAL)
+
+
+def test_equal_tag_literals_give_one_tag():
+    measure = STEP_TAG_LITERAL["measure"]
+    variants = [
+        STEP_TAG_LITERAL,
+        dict(STEP_TAG_LITERAL, p=1.0),
+        dict(STEP_TAG_LITERAL, measure=dict(measure, level=2.0)),
+        {"measure": {"weights": measure["weights"], "level": 2}, "p": 1, "kind": "lp_step"},
+        dict(STEP_TAG_LITERAL, measure=dict(measure, weights=list(measure["weights"]))),
+    ]
+    literals = [{"tag": tag, "level": 2, "values": [1.0, 0.0, 2.0, 0.0]} for tag in variants]
+    for ds in (literals, json.loads(json.dumps(literals))):
+        tags = [x.tag for x in elements_from_dicts(ds)]
+        assert all(tag is tags[0] for tag in tags)
+        # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not
+        assert all(repr(tag_from_dict(d["tag"])) == repr(tags[0]) for d in ds)
+    assert tags[0].p == 1.0 and type(tags[0].p) is float
+
+
+def test_signed_zero_weights_give_one_tag():
+    tags = [dict(STEP_TAG_LITERAL, measure={"level": 1, "weights": [w, 1.0]})
+            for w in (-0.0, 0.0, 0)]
+    xs = elements_from_dicts([{"tag": tag, "level": 1, "values": [1.0, 1.0]} for tag in tags])
+    assert all(x.tag is xs[0].tag for x in xs)
+    assert all(repr(tag_from_dict(tag)) == repr(xs[0].tag) for tag in tags)
+    assert math.copysign(1.0, xs[0].tag.measure.weights[0]) == 1.0
+
+
+def test_compatible_measures_written_out_keep_their_own_tags():
+    mu = MeasureModel(1, (0.7, 0.3))
+    direct = [StepFunction(lp_step(1, mu.refined(2)), 2, np.array([1.0, -2.0, 0.5, 0.0])),
+              StepFunction(lp_step(1, mu), 1, np.array([3.0, -0.25])),
+              StepFunction(lp_step(1, mu.refined(2)), 2, np.array([0.0, 0.0, 1.0, 1.0]))]
+    literals = json.loads(json.dumps([element_to_dict(x) for x in direct]))
+    xs = elements_from_dicts(literals)
+    assert xs[0].tag is xs[2].tag and xs[0].tag is not xs[1].tag
+    assert [x.tag.measure.level for x in xs] == [2, 1, 2]
+    ts = ToleranceSpec()
+    a = convergence.sequence_from_list(direct)
+    b = convergence.sequence_from_list(xs)
+    for report in (lambda s: convergence.norm_tail(s, zero(s.tag), ts),
+                   lambda s: convergence.un_tail_qip(s, zero(s.tag), ts),
+                   lambda s: convergence.in_measure_tail(s, 0.5, ts)):
+        assert report(b).values == report(a).values
+    assert convergence.norm_tail(b, zero(b.tag), ts).values == [x.norm() for x in direct]
+
+
+def test_unkeyable_tag_literals_keep_their_refusals():
+    bad = [{"kind": ["lp"]}, {"kind": "lp", "p": "1"}, {"kind": "lp", "p": 10 ** 400},
+           dict(STEP_TAG_LITERAL, measure={"level": 1, "weights": [[1.0], 1.0]}),
+           dict(STEP_TAG_LITERAL, measure={"level": 1, "weights": "ab"}), "c0", 5]
+    for tag in bad:
+        literal = {"tag": tag, "coords": {"1": 1.0}, "level": 1, "values": [1.0, 1.0]}
+        with pytest.raises(ValidationError) as single:
+            element_from_dict(literal)
+        with pytest.raises(ValidationError) as batch:
+            elements_from_dicts([literal, literal])
+        assert str(batch.value) == str(single.value)
+
+
+@pytest.mark.parametrize("level", [1.9, "1", None, [1], math.inf, math.nan])
+def test_non_integral_levels_are_refused(level):
+    with pytest.raises(ValidationError, match="a level must be an integer"):
+        element_from_dict({"tag": STEP_TAG_LITERAL, "level": level, "values": [1.0] * 4})
+    tag = dict(STEP_TAG_LITERAL, measure={"level": level, "weights": [0.5, 0.5]})
+    with pytest.raises(ValidationError, match="a level must be an integer"):
+        element_from_dict({"tag": tag, "level": 1, "values": [1.0, 1.0]})
+
+
+def test_integral_levels_are_accepted():
+    tag = dict(STEP_TAG_LITERAL, measure={"level": 1.0, "weights": [0.5, 0.5]})
+    for level in (1, 1.0, True):
+        x = element_from_dict({"tag": tag, "level": level, "values": [1.0, 2.0]})
+        assert x.level == 1 and type(x.level) is int
+        assert x.tag.measure.level == 1 and type(x.tag.measure.level) is int
+
+
+def test_huge_levels_are_refused_by_length():
+    with pytest.raises(ValidationError, match="values must have 2\\*\\*level entries"):
+        element_from_dict({"tag": STEP_TAG_LITERAL, "level": 10 ** 12, "values": [1.0] * 4})
+    with pytest.raises(ValidationError, match="measure needs 2\\*\\*level cell weights"):
+        MeasureModel(10 ** 12, (1.0,))
+    with pytest.raises(ValidationError, match="values must have 2\\*\\*level entries"):
+        StepFunction(lp_step(1), 2 ** 40, np.ones(1))
 
 
 def test_roundtrip_direct_sum():
