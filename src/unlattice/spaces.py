@@ -687,7 +687,8 @@ def tag_to_dict(tag: SpaceTag) -> dict:
 
 def tag_from_dict(d: Mapping) -> SpaceTag:
     m = d.get("measure")
-    measure = (None if m is None  # + 0.0 writes a weight of -0.0 as 0.0
+    # float(p) and + 0.0 (-0.0 becomes 0.0) give equal literals identical tags
+    measure = (None if m is None
                else MeasureModel(_level(m["level"]), tuple(float(w) + 0.0 for w in m["weights"])))
     p = d.get("p")
     return SpaceTag(d.get("kind"), p=float(p) if isinstance(p, numbers.Real) else p,
