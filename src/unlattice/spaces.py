@@ -705,38 +705,6 @@ def _level(v) -> int:
         raise ValidationError(f"a level must be an integer, not {v!r:.40}") from None
 
 
-class _TagKey(tuple):
-    """A tag literal's (kind, p, level, weights), hashed by its head and first
-    weights: a lookup hashes a few numbers and compares all weights only with
-    the entry it lands on."""
-
-    __slots__ = ()
-
-    def __hash__(self):
-        return hash(self[:3] + self[3][:8])
-
-
-def _tag_key(d) -> _TagKey | None:
-    """The fields of the tag literal ``d`` that ``tag_from_dict`` reads, as a
-    key: literals with one key give equal tags.  None when the key cannot be
-    built, which leaves any refusal to ``tag_from_dict``."""
-    try:
-        p, m = d.get("p"), d.get("measure")
-        if p is not None:
-            if not isinstance(p, numbers.Real):
-                return None
-            p = float(p)
-        level, w = None, ()
-        if m is not None:
-            w = m["weights"]
-            if not isinstance(w, (list, tuple)):
-                return None
-            level, w = _level(m["level"]), tuple(w)
-        return _TagKey((d.get("kind"), p, level, w))
-    except (AttributeError, KeyError, TypeError, OverflowError, ValidationError):
-        return None
-
-
 def element_to_dict(x: Element) -> dict:
     if isinstance(x, LatticeVector):
         return {"tag": tag_to_dict(x.tag),
@@ -759,15 +727,18 @@ def element_from_dict(d: Mapping) -> Element:
 def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
     """The elements a list of literals describes; equal tag literals give one
     shared ``SpaceTag``, so their elements combine without comparing measures."""
-    tags: dict[_TagKey, SpaceTag] = {}
+    tags: dict[tuple, SpaceTag] = {}
 
     def tag_of(literal: Mapping) -> SpaceTag:
-        key = _tag_key(literal)
-        if key is None:
-            return tag_from_dict(literal)
+        # the raw fields tag_from_dict reads: on JSON values, fields equal by ==
+        # (1 == 1.0, -0.0 == 0.0) give equal tags; a literal whose key cannot be
+        # built or hashed goes to tag_from_dict, which gives any refusal
         try:
+            m = literal.get("measure")
+            key = (literal.get("kind"), literal.get("p"),
+                   None if m is None else (m["level"], tuple(m["weights"])))
             tag = tags.get(key)
-        except TypeError:  # an unhashable field: a list kind or weight
+        except Exception:
             return tag_from_dict(literal)
         if tag is None:
             tag = tags[key] = tag_from_dict(literal)

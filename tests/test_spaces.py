@@ -507,6 +507,15 @@ def test_compatible_measures_written_out_keep_their_own_tags():
     assert convergence.norm_tail(b, zero(b.tag), ts).values == [x.norm() for x in direct]
 
 
+def test_measures_that_differ_in_the_last_cell_keep_their_own_tags():
+    tags = [dict(STEP_TAG_LITERAL, measure={"level": 4, "weights": [1.0] * 15 + [w]})
+            for w in (1.0, 2.0, 3.0, 2)]
+    xs = elements_from_dicts([{"tag": tag, "level": 4, "values": [1.0] * 16} for tag in tags])
+    assert [x.tag.measure.weights[-1] for x in xs] == [1.0, 2.0, 3.0, 2.0]
+    assert len({id(x.tag) for x in xs}) == 3 and xs[3].tag is xs[1].tag
+    assert [x.tag for x in xs] == [tag_from_dict(tag) for tag in tags]
+
+
 def test_unkeyable_tag_literals_keep_their_refusals():
     bad = [{"kind": ["lp"]}, {"kind": "lp", "p": "1"}, {"kind": "lp", "p": 10 ** 400},
            dict(STEP_TAG_LITERAL, measure={"level": 1, "weights": [[1.0], 1.0]}),
