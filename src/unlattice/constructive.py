@@ -14,17 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .convergence import (
     NULL,
     TailReport,
     ToleranceSpec,
     VectorSequence,
     _check_cells,
-    _coordinate_matrix,
     _make_report,
-    _pointwise_report,
+    _matrix_pointwise,
+    _step_zone,
     norm_tail,
     sequence_from_list,
     un_tail_qip,
@@ -308,17 +306,16 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         seq.length, lambda n: terms[n - 1].abs().meet(e).norm(), target_count,
         "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
     sub = sequence_from_list([terms[n - 1] for n in subindices])
-    mat, labels, level = _coordinate_matrix(sub, band=e)
     if seq.tag.kind == "lp_step":
         # Borel-Cantelli style a.e. certificate: values[j] is the mass of the
         # cells of e's support on which some term at position >= j reaches tol
+        _, level, zone = _step_zone(sub, 0, ts.tol, band=e)
         weights = seq.tag.measure.weight_array(level)
-        active = np.logical_or.accumulate((mat >= ts.tol)[::-1], axis=0)[::-1]
         report = _make_report("uo-subsequence-unsettled-mass",
-                              [float(weights[row].sum()) for row in active],
+                              [float(weights[zone.last >= j].sum()) for j in range(sub.length)],
                               ts, extras={"refinement_level": level})
     else:
-        report = _pointwise_report(mat, labels, level, ts)
+        report = _matrix_pointwise(sub, ts, band=e)
     return UoExtraction(e, subindices, meet_norms, report)
 
 

@@ -209,7 +209,8 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
             indptr, indices, data = [0], [], []
 
 
-def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: int = 0):
+def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: int = 0,
+                 budget: bool = False):
     """The terms of the step sequence ``seq``, less ``limit``, as dense blocks
     ``(rows, tag, level, block)``: row i of ``block`` holds the cell values at
     ``level`` of term ``rows[i] + 1``, and ``tag`` is a term's tag whose measure
@@ -217,9 +218,13 @@ def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: in
     The terms of one level and measure are buffered until they fill about
     ``_CHUNK_CELLS`` cells at level ``top`` (or their own, if higher), so a
     block refined to ``top`` stays that small.  Each term is generated once;
-    an overflowed difference is refused."""
+    an overflowed difference is refused.  With ``budget``, a term is refused
+    before the next is generated once ``seq.length`` rows at level ``top`` or
+    its own would exceed ``_MAX_CELLS``: the size of the common refinement."""
     pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
     for n, x in enumerate(seq):
+        if budget:
+            _check_cells(seq.length, 2 ** max(x.level, top))
         # the entry holds the tag, so the measure's id names it while buffered
         key = (x.level, id(x.tag.measure))
         _, rows, values = pending.setdefault(key, (x.tag, [], []))
@@ -306,7 +311,9 @@ def _tail_norms(seq: VectorSequence, limit: Element,
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
     /\\ u for each test u, or of |seq(n) - limit| when no test is given.
     Each term is generated once; sequence models are reduced in CSR chunks,
-    step models in dense blocks, and the direct sum term by term."""
+    step models in dense blocks, and the direct sum term by term.  A table
+    over ``_MAX_CELLS`` cells is refused before it is allocated."""
+    _check_cells(seq.length, max(1, len(tests)))
     if seq.tag.kind == "lp_step":
         out = np.empty((seq.length, max(1, len(tests))))
         top = max([u.level for u in tests] + [limit.level])
@@ -431,11 +438,11 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
 
 
 # ---------------------------------------------------------------------------
-# the coordinate matrix and the pointwise / uo-proxy diagnostic
+# the pointwise / uo-proxy diagnostic
 # ---------------------------------------------------------------------------
 
-#: Cells of the largest coordinate matrix: 2**26 doubles (512 MiB) admit
-#: typewriter(13) and refuse typewriter(14).
+#: Cells of the largest coordinate matrix or common step refinement: 2**26
+#: doubles (512 MiB) admit typewriter(13) and refuse typewriter(14).
 _MAX_CELLS = 2 ** 26
 
 #: The pointwise recurrence zone is this final fraction of the run.
@@ -447,31 +454,33 @@ def _check_cells(rows: int, columns: int) -> None:
         raise ValidationError(f"a {rows} x {columns} matrix exceeds {_MAX_CELLS} cells")
 
 
-def _coordinate_matrix(seq: VectorSequence, band: Element | None = None,
-                       max_level: int | None = None):
-    """The (N, C) matrix of |seq(n)| per cell or per touched coordinate, its
-    column labels and its step level (None for sequence models), from one
-    generation of each term.  With ``band``, of the band projection onto the
-    support of ``band``.  A matrix over ``_MAX_CELLS`` cells, or a step level
-    over ``max_level``, is refused before it is allocated; a sequence of over
-    ``_MAX_CELLS`` terms before a term is generated.
+def _zone_start(n: int, ts: ToleranceSpec) -> int:
+    """The first row (0-based) of the recurrence zone of a run of ``n``: its
+    final three quarters, or its final window if that is longer.  A window
+    over ``n`` is refused by the report, once the terms have been read."""
+    return max(0, n - max(ts.window or 1, math.ceil(_RECURRENCE_FRACTION * n)))
+
+
+@dataclass
+class _Zone:
+    """Per-column reductions over the recurrence zone of a run: the first and
+    last row with modulus >= tol (past the run and -1 where there is none),
+    the zone max and min, and the first 8 violating terms of a column."""
+
+    first: np.ndarray
+    last: np.ndarray
+    limsup: np.ndarray
+    liminf: np.ndarray
+    hits: Callable[[int], list[int]]
+
+
+def _coordinate_matrix(seq: VectorSequence, band: LatticeVector | None = None):
+    """The (N, C) matrix of |seq(n)| per touched coordinate of the sequence
+    model ``seq`` and its column labels, from one generation of each term.
+    With ``band``, of the band projection onto the support of ``band``.  A
+    matrix over ``_MAX_CELLS`` cells is refused before it is allocated; a
+    sequence of over ``_MAX_CELLS`` terms before a term is generated.
     """
-    if seq.tag.kind == "lp_step":
-        level, terms = (0 if band is None else band.level), []
-        for x in seq:
-            level = max(level, x.level)
-            _check_cells(seq.length, 2 ** level)
-            terms.append(x)
-        if max_level is not None and level > max_level:
-            raise RefinementOverflow(f"common refinement level {level} exceeds "
-                                     f"the maximum {max_level}")
-        mat = np.empty((seq.length, 2 ** level))
-        for row, x in zip(mat, terms):
-            row.reshape(x.values.size, -1)[:] = x.values[:, None]
-        np.abs(mat, out=mat)
-        if band is not None:
-            mat[:, band.refined(level).values == 0.0] = 0.0
-        return mat, [f"cell[{level}:{i}]" for i in range(2 ** level)], level
     if not seq.tag.is_sequence_kind:
         raise ValidationError("pointwise diagnostic supports sequence and step models")
     indptrs, indices, moduli = zip(*_sparse_chunks(seq, zero(seq.tag)))
@@ -484,38 +493,112 @@ def _coordinate_matrix(seq: VectorSequence, band: Element | None = None,
     _check_cells(seq.length, touched.size)
     mat = np.zeros((seq.length, touched.size))
     mat[rows, np.searchsorted(touched, indices)] = moduli
-    return mat, [str(c) for c in touched.tolist()], None
+    return mat, [str(c) for c in touched.tolist()]
 
 
-def _pointwise_report(mat: np.ndarray, labels: list[str], level: int | None,
-                      ts: ToleranceSpec) -> TailReport:
-    """The pointwise verdict on the coordinate matrix ``mat`` of moduli."""
-    n = mat.shape[0]
-    window = ts.window_for(n)
-    zone_start = n - max(window, math.ceil(_RECURRENCE_FRACTION * n))
+def _matrix_zone(mat: np.ndarray, zone_start: int, tol: float) -> _Zone:
+    """The zone reductions of the coordinate matrix ``mat`` of moduli."""
     zone = mat[zone_start:]
-    bad = zone >= ts.tol
-    # the first and last violating zone row of each column, len(bad) and -1
-    # where there is none, over row chunks that bound the index temporaries
-    first, last = np.full(bad.shape[1], len(bad)), np.full(bad.shape[1], -1)
+    bad = zone >= tol
+    # the first and last violating row of each column, over row chunks that
+    # bound the index temporaries
+    first, last = np.full(bad.shape[1], len(mat)), np.full(bad.shape[1], -1)
     step = max(1, _CHUNK_CELLS // bad.shape[1])
     for s in range(0, len(bad), step):
-        rows = np.arange(s, min(s + step, len(bad)))[:, None]
-        np.minimum(first, np.where(bad[s:s + step], rows, len(bad)).min(axis=0), out=first)
+        rows = np.arange(zone_start + s, zone_start + min(s + step, len(bad)))[:, None]
+        np.minimum(first, np.where(bad[s:s + step], rows, len(mat)).min(axis=0), out=first)
         np.maximum(last, np.where(bad[s:s + step], rows, -1).max(axis=0), out=last)
-    persistent = np.flatnonzero(last - first >= window)
+    return _Zone(first, last, zone.max(axis=0), zone.min(axis=0),
+                 lambda c: (zone_start + 1 + np.flatnonzero(bad[:, c]))[:8].tolist())
+
+
+def _merge_zone(acc: np.ndarray | None, stats: np.ndarray) -> np.ndarray:
+    """Fold the zone statistics ``stats`` into ``acc``: rows first and min by
+    minimum, rows last and max by maximum."""
+    if acc is None:
+        return stats
+    np.minimum(acc[:2], stats[:2], out=acc[:2])
+    np.maximum(acc[2:], stats[2:], out=acc[2:])
+    return acc
+
+
+def _step_zone(seq: VectorSequence, zone_start: int, tol: float,
+               band: StepFunction | None = None):
+    """The row maxima of |seq(n)|, the common refinement level of the terms
+    (and of ``band``) and the ``_Zone`` of its cells, streamed over the level
+    blocks of the step sequence ``seq`` with no (terms x cells) matrix.  With
+    ``band``, of the band projection onto the support of ``band``.
+
+    Each block is reduced at its own level (at the band's, if higher); the
+    per-level results are refined to the common level at the end.  Max and
+    min are exact, so every number is that of the dense refined matrix.  The
+    common refinement is held to the budget term by term."""
+    n, top = seq.length, 0 if band is None else band.level
+    values, level = np.empty(n), 0
+    # per level: the (4, 2**level) rows first, min, last, max of its blocks
+    per_level: dict[int, np.ndarray] = {}
+    masks = []  # (level, zone rows, packed violation mask) of each block that has one
+    for rows, _, m, block in _step_blocks(seq, top=top, budget=True):
+        np.abs(block, out=block)
+        if band is not None:  # at the higher of the two levels
+            block = _at_level(block, m, max(m, top))
+            m = max(m, top)
+            block[:, band.refined(m).values == 0.0] = 0.0
+        values[rows] = block.max(axis=1)
+        level = max(level, m)
+        k = np.searchsorted(rows, zone_start)  # a block's rows increase
+        if k == len(rows):
+            continue
+        rows, block = rows[k:], block[k:]
+        bad = block >= tol
+        hit = bad.any(axis=0)
+        per_level[m] = _merge_zone(per_level.get(m), np.stack([
+            np.where(hit, rows[bad.argmax(axis=0)], n), block.min(axis=0),
+            np.where(hit, rows[::-1][bad[::-1].argmax(axis=0)], -1), block.max(axis=0)]))
+        if hit.any():
+            masks.append((m, rows, np.packbits(bad, axis=1)))
+    acc = None
+    for m, stats in per_level.items():
+        acc = _merge_zone(acc, _at_level(stats, m, level))
+
+    def hits(c: int) -> list[int]:
+        # blocks of different levels flush out of row order: merge, then sort
+        found = []
+        for m, rows, packed in masks:
+            j = c >> (level - m)  # the cell at level m that holds cell c
+            found.append(rows[packed[:, j >> 3] >> (7 - (j & 7)) & 1 == 1])
+        return (np.sort(np.concatenate(found))[:8] + 1).tolist()
+
+    return values, level, _Zone(acc[0], acc[2], acc[3], acc[1], hits)
+
+
+def _pointwise_report(values: np.ndarray, labels: list[str], level: int | None,
+                      ts: ToleranceSpec, zone_start: int, zone: _Zone) -> TailReport:
+    """The pointwise verdict on the zone reductions of a run whose row maxima
+    are ``values``."""
+    window = ts.window_for(len(values))
+    persistent = np.flatnonzero(zone.last - zone.first >= window)
     witness = None
     if persistent.size:
-        c = persistent[0]
-        hits = zone_start + 1 + np.flatnonzero(bad[:, c])
-        witness = {"coordinate": labels[c], "violation_indices": hits[:8].tolist()}
-    extras = {"zone_start": zone_start + 1, "limsup": zone.max(axis=0).tolist(),
-              "liminf": zone.min(axis=0).tolist(), "coordinates": labels}
+        c = int(persistent[0])
+        witness = {"coordinate": labels[c], "violation_indices": zone.hits(c)}
+    extras = {"zone_start": zone_start + 1, "limsup": zone.limsup.tolist(),
+              "liminf": zone.liminf.tolist(), "coordinates": labels}
     if level is not None:
         extras["refinement_level"] = level
-    return TailReport("pointwise-tail", mat.max(axis=1).tolist(),
+    return TailReport("pointwise-tail", values.tolist(),
                       NOT_NULL if persistent.size else NULL,
-                      ts.tol, window, n, witness, extras)
+                      ts.tol, window, len(values), witness, extras)
+
+
+def _matrix_pointwise(seq: VectorSequence, ts: ToleranceSpec,
+                      band: LatticeVector | None = None) -> TailReport:
+    """The pointwise report of the sequence model ``seq`` (band-projected
+    onto the support of ``band``), from its coordinate matrix."""
+    mat, labels = _coordinate_matrix(seq, band)
+    zone_start = _zone_start(len(mat), ts)
+    return _pointwise_report(mat.max(axis=1), labels, None, ts, zone_start,
+                             _matrix_zone(mat, zone_start, ts.tol))
 
 
 def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec) -> TailReport:
@@ -528,8 +611,15 @@ def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec) -> TailReport:
     per-coordinate limsup and liminf over the zone are reported.  Step models
     are refined to at most ``MAX_REFINE_LEVEL``.
     """
-    mat, labels, level = _coordinate_matrix(seq, max_level=MAX_REFINE_LEVEL)
-    return _pointwise_report(mat, labels, level, ts)
+    if seq.tag.kind != "lp_step":
+        return _matrix_pointwise(seq, ts)
+    zone_start = _zone_start(seq.length, ts)
+    values, level, zone = _step_zone(seq, zone_start, ts.tol)
+    if level > MAX_REFINE_LEVEL:
+        raise RefinementOverflow(f"common refinement level {level} exceeds "
+                                 f"the maximum {MAX_REFINE_LEVEL}")
+    return _pointwise_report(values, [f"cell[{level}:{i}]" for i in range(2 ** level)],
+                             level, ts, zone_start, zone)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +738,7 @@ def order_witness_atomic(seq: VectorSequence, bound: Element,
     check_tags(seq.tag, bound.tag)
     if not bound.is_positive():
         raise ValidationError("bound must be >= 0")
-    mat, labels, _ = _coordinate_matrix(seq)
+    mat, labels = _coordinate_matrix(seq)
     columns = [int(c) for c in labels]
 
     def undominated(v: LatticeVector) -> np.ndarray:  # the rows n - 1 where |seq(n)| <= v fails

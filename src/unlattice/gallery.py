@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convergence import ToleranceSpec, VectorSequence
+from .convergence import _MAX_CELLS, ToleranceSpec, VectorSequence
 from .errors import RefinementOverflow, ValidationError
 from .spaces import (
     DEFAULT_HORIZON,
@@ -82,10 +82,14 @@ def typewriter(max_level: int = DEFAULT_TYPEWRITER_LEVELS,
 
     Term n (with 2**k <= n < 2**(k+1)) is the indicator of the dyadic cell
     [(n - 2**k) / 2**k, (n - 2**k + 1) / 2**k); levels k = 0 .. max_level-1
-    give 2**max_level - 1 terms.  The support mass of term n is 2**-k.
+    give 2**max_level - 1 terms.  The support mass of term n is 2**-k.  Over
+    ``_MAX_CELLS`` terms are refused before 2**max_level is computed.
     """
     if max_level < 1:
         raise ValidationError("max_level must be >= 1")
+    if max_level > _MAX_CELLS.bit_length() or 2 ** max_level - 1 > _MAX_CELLS:
+        raise ValidationError(f"typewriter max_level {max_level} gives over "
+                              f"{_MAX_CELLS} terms")
     tag = lp_step(p)
     length = 2 ** max_level - 1
 

@@ -394,6 +394,18 @@ def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
     assert err.startswith("error (validation)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("max_level", [40, 10 ** 8])
+def test_typewriter_past_the_budget_exits_2(tmp_path, capsys, max_level):
+    # 2**max_level - 1 terms exceed the budget: refused when the sequence is
+    # built, not by a failed allocation of the norm table
+    scenario = {"schema": 1, "diagnostic": {"name": "norm"},
+                "source": {"gallery": "typewriter", "params": {"max_level": max_level}}}
+    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (f"error (validation): typewriter max_level {max_level} gives over "
+                   f"67108864 terms\n")
+
+
 L1 = {"kind": "lp", "p": 1.0}
 C0 = {"kind": "c0"}
 STEP = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}

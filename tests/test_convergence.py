@@ -34,6 +34,7 @@ from unlattice.errors import (
     NoIndexFound,
     NonStepSequence,
     NotOrderBounded,
+    RefinementOverflow,
     TagMismatch,
     ValidationError,
 )
@@ -538,6 +539,131 @@ def test_pointwise_uniform_decay_null():
     seq = VectorSequence(tag, 64, lambda n: constant_one(tag).scale(1.0 / n))
     assert pointwise_tail(seq, ToleranceSpec(tol=1e-1)).verdict == NULL
     assert pointwise_tail(seq, ToleranceSpec(tol=1e-2)).verdict == NOT_NULL
+
+
+def _random_step_sequence(rng, n: int, decay: float = 0.0) -> list[StepFunction]:
+    """n step terms of mixed levels over a non-uniform measure; every third
+    term is tagged with a coarser measure that refines to the same one, and
+    the leftmost cell of every level holds values about 1 in a third of the
+    terms, so that its violations spread over blocks of several levels."""
+    base = int(rng.integers(1, 4))
+    coarse = int(rng.integers(0, base))
+    wc = rng.uniform(0.2, 1.8, 2 ** coarse)
+    w = np.repeat(wc / 2 ** (base - coarse), 2 ** (base - coarse))
+    p = float(rng.choice([1.0, 2.0]))
+    tag = lp_step(p, MeasureModel(base, tuple(w.tolist())))
+    coarse_tag = lp_step(p, MeasureModel(coarse, tuple(wc.tolist())))
+    terms = []
+    for k in range(n):
+        level = int(rng.choice([base, base + 2, 8, 10, 11]))
+        v = rng.uniform(-2.0, 2.0, 2 ** level) * (rng.random(2 ** level) < rng.uniform(0.02, 0.5))
+        v *= 10.0 ** rng.uniform(-3.0, 0.0)
+        if k % 3 == 0:
+            v[0] = rng.uniform(0.5, 2.0)
+        terms.append(StepFunction(coarse_tag if k % 3 == 1 else tag, level,
+                                  v * 2.0 ** (-decay * k)))
+    return terms
+
+
+def _dense(terms, level: int) -> np.ndarray:
+    """The (terms x cells) matrix of the moduli refined to ``level``."""
+    return np.array([np.repeat(np.abs(x.values), 2 ** (level - x.level)) for x in terms])
+
+
+def test_step_pointwise_matches_dense_reference():
+    rng = np.random.default_rng(14)
+    long_witness = 0
+    for case in range(12):
+        terms = _random_step_sequence(rng, int(rng.integers(2, 160)))
+        level = max(x.level for x in terms)
+        mat = _dense(terms, level)
+        for tol, window in ((0.1, None), (0.4, 1), (1e-3, 7), (1.5, 2)):
+            ts = ToleranceSpec(tol=tol, window=window)
+            report = pointwise_tail(sequence_from_list(terms), ts)
+            n, w = len(terms), ts.window_for(len(terms))
+            zone_start = n - max(w, math.ceil(0.75 * n))
+            zone = mat[zone_start:]
+            persistent = _persistent_columns(zone, tol, w)
+            witness = None
+            if persistent:
+                hits = zone_start + 1 + np.flatnonzero(zone[:, persistent[0]] >= tol)
+                long_witness += hits.size > 8 and len({terms[i - 1].level for i in hits}) > 1
+                witness = {"coordinate": f"cell[{level}:{persistent[0]}]",
+                           "violation_indices": hits[:8].tolist()}
+            assert report.to_json_dict() == {
+                "quantity": "pointwise-tail", "values": mat.max(axis=1).tolist(),
+                "verdict": NOT_NULL if persistent else NULL, "tol": tol, "window": w,
+                "horizon": n, "witness": witness,
+                "extras": {"zone_start": zone_start + 1, "limsup": zone.max(axis=0).tolist(),
+                           "liminf": zone.min(axis=0).tolist(),
+                           "coordinates": [f"cell[{level}:{c}]" for c in range(2 ** level)],
+                           "refinement_level": level}}
+    assert long_witness >= 5  # witness columns with over 8 violations at several levels
+
+
+def _unsettled_mass(terms, band: StepFunction, tol: float):
+    """The level and the values of the uo certificate of ``terms`` on the
+    support of ``band``, by the reversed ``logical_or.accumulate`` rule."""
+    level = max([band.level] + [x.level for x in terms])
+    mat = _dense(terms, level)
+    mat[:, band.refined(level).values == 0.0] = 0.0
+    weights = band.tag.measure.weight_array(level)
+    active = np.logical_or.accumulate((mat >= tol)[::-1], axis=0)[::-1]
+    return level, [float(weights[row].sum()) for row in active]
+
+
+def test_step_uo_certificate_matches_dense_reference():
+    from unlattice.constructive import uo_extract
+    rng = np.random.default_rng(15)
+    nonzero = 0
+    for case in range(10):
+        terms = _random_step_sequence(rng, int(rng.integers(8, 60)), decay=0.5)
+        for tol in (1e-2, 1e-4):
+            out = uo_extract(sequence_from_list(terms), ToleranceSpec(tol=tol, window=2))
+            sub = [terms[n - 1] for n in out.subindices]
+            level, values = _unsettled_mass(sub, out.test_vector, tol)
+            assert out.report.values == values
+            assert out.report.extras == {"refinement_level": level}
+            nonzero += any(values)
+            # e covers every selected term's support; a sparse band shows the projection
+            tag = terms[0].tag
+            band_level = int(rng.integers(tag.measure.level, 12))
+            band = StepFunction(tag, band_level, rng.random(2 ** band_level) < 0.5)
+            level, values = _unsettled_mass(sub, band, tol)
+            _, zone_level, zone = convergence._step_zone(sequence_from_list(sub), 0, tol, band)
+            weights = band.tag.measure.weight_array(level)
+            assert zone_level == level
+            assert [float(weights[zone.last >= j].sum()) for j in range(len(sub))] == values
+    assert nonzero >= 5
+
+
+def test_step_pointwise_holds_no_dense_matrix():
+    import tracemalloc
+    seq = typewriter(11)  # 2047 x 1024 cells: the dense matrix alone is 16.8 MB
+    tracemalloc.start()
+    try:
+        report = pointwise_tail(seq, ToleranceSpec(tol=1e-2, window=256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == NOT_NULL
+    assert peak < 8e6
+
+
+def test_step_pointwise_refinement_overflow():
+    tag = lp_step(1)
+    seq = sequence_from_list([constant_one(tag), StepFunction(tag, 15, np.zeros(2 ** 15))])
+    with pytest.raises(RefinementOverflow, match="level 15 exceeds the maximum 14"):
+        pointwise_tail(seq, TS)
+
+
+def test_tail_table_budget():
+    units, calls = _counted(std_units(c0(), 9))
+    with mock.patch.object(convergence, "_MAX_CELLS", 17):
+        norm_tail(units, zero(c0()), TS)
+        with pytest.raises(ValidationError, match="a 9 x 2 matrix exceeds 17 cells"):
+            un_tail(units, zero(c0()), [ones(c0(), 4), unit(c0(), 1)], TS)
+    assert calls == list(range(1, 10))  # the refused table generated no term
 
 
 def test_pointwise_rejects_direct_sum():
