@@ -14,6 +14,12 @@ sup values.  A coordinate counts as failing only when its violations
 the first and last indices with |value| >= tol must be at least a full tail
 window apart.  A transient burst shorter than the window is
 indistinguishable from a settling coordinate at a finite horizon.
+
+Sequence models are read in CSR chunks (the pointwise verdict of a sequence
+model from one dense coordinate matrix), step models in dense blocks of the
+terms that share a level and a measure.  Every diagnostic of a step model,
+the pointwise verdict included, is one reduction over those blocks: no
+(terms x cells) matrix of the common refinement is built.
 """
 
 from __future__ import annotations

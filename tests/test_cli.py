@@ -382,6 +382,10 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     ({"gallery": "std_units_c0", "params": {"horizon": 2 ** 40}}, "norm"),
     # 8193 terms x 8193 touched coordinates exceed it as well
     ({"gallery": "std_units_c0", "params": {"horizon": 8193}}, {"name": "pointwise"}),
+    # 2**max_level - 1 terms over it are refused when the sequence is built,
+    # before 2**max_level is computed or the norm table allocated
+    ({"gallery": "typewriter", "params": {"max_level": 40}}, "norm"),
+    ({"gallery": "typewriter", "params": {"max_level": 10 ** 8}}, "norm"),
 ])
 def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
     if isinstance(diagnostic, str):
@@ -392,18 +396,6 @@ def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
         assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error (validation)") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize("max_level", [40, 10 ** 8])
-def test_typewriter_past_the_budget_exits_2(tmp_path, capsys, max_level):
-    # 2**max_level - 1 terms exceed the budget: refused when the sequence is
-    # built, not by a failed allocation of the norm table
-    scenario = {"schema": 1, "diagnostic": {"name": "norm"},
-                "source": {"gallery": "typewriter", "params": {"max_level": max_level}}}
-    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err == (f"error (validation): typewriter max_level {max_level} gives over "
-                   f"67108864 terms\n")
 
 
 L1 = {"kind": "lp", "p": 1.0}

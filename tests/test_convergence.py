@@ -34,7 +34,6 @@ from unlattice.errors import (
     NoIndexFound,
     NonStepSequence,
     NotOrderBounded,
-    RefinementOverflow,
     TagMismatch,
     ValidationError,
 )
@@ -648,13 +647,6 @@ def test_step_pointwise_holds_no_dense_matrix():
         tracemalloc.stop()
     assert report.verdict == NOT_NULL
     assert peak < 8e6
-
-
-def test_step_pointwise_refinement_overflow():
-    tag = lp_step(1)
-    seq = sequence_from_list([constant_one(tag), StepFunction(tag, 15, np.zeros(2 ** 15))])
-    with pytest.raises(RefinementOverflow, match="level 15 exceeds the maximum 14"):
-        pointwise_tail(seq, TS)
 
 
 def test_tail_table_budget():
