@@ -21,7 +21,7 @@ from .convergence import (
     VectorSequence,
     _check_cells,
     _make_report,
-    _matrix_pointwise,
+    _sparse_pointwise,
     _step_zone,
     norm_tail,
     sequence_from_list,
@@ -315,7 +315,7 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
                               [float(weights[zone.last >= j].sum()) for j in range(sub.length)],
                               ts, extras={"refinement_level": level})
     else:
-        report = _matrix_pointwise(sub, ts, band=e)
+        report = _sparse_pointwise(sub, ts, band=e)
     return UoExtraction(e, subindices, meet_norms, report)
 
 

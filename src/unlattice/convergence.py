@@ -15,11 +15,10 @@ the first and last indices with |value| >= tol must be at least a full tail
 window apart.  A transient burst shorter than the window is
 indistinguishable from a settling coordinate at a finite horizon.
 
-Sequence models are read in CSR chunks (the pointwise verdict of a sequence
-model from one dense coordinate matrix), step models in dense blocks of the
-terms that share a level and a measure.  Every diagnostic of a step model,
-the pointwise verdict included, is one reduction over those blocks: no
-(terms x cells) matrix of the common refinement is built.
+Sequence models are read in CSR chunks, step models in dense blocks of the
+terms that share a level and a measure.  Every diagnostic, the pointwise
+verdict included, is one reduction over those chunks or blocks: no (terms x
+coordinates) or (terms x cells) matrix is built.
 """
 
 from __future__ import annotations
@@ -403,23 +402,28 @@ def truncation_index(u: Element, e: Element, eps: float, m_max: int = 2 ** 20) -
     return hi
 
 
+def un_strong_unit(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:
+    """``un_tail`` of a linf sequence against its strong unit 1, which no
+    horizon cuts off: || |x| /\\ 1 || = min(||x||, 1) exactly (min rounds nothing)."""
+    check_tags(seq.tag, limit.tag)
+    return _table_report("un-tail", np.minimum(_tail_norms(seq, limit), 1.0), ts,
+                         "test_index", {"num_tests": 1})
+
+
 def un_tail_qip(seq: VectorSequence, limit: Element, ts: ToleranceSpec,
                 horizon: int = DEFAULT_HORIZON) -> TailReport:
     """Single-vector un-test against the model's quasi-interior point e.
 
     ``truncation_index`` gives the reduction step that makes the single
     vector sufficient: u /\\ (m e) approximates any test u >= 0.  In linf,
-    e is the strong unit 1 and || |x| /\\ 1 || = min(||x||, 1) exactly (min
-    rounds nothing), so no e is built and ``horizon`` cuts no support off.
+    e is the strong unit 1 (``un_strong_unit``): ``horizon`` cuts nothing off.
     """
     if horizon < 1:
         raise ValidationError("qip horizon must be >= 1")
     if seq.tag.kind != "linf":
         report = un_tail(seq, limit, [quasi_interior_point(seq.tag, horizon)], ts)
     else:
-        check_tags(seq.tag, limit.tag)
-        report = _table_report("un-tail", np.minimum(_tail_norms(seq, limit), 1.0), ts,
-                               "test_index", {"num_tests": 1})
+        report = un_strong_unit(seq, limit, ts)
     report.quantity = "un-tail-qip"
     report.extras["test_family"] = "quasi-interior-point"
     report.extras["qip_horizon"] = horizon
@@ -447,8 +451,8 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
 # the pointwise / uo-proxy diagnostic
 # ---------------------------------------------------------------------------
 
-#: Cells of the largest coordinate matrix or common step refinement: 2**26
-#: doubles (512 MiB) admit typewriter(13) and refuse typewriter(14).
+#: Cells of the largest table: 2**26 doubles (512 MiB) admit the common step
+#: refinement of typewriter(13), not of typewriter(14), or about 22.4 M stored triples.
 _MAX_CELLS = 2 ** 26
 
 #: The pointwise recurrence zone is this final fraction of the run.
@@ -480,42 +484,25 @@ class _Zone:
     hits: Callable[[int], list[int]]
 
 
-def _coordinate_matrix(seq: VectorSequence, band: LatticeVector | None = None):
-    """The (N, C) matrix of |seq(n)| per touched coordinate of the sequence
-    model ``seq`` and its column labels, from one generation of each term.
-    With ``band``, of the band projection onto the support of ``band``.  A
-    matrix over ``_MAX_CELLS`` cells is refused before it is allocated; a
-    sequence of over ``_MAX_CELLS`` terms before a term is generated.
-    """
+def _sparse_moduli(seq: VectorSequence, band: LatticeVector | None = None):
+    """The triples ``(rows, columns, moduli)`` of the stored coordinates of
+    |seq(n)| (of its band projection onto the support of ``band``) in row
+    order, row n - 1 for term n.  Each term is generated once; the triples are
+    held to the budget as a (stored x 3) table as each chunk arrives."""
     if not seq.tag.is_sequence_kind:
         raise ValidationError("pointwise diagnostic supports sequence and step models")
-    indptrs, indices, moduli = zip(*_sparse_chunks(seq, zero(seq.tag)))
-    rows = np.repeat(np.arange(seq.length), np.concatenate([np.diff(i) for i in indptrs]))
-    indices, moduli = np.concatenate(indices), np.concatenate(moduli)
+    counts, columns, moduli = [], [], []
+    for indptr, indices, a in _sparse_chunks(seq, zero(seq.tag)):
+        counts.append(np.diff(indptr))
+        columns.append(indices)
+        moduli.append(a)
+        _check_cells(sum(map(len, moduli)), 3)
+    rows = np.repeat(np.arange(seq.length), np.concatenate(counts))
+    columns, moduli = np.concatenate(columns), np.concatenate(moduli)
     if band is not None:
-        keep = np.isin(indices, list(band.coords))
-        rows, indices, moduli = rows[keep], indices[keep], moduli[keep]
-    touched = np.unique(indices) if indices.size else np.ones(1, np.int64)
-    _check_cells(seq.length, touched.size)
-    mat = np.zeros((seq.length, touched.size))
-    mat[rows, np.searchsorted(touched, indices)] = moduli
-    return mat, [str(c) for c in touched.tolist()]
-
-
-def _matrix_zone(mat: np.ndarray, zone_start: int, tol: float) -> _Zone:
-    """The zone reductions of the coordinate matrix ``mat`` of moduli."""
-    zone = mat[zone_start:]
-    bad = zone >= tol
-    # the first and last violating row of each column, over row chunks that
-    # bound the index temporaries
-    first, last = np.full(bad.shape[1], len(mat)), np.full(bad.shape[1], -1)
-    step = max(1, _CHUNK_CELLS // bad.shape[1])
-    for s in range(0, len(bad), step):
-        rows = np.arange(zone_start + s, zone_start + min(s + step, len(bad)))[:, None]
-        np.minimum(first, np.where(bad[s:s + step], rows, len(mat)).min(axis=0), out=first)
-        np.maximum(last, np.where(bad[s:s + step], rows, -1).max(axis=0), out=last)
-    return _Zone(first, last, zone.max(axis=0), zone.min(axis=0),
-                 lambda c: (zone_start + 1 + np.flatnonzero(bad[:, c]))[:8].tolist())
+        keep = np.isin(columns, list(band.coords))
+        rows, columns, moduli = rows[keep], columns[keep], moduli[keep]
+    return rows, columns, moduli
 
 
 def _merge_zone(acc: np.ndarray | None, stats: np.ndarray) -> np.ndarray:
@@ -597,14 +584,30 @@ def _pointwise_report(values: np.ndarray, labels: list[str], level: int | None,
                       ts.tol, window, len(values), witness, extras)
 
 
-def _matrix_pointwise(seq: VectorSequence, ts: ToleranceSpec,
+def _sparse_pointwise(seq: VectorSequence, ts: ToleranceSpec,
                       band: LatticeVector | None = None) -> TailReport:
     """The pointwise report of the sequence model ``seq`` (band-projected
-    onto the support of ``band``), from its coordinate matrix."""
-    mat, labels = _coordinate_matrix(seq, band)
-    zone_start = _zone_start(len(mat), ts)
-    return _pointwise_report(mat.max(axis=1), labels, None, ts, zone_start,
-                             _matrix_zone(mat, zone_start, ts.tol))
+    onto the support of ``band``) from its stored triples.  An unstored
+    coordinate is 0.0: a column's zone min is 0.0 unless it is stored in every
+    zone row.  Max and min are exact, so no number differs from the dense
+    (terms x touched coordinates) matrix, which is never built."""
+    rows, columns, moduli = _sparse_moduli(seq, band)
+    n, zone_start = seq.length, _zone_start(seq.length, ts)
+    touched, col = np.unique(columns, return_inverse=True)
+    k = max(1, touched.size)  # a run of zeros reports coordinate 1
+    values, limsup, liminf = np.zeros(n), np.zeros(k), np.full(k, np.inf)
+    first, last = np.full(k, n), np.full(k, -1)
+    zone = rows >= zone_start
+    bad = zone & (moduli >= ts.tol)  # the zone violations, in row order
+    np.maximum.at(values, rows, moduli)
+    np.maximum.at(limsup, col[zone], moduli[zone])
+    np.minimum.at(liminf, col[zone], moduli[zone])
+    liminf[np.bincount(col[zone], minlength=k) < n - zone_start] = 0.0
+    np.minimum.at(first, col[bad], rows[bad])
+    np.maximum.at(last, col[bad], rows[bad])
+    labels = [str(c) for c in touched.tolist()] or ["1"]
+    return _pointwise_report(values, labels, None, ts, zone_start, _Zone(
+        first, last, limsup, liminf, lambda c: (rows[bad & (col == c)][:8] + 1).tolist()))
 
 
 def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec) -> TailReport:
@@ -618,7 +621,7 @@ def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec) -> TailReport:
     are refined to at most ``MAX_REFINE_LEVEL``.
     """
     if seq.tag.kind != "lp_step":
-        return _matrix_pointwise(seq, ts)
+        return _sparse_pointwise(seq, ts)
     zone_start = _zone_start(seq.length, ts)
     values, level, zone = _step_zone(seq, zone_start, ts.tol)
     if level > MAX_REFINE_LEVEL:
@@ -744,11 +747,12 @@ def order_witness_atomic(seq: VectorSequence, bound: Element,
     check_tags(seq.tag, bound.tag)
     if not bound.is_positive():
         raise ValidationError("bound must be >= 0")
-    mat, labels = _coordinate_matrix(seq)
-    columns = [int(c) for c in labels]
+    rows, columns, moduli = _sparse_moduli(seq)
+    touched, col = np.unique(columns, return_inverse=True)
 
     def undominated(v: LatticeVector) -> np.ndarray:  # the rows n - 1 where |seq(n)| <= v fails
-        return np.flatnonzero((mat > np.array([v[c] for c in columns]) + ORDER_SLACK).any(axis=1))
+        # in increasing order, with repeats; an unstored 0.0 never exceeds v >= 0
+        return rows[moduli > (np.array([v[c] for c in touched.tolist()]) + ORDER_SLACK)[col]]
 
     unbounded = undominated(bound)
     if unbounded.size:
@@ -757,18 +761,12 @@ def order_witness_atomic(seq: VectorSequence, bound: Element,
     atoms = sorted(bound.coords)
     entries = []
     for k in range(1, max(len(atoms), 8) + 1):
-        cap = 1.0 / k
-        vk = LatticeVector(
-            seq.tag,
-            {a: (min(cap, bound[a]) if i < k else bound[a])
-             for i, a in enumerate(atoms)},
-        )
+        vk = LatticeVector(seq.tag, {a: (min(1.0 / k, bound[a]) if i < k else bound[a])
+                                     for i, a in enumerate(atoms)})
         bad = undominated(vk)
         last_bad = int(bad[-1]) + 1 if bad.size else 0
         if last_bad == seq.length:
-            raise NoIndexFound(
-                f"no index n_k within the horizon dominates step k={k}", step=k
-            )
+            raise NoIndexFound(f"no index n_k within the horizon dominates step k={k}", step=k)
         entries.append({"k": k, "index": last_bad + 1, "dominator_norm": vk.norm()})
     return OrderWitness(atoms, entries)
 

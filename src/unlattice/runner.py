@@ -116,8 +116,9 @@ def _limit(limit, seq: VectorSequence) -> Element:
 #: params, and it looks the diagnostic up in ``convergence`` at call time.
 DIAGNOSTICS = {
     "norm": lambda seq, ts, limit=None: cv.norm_tail(seq, _limit(limit, seq), ts),
-    "un": lambda seq, ts, tests="qip", limit=None: cv.un_tail(
-        seq, _limit(limit, seq), resolve(TEST_FAMILIES, tests, seq), ts),
+    "un": lambda seq, ts, tests="qip", limit=None: (  # linf's qip 1 has no horizon
+        cv.un_strong_unit(seq, _limit(limit, seq), ts) if tests == "qip" and seq.tag.kind == "linf"
+        else cv.un_tail(seq, _limit(limit, seq), resolve(TEST_FAMILIES, tests, seq), ts)),
     "un_qip": lambda seq, ts, horizon=cv.DEFAULT_HORIZON, limit=None: cv.un_tail_qip(
         seq, _limit(limit, seq), ts, horizon=horizon),
     "in_measure": lambda seq, ts, delta: cv.in_measure_tail(seq, delta, ts),

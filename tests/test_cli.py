@@ -380,8 +380,8 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     ({"gallery": "typewriter", "params": {"max_level": 15}}, "pointwise"),
     # 2**40 terms exceed it too, and are refused before one is generated
     ({"gallery": "std_units_c0", "params": {"horizon": 2 ** 40}}, "norm"),
-    # 8193 terms x 8193 touched coordinates exceed it as well
-    ({"gallery": "std_units_c0", "params": {"horizon": 8193}}, {"name": "pointwise"}),
+    # so do 2**40 terms of the pointwise diagnostic
+    ({"gallery": "std_units_c0", "params": {"horizon": 2 ** 40}}, {"name": "pointwise"}),
     # 2**max_level - 1 terms over it are refused when the sequence is built,
     # before 2**max_level is computed or the norm table allocated
     ({"gallery": "typewriter", "params": {"max_level": 40}}, "norm"),
@@ -396,6 +396,17 @@ def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
         assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error (validation)") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("horizon", [8193, 10 ** 5])
+def test_units_pointwise_holds_stored_coordinates_only(tmp_path, capsys, horizon):
+    # horizon x horizon touched coordinates, but only horizon stored ones
+    scenario = {"schema": 1, "source": {"gallery": "std_units_c0", "params": {"horizon": horizon}},
+                "diagnostic": {"name": "pointwise"}, "expect": "NULL"}
+    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "NULL" and report["values"] == [1.0] * horizon
+    assert report["extras"]["coordinates"] == [str(c) for c in range(1, horizon + 1)]
 
 
 L1 = {"kind": "lp", "p": 1.0}
@@ -429,9 +440,13 @@ def test_input_errors_exit_2_with_one_line(tmp_path, capsys, code, source, diagn
 
 def test_linf_un_qip_reads_every_coordinate(tmp_path, capsys):
     # the strong unit 1 has no horizon: units past the default qip horizon of
-    # 4096 are seen, and a horizon of 2**30 costs nothing
-    for horizon, params in ((8192, {"name": "un_qip"}),
-                            (8, {"name": "un_qip", "horizon": 2 ** 30})):
+    # 4096 are seen, by un_qip and by the "qip" test family of un alike, and a
+    # horizon of 2**30 costs nothing
+    qip = {"num_tests": 1, "test_family": "quasi-interior-point"}
+    for horizon, params, extras in (
+            (8192, {"name": "un_qip"}, dict(qip, qip_horizon=4096)),
+            (8, {"name": "un_qip", "horizon": 2 ** 30}, dict(qip, qip_horizon=2 ** 30)),
+            (8192, {"name": "un"}, {"num_tests": 1})):
         scenario = {"schema": 1, "diagnostic": params, "expect": "NOT_NULL",
                     "source": {"gallery": "std_units_linf", "params": {"horizon": horizon}}}
         assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_OK
@@ -439,8 +454,7 @@ def test_linf_un_qip_reads_every_coordinate(tmp_path, capsys):
         assert report["values"] == [1.0] * horizon
         assert report["witness"] == {"index": horizon - horizon // 4 + 1, "value": 1.0,
                                      "test_index": 0}
-        assert report["extras"] == {"num_tests": 1, "test_family": "quasi-interior-point",
-                                    "qip_horizon": params.get("horizon", 4096)}
+        assert report["extras"] == extras
 
 
 @pytest.mark.parametrize("term, functional", [

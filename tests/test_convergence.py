@@ -481,18 +481,46 @@ def _persistent_columns(zone: np.ndarray, tol: float, window: int) -> list[int]:
     return persistent
 
 
+def _sequence_of_matrix(mat: np.ndarray, tag=c0()):
+    """The sequence whose term n stores coordinate c + 1 where row n - 1 of
+    ``mat`` is nonzero in column c."""
+    return sequence_from_list([LatticeVector(tag, {c + 1: v for c, v in enumerate(row) if v})
+                               for row in mat.tolist()])
+
+
 def _pointwise_of_matrix(mat: np.ndarray, window: int):
-    seq = sequence_from_list([LatticeVector(c0(), {c + 1: v for c, v in enumerate(row) if v})
-                              for row in mat])
-    return pointwise_tail(seq, ToleranceSpec(tol=0.5, window=window))
+    return pointwise_tail(_sequence_of_matrix(mat), ToleranceSpec(tol=0.5, window=window))
+
+
+def _dense_pointwise(mat: np.ndarray, ts: ToleranceSpec) -> dict:
+    """The pointwise report of ``_sequence_of_matrix(mat)``, recomputed from
+    the dense matrix of moduli over its touched columns."""
+    n, w = len(mat), ts.window_for(len(mat))
+    touched = [c for c in range(mat.shape[1]) if mat[:, c].any()]
+    dense = np.abs(mat[:, touched]) if touched else np.zeros((n, 1))
+    labels = [str(c + 1) for c in touched] or ["1"]
+    zone_start = n - max(w, math.ceil(0.75 * n))
+    zone = dense[zone_start:]
+    persistent = _persistent_columns(zone, ts.tol, w)
+    witness = None
+    if persistent:
+        hits = zone_start + 1 + np.flatnonzero(zone[:, persistent[0]] >= ts.tol)
+        witness = {"coordinate": labels[persistent[0]], "violation_indices": hits[:8].tolist()}
+    return {"quantity": "pointwise-tail", "values": dense.max(axis=1).tolist(),
+            "verdict": NOT_NULL if persistent else NULL, "tol": ts.tol, "window": w,
+            "horizon": n, "witness": witness,
+            "extras": {"zone_start": zone_start + 1, "limsup": zone.max(axis=0).tolist(),
+                       "liminf": zone.min(axis=0).tolist(), "coordinates": labels}}
 
 
 def test_pointwise_persistence_matches_column_loop():
     rng = np.random.default_rng(8)
     cases = []
-    for _ in range(80):
+    for k in range(120):
         n, width = int(rng.integers(1, 40)), int(rng.integers(1, 6))
         hit = rng.random((n, width)) < rng.uniform(0.02, 0.3)
+        if k >= 80:  # columns stored in every row: their liminf is not 0.0
+            hit[:, rng.random(width) < 0.4] = True
         cases.append((np.where(hit, rng.uniform(-2.0, 2.0, (n, width)), 0.0),
                       int(rng.integers(1, n + 1))))
     # coordinate 1 has one hit, 2 has hits window - 1 apart, 3 hits window apart
@@ -502,18 +530,40 @@ def test_pointwise_persistence_matches_column_loop():
         cases.append((mat, window))
         assert _pointwise_of_matrix(mat, window).witness == {
             "coordinate": "3", "violation_indices": [9, 9 + window]}
+    nonzero_liminf = long_witness = 0
     for mat, window in cases:
-        report = _pointwise_of_matrix(mat, window)
-        touched = [c for c in range(mat.shape[1]) if mat[:, c].any()]
-        assert report.extras["coordinates"] == ([str(c + 1) for c in touched] or ["1"])
-        zone = mat[report.extras["zone_start"] - 1:, touched]
-        persistent = _persistent_columns(zone, 0.5, window)
-        assert report.verdict == (NOT_NULL if persistent else NULL)
-        if persistent:
-            c = persistent[0]
-            hits = np.where(np.abs(zone[:, c]) >= 0.5)[0] + report.extras["zone_start"]
-            assert report.witness == {"coordinate": str(touched[c] + 1),
-                                      "violation_indices": hits[:8].tolist()}
+        report = _pointwise_of_matrix(mat, window).to_json_dict()
+        assert report == _dense_pointwise(mat, ToleranceSpec(tol=0.5, window=window))
+        nonzero_liminf += any(report["extras"]["liminf"])
+        long_witness += report["witness"] is not None and len(report["witness"]["violation_indices"]) == 8
+    assert nonzero_liminf >= 20 and long_witness >= 5
+
+
+def test_atomic_uo_certificate_matches_dense_reference():
+    from unlattice.constructive import uo_extract
+    rng = np.random.default_rng(16)
+    projected = 0
+    for case in range(40):
+        n, width = int(rng.integers(4, 60)), int(rng.integers(1, 12))
+        hit = rng.random((n, width)) < rng.uniform(0.05, 0.5)
+        hit[:, rng.random(width) < 0.3] = True
+        # every norm is at most 1/2, so the selection has a first index
+        mat = np.where(hit, rng.uniform(-2.0, 2.0, (n, width)), 0.0) / (4 * width)
+        mat *= 0.8 ** np.arange(n)[:, None]
+        tag = (c0(), lp(1), lp(2), linf())[case % 4]
+        ts = ToleranceSpec(tol=float(rng.choice([1e-4, 1e-3, 0.02])), window=1)
+        out = uo_extract(_sequence_of_matrix(mat, tag), ts)
+        sub = mat[np.array(out.subindices) - 1]
+        # e covers every selected term's support, so the band keeps every column
+        assert out.report.to_json_dict() == _dense_pointwise(sub, ts)
+        # a sparse band shows the projection onto its support
+        keep = rng.random(width) < 0.5
+        band = LatticeVector(tag, {c + 1: 1.0 for c in np.flatnonzero(keep).tolist()}
+                             | {width + 5: 1.0})
+        report = convergence._sparse_pointwise(_sequence_of_matrix(sub, tag), ts, band)
+        assert report.to_json_dict() == _dense_pointwise(np.where(keep, sub, 0.0), ts)
+        projected += (keep & sub.any(axis=0)).any() and not keep.all()
+    assert projected >= 15
 
 
 def test_pointwise_transient_burst_is_null():
@@ -649,6 +699,19 @@ def test_step_pointwise_holds_no_dense_matrix():
     assert peak < 8e6
 
 
+def test_sequence_pointwise_holds_no_dense_matrix():
+    import tracemalloc
+    seq = std_units(c0(), 4096)  # 4096 x 4096 coordinates: the dense matrix alone is 134 MB
+    tracemalloc.start()
+    try:
+        report = pointwise_tail(seq, TS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == NULL and len(report.extras["coordinates"]) == 4096
+    assert peak < 8e6
+
+
 def test_tail_table_budget():
     units, calls = _counted(std_units(c0(), 9))
     with mock.patch.object(convergence, "_MAX_CELLS", 17):
@@ -676,11 +739,27 @@ def test_coordinate_matrix_budget():
         with pytest.raises(ValidationError, match="matrix exceeds"):
             pointwise_tail(seq, ts)
         assert calls == list(range(1, 9))  # refused when term 8 reaches level 3
-        pointwise_tail(std_units(c0(), 22), ts)
-        with pytest.raises(ValidationError, match="matrix exceeds"):
-            pointwise_tail(std_units(c0(), 23), ts)
-        with pytest.raises(ValidationError, match="matrix exceeds"):
-            order_witness_atomic(std_units(c0(), 23), ones(c0(), 23), ts)
+    # a sequence model holds its 64 stored coordinates as a (64 x 3) table of
+    # triples, whatever the number of terms x touched coordinates
+    from unlattice.constructive import uo_extract
+    seq, calls = _counted(VectorSequence(c0(), 16, lambda n: ones(c0(), 4).scale(2.0 ** -n)))
+    runs = [lambda: pointwise_tail(seq, ts), lambda: order_witness_atomic(seq, ones(c0(), 4), ts),
+            lambda: uo_extract(seq, ts)]
+    with mock.patch.object(convergence, "_MAX_CELLS", 64 * 3):
+        for run in runs:
+            run()
+    with mock.patch.object(convergence, "_MAX_CELLS", 64 * 3 - 1):
+        for run in runs:
+            with pytest.raises(ValidationError, match="a 64 x 3 matrix exceeds 191 cells"):
+                run()
+    # checked as each chunk of 2 terms (8 stored coordinates) arrives
+    with mock.patch.object(convergence, "_MAX_CELLS", 40 * 3), \
+            mock.patch.object(convergence, "_CHUNK_CELLS", 8):
+        for run in runs[:2]:
+            calls.clear()
+            with pytest.raises(ValidationError, match="a 48 x 3 matrix exceeds 120 cells"):
+                run()
+            assert calls == list(range(1, 13))
     seq, calls = _counted(std_units(c0(), 2 ** 40))
     with pytest.raises(ValidationError, match="matrix exceeds"):
         pointwise_tail(seq, ts)
