@@ -400,7 +400,7 @@ def test_limits_exit_2_with_one_line(tmp_path, capsys, source, diagnostic):
 
 @pytest.mark.parametrize("horizon", [8193, 10 ** 5])
 def test_units_pointwise_holds_stored_coordinates_only(tmp_path, capsys, horizon):
-    # horizon x horizon touched coordinates, but only horizon stored ones
+    # horizon terms x horizon touched coordinates, but only horizon stored ones
     scenario = {"schema": 1, "source": {"gallery": "std_units_c0", "params": {"horizon": horizon}},
                 "diagnostic": {"name": "pointwise"}, "expect": "NULL"}
     assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_OK
