@@ -81,8 +81,9 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     check_tags(x.tag, v.tag)
     if not u.is_positive() or not v.is_positive():
         raise NegativeInput("u and v must be >= 0")
+    x_norm = x.norm()
     defect = (x.abs() - (u + v)).norm()
-    if defect > tol * (1.0 + x.norm()):
+    if defect > tol * (1.0 + x_norm):
         raise NotADecomposition(
             f"|| |x| - (u+v) || = {defect:.3g} exceeds the tolerance"
         )
@@ -92,7 +93,7 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     b = u - a
     c = xp - a
     d = xm - b
-    neg_slack = tol * (1.0 + x.norm() + u.norm() + v.norm())
+    neg_slack = tol * (1.0 + x_norm + u.norm() + v.norm())
     for name, part in (("a", a), ("b", b), ("c", c), ("d", d)):
         if not part.is_positive(slack=neg_slack):
             raise NegativePart(f"part {name} dips below -{neg_slack:.3g}")
@@ -303,7 +304,7 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         e = e + terms[n - 1].abs().scale(w)
 
     subindices, meet_norms = _select_geometric(
-        seq.length, lambda n: terms[n - 1].abs().meet(e).norm(), target_count,
+        seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), target_count,
         "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
     sub = sequence_from_list([terms[n - 1] for n in subindices])
     if seq.tag.kind == "lp_step":

@@ -330,8 +330,8 @@ def _tail_norms(seq: VectorSequence, limit: Element,
     if not seq.tag.is_sequence_kind:
         limit_is_zero, rows = limit.is_zero(), []
         for x in seq:
-            d = x.abs() if limit_is_zero else (x - limit).abs()
-            rows.append([d.meet(u).norm() for u in tests] or [d.norm()])
+            d = x if limit_is_zero else x - limit
+            rows.append([d._abs_meet_norm(u) for u in tests] or [d.norm()])
         return np.array(rows)
     supports = [_sorted_support(u) for u in tests]
     blocks = []

@@ -23,6 +23,7 @@ from .spaces import (
     constant_one,
     element_from_dict,
     elements_from_dicts,
+    geometric_point,
     linf,
     lp,
     lp_step,
@@ -91,7 +92,9 @@ FUNCTIONAL_FAMILIES = {
     # a fixed level-2 family: rich enough to catch non-cancelling sequences
     "step_family": lambda seq: _step_functionals(seq, [1.0, -1.0, 2.0, 0.5], [1.0, 0.0, 0.0, 0.0]),
     "constant_one": lambda seq: _step_functionals(seq),
-    "summable_units": lambda seq: [quasi_interior_point(seq.tag)],
+    # linf's quasi-interior point 1 is not summable: it takes (2**-n) as c0 and lp do
+    "summable_units": lambda seq: [geometric_point(seq.tag) if seq.tag.kind == "linf"
+                                   else quasi_interior_point(seq.tag)],
 }
 
 

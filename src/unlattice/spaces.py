@@ -351,14 +351,30 @@ class LatticeVector(_ElementOps):
     # -- norm ----------------------------------------------------------------
 
     def norm(self) -> float:
-        if not self.coords:
-            return 0.0
-        if self.tag.kind in ("c0", "linf"):
-            return max(math.fabs(v) for v in self.coords.values())
-        p = self.tag.p
-        if p == 1.0:
-            return _fsum(math.fabs(v) for v in self.coords.values())
-        return _power_norm(self.coords.values(), p)
+        return _vector_norm(self.tag, self.coords.values())
+
+    def _abs_meet_norm(self, other: "LatticeVector") -> float:
+        """|| |self| /\\ |other| ||, for an ``other`` whose tag the caller has
+        checked: the gauge of the un-topology when other >= 0.  Each family
+        computes it in one pass, with no modulus or meet element built."""
+        a, b = self.coords, other.coords
+        if len(b) < len(a):
+            a, b = b, a
+        return _vector_norm(self.tag, [min(math.fabs(v), math.fabs(b[i]))
+                                       for i, v in a.items() if i in b])
+
+
+def _vector_norm(tag: SpaceTag, values) -> float:
+    """The norm in the sequence space ``tag`` of the vector whose nonzero
+    coordinates are ``values``, a collection that can be read twice."""
+    if not values:
+        return 0.0
+    if tag.kind in ("c0", "linf"):
+        return max(math.fabs(v) for v in values)
+    p = tag.p
+    if p == 1.0:
+        return _fsum(math.fabs(v) for v in values)
+    return _power_norm(values, p)
 
 
 def _fsum(values) -> float:
@@ -510,7 +526,7 @@ class StepFunction(_ElementOps):
         return bool((self.values >= -slack).all())
 
     def is_zero(self) -> bool:
-        return bool((self.values == 0.0).all())
+        return not self.values.any()
 
     # -- measure-aware quantities ---------------------------------------------
 
@@ -519,6 +535,16 @@ class StepFunction(_ElementOps):
 
     def norm(self) -> float:
         return _step_norm(self.weights(), np.abs(self.values), self.tag.p)
+
+    def _abs_meet_norm(self, other: "StepFunction") -> float:
+        # as LatticeVector._abs_meet_norm; only the coarser operand is refined
+        a, b = np.abs(self.values), np.abs(other.values)
+        if self.level < other.level:
+            a = np.repeat(a, 2 ** (other.level - self.level))
+        elif other.level < self.level:
+            b = np.repeat(b, 2 ** (self.level - other.level))
+        level = max(self.level, other.level)
+        return _step_norm(self.tag.measure.weight_array(level), np.minimum(a, b), self.tag.p)
 
     def measure_where(self, predicate) -> float:
         """Total mass of the cells whose value satisfies ``predicate``."""
@@ -568,14 +594,14 @@ class DirectSumVector(_ElementOps):
     right: LatticeVector
 
     def __post_init__(self):
-        if self.left.tag != lp(1):
+        if self.left.tag is not _L1 and self.left.tag != _L1:
             raise ValidationError("left part must carry the l1 tag")
-        if self.right.tag != linf():
+        if self.right.tag is not _LINF and self.right.tag != _LINF:
             raise ValidationError("right part must carry the linf tag")
 
     @property
     def tag(self) -> SpaceTag:
-        return direct_sum()
+        return _DIRECT_SUM
 
     def _zip(self, other, method):
         if not isinstance(other, DirectSumVector):
@@ -620,6 +646,14 @@ class DirectSumVector(_ElementOps):
     def norm(self) -> float:
         return max(self.left.norm(), self.right.norm())
 
+    def _abs_meet_norm(self, other: "DirectSumVector") -> float:
+        return max(self.left._abs_meet_norm(other.left),
+                   self.right._abs_meet_norm(other.right))
+
+
+#: The tags of the direct sum and of its parts, shared so that check_tags
+#: compares them by identity.
+_L1, _LINF, _DIRECT_SUM = lp(1), linf(), direct_sum()
 
 Element = Union[LatticeVector, StepFunction, DirectSumVector]
 
@@ -633,25 +667,30 @@ def zero(tag: SpaceTag) -> Element:
         return LatticeVector(tag, {})
     if tag.kind == "lp_step":
         return StepFunction(tag, tag.measure.level, np.zeros(2 ** tag.measure.level))
-    return DirectSumVector(zero(lp(1)), zero(linf()))
+    return DirectSumVector(zero(_L1), zero(_LINF))
 
 
 def quasi_interior_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> Element:
     """A canonical quasi-interior point of the tagged model.
 
-    c0 and lp get the summable geometric sequence (2**-n), truncated at the
-    working horizon and stored only where 2**-n is not 0.0 (n <= 1074);
-    linf gets its strong unit 1 on the horizon; the step models get the
-    constant-one function.
+    c0 and lp get the summable ``geometric_point`` (2**-n); linf gets its
+    strong unit 1 on the horizon; the step models get the constant-one
+    function.
     """
     if tag.kind == "lp_step":
         return constant_one(tag)
     if tag.kind == "linf":
         return ones(tag, horizon)
     if tag.is_sequence_kind:
-        return LatticeVector._trusted(
-            tag, {n: 2.0 ** -n for n in range(1, min(horizon, 1074) + 1)})
+        return geometric_point(tag, horizon)
     raise ValidationError(f"no canonical quasi-interior point for {tag.describe()}")
+
+
+def geometric_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> LatticeVector:
+    """The summable sequence (2**-n) in a sequence space, truncated at
+    ``horizon`` and stored only where 2**-n is not 0.0 (n <= 1074)."""
+    return LatticeVector._trusted(
+        tag, {n: 2.0 ** -n for n in range(1, min(horizon, 1074) + 1)})
 
 
 def truncate(u: Element, e: Element, m: int) -> Element:
@@ -668,7 +707,7 @@ def is_disjoint(x: Element, y: Element, tol: float = 0.0) -> bool:
     if tol < 0:
         raise ValidationError("tol must be >= 0")
     check_tags(x.tag, y.tag)
-    m = x.abs().meet(y.abs()).norm()
+    m = x._abs_meet_norm(y)
     return m <= tol * (1.0 + x.norm() + y.norm())
 
 

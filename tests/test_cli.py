@@ -457,6 +457,18 @@ def test_linf_un_qip_reads_every_coordinate(tmp_path, capsys):
         assert report["extras"] == extras
 
 
+def test_summable_units_on_linf_are_summable(tmp_path, capsys):
+    # linf's quasi-interior point 1 is not summable: the family pairs with
+    # (2**-n) there, as in c0 and lp, so the units are weakly null
+    scenario = {"schema": 1, "diagnostic": {"name": "weak", "functionals": "summable_units"},
+                "expect": "NULL",
+                "source": {"gallery": "std_units_linf", "params": {"horizon": 64}}}
+    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert report["verdict"] == "NULL"
+    assert report["values"] == [2.0 ** -n for n in range(1, 65)]
+
+
 @pytest.mark.parametrize("term, functional", [
     ({"tag": L1, "coords": {"1": 1.0, "2": 1.0}}, {"tag": L1, "coords": {"1": 1e308, "2": 1e308}}),
     ({"tag": L1, "coords": {"1": 1e308, "2": -1e308}},

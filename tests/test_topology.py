@@ -1,7 +1,9 @@
 """Neighborhood base of the unbounded-norm topology."""
 
 import hashlib
+import inspect
 import json
+import struct
 from unittest import mock
 
 import numpy as np
@@ -12,9 +14,14 @@ from unlattice.convergence import NOT_NULL, NULL, ToleranceSpec, un_tail_qip, ze
 from unlattice.errors import NoRoom, ValidationError
 from unlattice.gallery import std_units
 from unlattice.spaces import (
+    DirectSumVector,
     LatticeVector,
+    MeasureModel,
+    StepFunction,
     c0,
+    direct_sum,
     element_to_dict,
+    is_disjoint,
     linf,
     lp,
     lp_step,
@@ -64,6 +71,111 @@ def test_neighborhood_validation():
         Neighborhood(unit(L2, 1).scale(-1.0), 0.5)
     with pytest.raises(ValidationError):
         Neighborhood(unit(L2, 1), 0.0)
+    V = Neighborhood(unit(L2, 1), 0.5)
+    for y in (unit(L2, 1).scale(0.5), unit(L2, 1)):  # gauge == eps, gauge > eps
+        with pytest.raises(NoRoom):
+            translate(V, y)
+    # translate builds its result through the checked constructor
+    with mock.patch.object(Neighborhood, "__post_init__",
+                           side_effect=ValidationError("refused")):
+        with pytest.raises(ValidationError, match="refused"):
+            translate(V, unit(L2, 2))
+
+
+def test_trusted_neighborhoods_equal_the_checked_ones():
+    # every neighborhood the axiom suite and base_intersection build without
+    # the checks is one the checked constructor accepts and builds equal
+    built = {}
+    trusted = Neighborhood._trusted
+
+    def record(u, eps):
+        V = trusted(u, eps)
+        built.setdefault(inspect.currentframe().f_back.f_code.co_name, []).append(V)
+        return V
+
+    with mock.patch.object(Neighborhood, "_trusted", staticmethod(record)):
+        for tag in (c0(), lp(2), linf(), lp_step(1), lp_step(2, MeasureModel(1, (0.25, 0.75)))):
+            axiom_suite(tag, samples=20, rng_seed=3)
+    assert sorted(built) == ["base_intersection", "fresh_v", "t_addition"]
+    for site, nbhds in built.items():
+        for V in nbhds:
+            assert Neighborhood(V.u, V.eps) == V, site
+    # the additive-halving axiom doubles the eps of a drawn neighborhood
+    doubled = {(id(V.u), 2.0 * V.eps) for V in built["fresh_v"]}
+    assert all((id(W.u), W.eps) in doubled for W in built["t_addition"])
+
+
+def test_base_intersection_is_the_checked_join():
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        V1 = Neighborhood(_rand_vec(rng, positive=True), float(rng.uniform(0.05, 1)))
+        V2 = Neighborhood(_rand_vec(rng, positive=True), float(rng.uniform(0.05, 1)))
+        W = base_intersection(V1, V2)
+        assert W == Neighborhood(W.u, min(V1.eps, V2.eps))
+        assert element_to_dict(W.u) == element_to_dict(V1.u.join(V2.u))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass kernel || |x| /\ |y| || against the element composition
+# ---------------------------------------------------------------------------
+
+STEP_MEASURE = MeasureModel(2, (0.1, 0.2, 0.3, 0.4))
+KERNEL_TAGS = [c0(), lp(1), lp(2), lp(3), linf(), lp_step(1, STEP_MEASURE),
+               lp_step(2, STEP_MEASURE), lp_step(3, STEP_MEASURE), direct_sum()]
+#: 1e-160 and 1e-310 make the power sums subnormal or zero, 1e200 overflows
+#: them, so the rescaled sums of the norms run
+KERNEL_SCALES = (1.0, 1e-160, 1e-310, 1e200)
+
+
+def _kernel_element(rng, tag, scale, positive=False):
+    if tag.kind == "l1_oplus_linf":
+        return DirectSumVector(_kernel_element(rng, lp(1), scale, positive),
+                               _kernel_element(rng, linf(), scale, positive))
+    if tag.kind == "lp_step":
+        level = int(rng.integers(2, 6))
+        vals = rng.uniform(-1.0, 1.0, 2 ** level) * scale
+        vals[rng.random(2 ** level) < 0.2] = 0.0
+        if positive:
+            vals = np.abs(vals)
+        vals[rng.random(2 ** level) < 0.1] = -0.0
+        return StepFunction(tag, level, vals)
+    size = int(rng.integers(0, 7))
+    support = rng.choice(16, size=size, replace=False) + 1
+    vals = rng.uniform(-1.0, 1.0, size) * scale
+    if positive:
+        vals = np.abs(vals)
+    return LatticeVector(tag, dict(zip(support.tolist(), vals.tolist())))
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("d", v)
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS, ids=lambda t: t.describe())
+def test_gauge_kernel_is_bit_identical(tag):
+    rng = np.random.default_rng(59)
+    for scale in KERNEL_SCALES:
+        for _ in range(40):
+            x = _kernel_element(rng, tag, scale)
+            u = _kernel_element(rng, tag, scale, positive=True)
+            if u.is_zero():
+                continue
+            V = Neighborhood(u, 1.0)
+            assert _bits(gauge(V, x)) == _bits(x.abs().meet(u).norm())
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS, ids=lambda t: t.describe())
+def test_is_disjoint_kernel_is_bit_identical(tag):
+    rng = np.random.default_rng(61)
+    for scale in KERNEL_SCALES:
+        for _ in range(40):
+            x = _kernel_element(rng, tag, scale)
+            y = _kernel_element(rng, tag, scale)
+            m = x.abs().meet(y.abs()).norm()
+            assert _bits(x._abs_meet_norm(y)) == _bits(m)
+            size = 1.0 + x.norm() + y.norm()
+            for tol in (0.0, 1e-3, m / size):
+                assert is_disjoint(x, y, tol) == (m <= tol * size)
 
 
 def test_membership_monotone_in_order():
