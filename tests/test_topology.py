@@ -105,16 +105,6 @@ def test_trusted_neighborhoods_equal_the_checked_ones():
     assert all((id(W.u), W.eps) in doubled for W in built["t_addition"])
 
 
-def test_base_intersection_is_the_checked_join():
-    rng = np.random.default_rng(53)
-    for _ in range(50):
-        V1 = Neighborhood(_rand_vec(rng, positive=True), float(rng.uniform(0.05, 1)))
-        V2 = Neighborhood(_rand_vec(rng, positive=True), float(rng.uniform(0.05, 1)))
-        W = base_intersection(V1, V2)
-        assert W == Neighborhood(W.u, min(V1.eps, V2.eps))
-        assert element_to_dict(W.u) == element_to_dict(V1.u.join(V2.u))
-
-
 # ---------------------------------------------------------------------------
 # the one-pass kernel || |x| /\ |y| || against the element composition
 # ---------------------------------------------------------------------------
