@@ -15,7 +15,7 @@ from .errors import ValidationError
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValidationError("reports may not contain NaN or infinities")
-    if x == int(x) and abs(x) < 1e17:  # 17 digits at most: .1f is exact, and keeps ".0"
+    if x.is_integer() and abs(x) < 1e17:  # 17 digits at most: .1f is exact, and keeps ".0"
         return f"{x:.1f}"
     return f"{x:.17g}"
 

@@ -429,15 +429,7 @@ class StepFunction(_ElementOps):
     def __post_init__(self):
         if self.tag.kind != "lp_step":
             raise ValidationError("StepFunction requires an lp_step tag")
-        if self.level < self.tag.measure.level:
-            raise ValidationError("function level below the measure's base level")
-        v = np.array(self.values, dtype=float)  # a copy the caller cannot write
-        if v.ndim != 1 or not _is_power_length(len(v), self.level):
-            raise ValidationError("values must have 2**level entries")
-        if not np.isfinite(v).all():
-            raise ValidationError("values must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _step_values(self.tag, self.level, self.values))
 
     @classmethod
     def _trusted(cls, tag: SpaceTag, level: int, values: np.ndarray) -> "StepFunction":
@@ -550,6 +542,21 @@ class StepFunction(_ElementOps):
         """Total mass of the cells whose value satisfies ``predicate``."""
         mask = predicate(self.values)
         return float(self.weights()[mask].sum())
+
+
+def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a fresh read-only float array, once the rules of a step
+    function at ``level`` on ``tag`` hold: one function's values (``ndim`` 1),
+    or a block of rows, one function each (``ndim`` 2)."""
+    if level < tag.measure.level:
+        raise ValidationError("function level below the measure's base level")
+    v = np.array(values, dtype=float)
+    if v.ndim != ndim or not _is_power_length(v.shape[-1], level):
+        raise ValidationError("values must have 2**level entries")
+    if not np.isfinite(v).all():
+        raise ValidationError("values must be finite")
+    v.setflags(write=False)
+    return v
 
 
 def _step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
@@ -783,7 +790,38 @@ def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
             tag = tags[key] = tag_from_dict(literal)
         return tag
 
+    steps = _step_elements(ds, tag_of)
+    if steps is not None:
+        return steps
     return [_element_from_dict(d, tag_of) for d in ds]
+
+
+def _step_elements(ds: Sequence[Mapping], tag_of) -> list[StepFunction] | None:
+    """The elements of a list of step literals, checked one (tag, level) group
+    at a time: one array and one run of the checks per group, each element a
+    row of it.  None when a literal is not a step literal (a list of other
+    literals is told at its first) or a group fails a check, so that the
+    per-element path gives the first refusal in list order."""
+    groups: dict[tuple, tuple] = {}  # (id(tag), level) -> (tag, level, positions, rows)
+    try:
+        for i, d in enumerate(ds):
+            tag = tag_of(d["tag"])
+            if tag.kind != "lp_step":
+                return None
+            level = _level(d["level"])
+            group = groups.get((id(tag), level))
+            if group is None:
+                group = groups[id(tag), level] = (tag, level, [], [])
+            group[2].append(i)
+            group[3].append(d["values"])
+        out: list = [None] * len(ds)
+        for tag, level, positions, rows in groups.values():
+            block = _step_values(tag, level, rows, ndim=2)
+            for i, row in zip(positions, block):
+                out[i] = StepFunction._trusted(tag, level, row)
+    except Exception:  # the per-element path names the refusal
+        return None
+    return out
 
 
 def _element_from_dict(d: Mapping, tag_of) -> Element:

@@ -115,14 +115,17 @@ def _sample_element(tag: SpaceTag, rng: np.random.Generator,
         vals = rng.uniform(-1.0, 1.0, size=2 ** level)
         if positive:
             vals = np.abs(vals)
-        return StepFunction._checked(tag, level, vals)
+        return StepFunction._trusted(tag, level, vals)  # fresh, finite, 2**level cells
     if tag.is_sequence_kind:
         size = int(rng.integers(1, 9))
         support = rng.choice(max_index, size=size, replace=False) + 1
         vals = rng.uniform(-1.0, 1.0, size=size)
         if positive:
             vals = np.abs(vals)
-        return LatticeVector._checked(tag, dict(zip(support.tolist(), vals.tolist())))
+        # finite draws at distinct indices >= 1; an exact zero is not stored
+        coords = {i: v for i, v in zip(support.tolist(), vals.tolist()) if v}
+        return LatticeVector._trusted(
+            tag, coords, positive or not coords or min(coords.values()) > 0.0)
     raise ValidationError(f"axiom suite does not sample {tag.describe()}")
 
 

@@ -357,6 +357,24 @@ def test_inline_step_scenario_file_runs(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["report"]["verdict"] == "NULL"
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"level": 3, "values": [1.0] * 7}, "values must have 2**level entries"),
+    # a scenario file holds no NaN; an integer past the float range fails the conversion
+    ({"level": 2, "values": [1.0, 2.0, 10 ** 400, 4.0]},
+     "malformed element literal: OverflowError: int too large to convert to float"),
+    ({"level": 1, "values": [1.0, 2.0]}, "function level below the measure's base level"),
+    ({"level": 2}, "malformed element literal: KeyError: 'values'"),
+])
+def test_a_malformed_step_literal_after_valid_ones_exits_2(tmp_path, capsys, bad, message):
+    # the valid literals form groups that pass their checks; the bad one is refused
+    scenario = inline_step_scenario({"name": "norm"})
+    elements = scenario["source"]["inline"]["elements"]
+    elements.insert(20, dict(bad, tag=elements[0]["tag"]))
+    assert run_cli(["run", write_scenario(tmp_path, scenario)]) == cli.EXIT_VALIDATION
+    out = capsys.readouterr()
+    assert out.err == f"error (validation): {message}\n" and out.out == ""
+
+
 def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
     tag = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}
     scenario = {

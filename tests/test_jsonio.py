@@ -33,6 +33,10 @@ def test_emitted_text(obj, indent, text):
     (-1e16, "-10000000000000000.0"),
     (9.999999999999999e16, "99999999999999984.0"),
     (1e17, "1e+17"),
+    # past 1e17, and the smallest subnormal: the 17-digit form
+    (1e300, "1.0000000000000001e+300"),
+    (-1e300, "-1.0000000000000001e+300"),
+    (5e-324, "4.9406564584124654e-324"),
 ])
 def test_integral_floats_read_back_as_floats(x, text):
     assert jsonio.dumps(x) == text

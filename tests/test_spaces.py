@@ -529,6 +529,101 @@ def test_unkeyable_tag_literals_keep_their_refusals():
         assert str(batch.value) == str(single.value)
 
 
+def _decode_each(ds):
+    """elements_from_dicts with every literal decoded on its own, as the
+    per-element path does: the reference for the grouped decoding."""
+    with mock.patch.object(spaces, "_step_elements", return_value=None):
+        return elements_from_dicts(ds)
+
+
+def _random_step_literals(rng, count):
+    """Step literals over two measures, at mixed levels, each tag written in
+    one of several equal ways."""
+    other = {"kind": "lp_step", "p": 2.0, "measure": {"level": 1, "weights": [0.25, 0.75]}}
+    measure = STEP_TAG_LITERAL["measure"]
+    tags = [STEP_TAG_LITERAL, dict(STEP_TAG_LITERAL, p=1.0),
+            dict(STEP_TAG_LITERAL, measure=dict(measure, level=2.0)),
+            {"measure": {"weights": list(measure["weights"]), "level": 2}, "p": 1,
+             "kind": "lp_step"},
+            other, dict(other, p=2)]
+    literals = []
+    for _ in range(count):
+        tag = tags[int(rng.integers(len(tags)))]
+        level = tag["measure"]["level"] + int(rng.integers(0, 3))
+        values = rng.normal(size=2 ** int(level)) * (rng.random(2 ** int(level)) < 0.7)
+        literals.append({"tag": tag, "level": level, "values": values.tolist()})
+    return literals
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grouped_step_literals_decode_as_each_alone(seed):
+    literals = _random_step_literals(np.random.default_rng(seed), 40)
+    for ds in (literals, json.loads(json.dumps(literals))):
+        xs, ys = elements_from_dicts(ds), _decode_each(ds)
+        assert len(xs) == len(ys) == len(ds)
+        for x, y in zip(xs, ys):
+            assert type(x) is StepFunction and x.tag == y.tag
+            assert x.level == y.level and type(x.level) is int
+            assert x.values.dtype == y.values.dtype and x.values.tolist() == y.values.tolist()
+            assert not x.values.flags.writeable
+            with pytest.raises(ValueError):
+                x.values[0] = 1.0
+        # the same tag objects are shared, and between the same elements
+        assert [[a.tag is b.tag for b in xs] for a in xs] == [[a.tag is b.tag for b in ys]
+                                                              for a in ys]
+        assert len({id(x.tag) for x in xs}) == 2
+        # each element is a row of one block per (tag, level) group
+        blocks = {(id(x.tag), x.level): x.values.base for x in xs}
+        assert all(x.values.base is blocks[id(x.tag), x.level] for x in xs)
+
+
+def test_a_list_with_other_literals_decodes_each_alone():
+    ds = [{"tag": STEP_TAG_LITERAL, "level": 2, "values": [1.0, 2.0, 3.0, 4.0]},
+          {"tag": {"kind": "c0"}, "coords": {"3": 1.5}}]
+    for literals in (ds, ds[::-1]):
+        xs, ys = elements_from_dicts(literals), _decode_each(literals)
+        assert [type(x) for x in xs] == [type(y) for y in ys]
+        assert [element_to_dict(x) for x in xs] == [element_to_dict(y) for y in ys]
+    assert elements_from_dicts([]) == []
+
+
+def _step(level, values, tag=STEP_TAG_LITERAL):
+    return {"tag": tag, "level": level, "values": values}
+
+
+GOOD = [_step(2, [1.0, 2.0, 3.0, 4.0]), _step(3, [0.5] * 8), _step(2, [0.0] * 4)]
+
+
+@pytest.mark.parametrize("literals, message", [
+    (GOOD + [_step(2, [1.0] * 3)], "values must have 2\\*\\*level entries"),
+    (GOOD + [_step(3, [1.0] * 4)], "values must have 2\\*\\*level entries"),
+    # the first refusal in list order, though its group is checked after another's
+    (GOOD + [_step(3, [1.0] * 7 + [math.nan]), _step(2, [1.0] * 3)], "values must be finite"),
+    (GOOD + [_step(3, [math.inf] + [1.0] * 7)], "values must be finite"),
+    (GOOD + [_step(1, [1.0, 1.0])], "function level below the measure's base level"),
+    (GOOD + [_step(1, [[1.0], 2.0])], "function level below the measure's base level"),
+    (GOOD + [_step(2, [[1.0, 2.0], 3.0, 4.0, 5.0])], "malformed element literal: ValueError"),
+    (GOOD + [_step(2, [[1.0], [2.0], [3.0], [4.0]])], "values must have 2\\*\\*level entries"),
+    (GOOD + [_step(2, 1.0)], "values must have 2\\*\\*level entries"),
+    (GOOD + [_step(2, ["a"] * 4)], "malformed element literal: ValueError"),
+    (GOOD + [{"tag": {"kind": "c0"}, "level": 2}], "malformed element literal: KeyError: 'coords'"),
+    (GOOD + [{"tag": STEP_TAG_LITERAL, "level": 2}],
+     "malformed element literal: KeyError: 'values'"),
+    (GOOD + [{"tag": STEP_TAG_LITERAL, "values": [1.0] * 4}],
+     "malformed element literal: KeyError: 'level'"),
+    (GOOD + [_step(1.5, [1.0] * 4)], "a level must be an integer"),
+    (GOOD + [[1.0]], "malformed element literal: TypeError"),
+])
+def test_grouped_step_literals_keep_the_first_refusal(literals, message):
+    for ds in (literals, json.loads(json.dumps(literals))):
+        with pytest.raises(ValidationError, match=message) as grouped:
+            elements_from_dicts(ds)
+        with pytest.raises(ValidationError) as each:
+            _decode_each(ds)
+        assert str(grouped.value) == str(each.value)
+        assert type(grouped.value) is type(each.value)
+
+
 @pytest.mark.parametrize("level", [1.9, "1", None, [1], math.inf, math.nan])
 def test_non_integral_levels_are_refused(level):
     with pytest.raises(ValidationError, match="a level must be an integer"):
