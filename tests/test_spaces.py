@@ -597,6 +597,8 @@ GOOD = [_step(2, [1.0, 2.0, 3.0, 4.0]), _step(3, [0.5] * 8), _step(2, [0.0] * 4)
 @pytest.mark.parametrize("literals, message", [
     (GOOD + [_step(2, [1.0] * 3)], "values must have 2\\*\\*level entries"),
     (GOOD + [_step(3, [1.0] * 4)], "values must have 2\\*\\*level entries"),
+    # a group of rows of one length, the wrong one
+    (GOOD + [_step(4, [1.0] * 8), _step(4, [2.0] * 8)], "values must have 2\\*\\*level entries"),
     # the first refusal in list order, though its group is checked after another's
     (GOOD + [_step(3, [1.0] * 7 + [math.nan]), _step(2, [1.0] * 3)], "values must be finite"),
     (GOOD + [_step(3, [math.inf] + [1.0] * 7)], "values must be finite"),
