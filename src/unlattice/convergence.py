@@ -43,7 +43,8 @@ from .spaces import (
     MAX_INDEX,
     MAX_REFINE_LEVEL,
     MIN_NORMAL,
-    DirectSumVector,
+    _L1,
+    _LINF,
     Element,
     LatticeVector,
     SpaceTag,
@@ -51,6 +52,7 @@ from .spaces import (
     _fsum,
     _power_norm,
     _step_norm,
+    _vector_norm,
     check_tags,
     quasi_interior_point,
     zero,
@@ -316,9 +318,14 @@ def _tail_norms(seq: VectorSequence, limit: Element,
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
     /\\ u for each test u, or of |seq(n) - limit| when no test is given.
     Each term is generated once; sequence models are reduced in CSR chunks,
-    step models in dense blocks, and the direct sum term by term.  A table
-    over ``_MAX_CELLS`` cells is refused before it is allocated."""
+    step models in dense blocks, and the direct sum as its two parts: its
+    norm is the max of theirs.  A table over ``_MAX_CELLS`` cells is refused
+    before it is allocated."""
     _check_cells(seq.length, max(1, len(tests)))
+    if seq.tag.kind == "l1_oplus_linf":
+        left, right = _parts(seq)
+        return np.maximum(_tail_norms(left, limit.left, [u.left for u in tests]),
+                          _tail_norms(right, limit.right, [u.right for u in tests]))
     if seq.tag.kind == "lp_step":
         out = np.empty((seq.length, max(1, len(tests))))
         top = max([u.level for u in tests] + [limit.level])
@@ -327,12 +334,6 @@ def _tail_norms(seq: VectorSequence, limit: Element,
             out[rows] = np.stack([_block_norms(tag, level, a, u) for u in tests]
                                  or [_block_norms(tag, level, a)], axis=1)
         return out
-    if not seq.tag.is_sequence_kind:
-        limit_is_zero, rows = limit.is_zero(), []
-        for x in seq:
-            d = x if limit_is_zero else x - limit
-            rows.append([d._abs_meet_norm(u) for u in tests] or [d.norm()])
-        return np.array(rows)
     supports = [_sorted_support(u) for u in tests]
     blocks = []
     for indptr, indices, a in _sparse_chunks(seq, limit):
@@ -343,6 +344,14 @@ def _tail_norms(seq: VectorSequence, limit: Element,
             norms.append(_row_norms(seq.tag, indptr, np.minimum(a, u)))
         blocks.append(np.stack(norms or [_row_norms(seq.tag, indptr, a)], axis=1))
     return np.concatenate(blocks)
+
+
+def _parts(seq: VectorSequence) -> tuple[VectorSequence, VectorSequence]:
+    """The l1 and the linf part sequences of the direct-sum sequence ``seq``,
+    over its terms, each generated once."""
+    terms = seq.terms()
+    return (VectorSequence(_L1, seq.length, lambda n: terms[n - 1].left, seq.name),
+            VectorSequence(_LINF, seq.length, lambda n: terms[n - 1].right, seq.name))
 
 
 def _sorted_support(u: LatticeVector) -> tuple[np.ndarray, np.ndarray]:
@@ -638,33 +647,7 @@ def pointwise_tail(seq: VectorSequence, ts: ToleranceSpec) -> TailReport:
 def pairing(f: Element, x: Element) -> float:
     """Duality pairing <f, x> for the representable functional families."""
     check_tags(f.tag, x.tag)
-    if isinstance(f, LatticeVector):
-        prods = [f.coords[i] * x.coords[i] for i in f.coords.keys() & x.coords.keys()]
-        if all(map(math.isfinite, prods)):
-            try:
-                return math.fsum(prods)
-            except OverflowError:  # a partial sum left the float range; the exact sum may not
-                from fractions import Fraction  # a rare path; the import is slow
-                try:
-                    return float(sum(map(Fraction, prods)))
-                except OverflowError:
-                    pass
-        raise ValidationError("the pairing exceeds the float range")
-    if isinstance(f, StepFunction):
-        level = max(f.level, x.level)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(_pair_sums(x.refined(level).values[None] * _weighted(f, level))[0])
-        if not math.isfinite(total):
-            raise ValidationError("the pairing exceeds the float range")
-        return total
-    if isinstance(f, DirectSumVector):
-        return pairing(f.left, x.left) + pairing(f.right, x.right)
-    raise ValidationError("unsupported functional type")
-
-
-def _weighted(f: StepFunction, level: int) -> np.ndarray:
-    """The cell weights times the values of ``f`` at ``level``."""
-    return f.tag.measure.weight_array(level) * f.refined(level).values
+    return float(_pairings(VectorSequence(x.tag, 1, lambda n: x), [f], False)[0, 0])
 
 
 def _pair_sums(prod: np.ndarray) -> np.ndarray:
@@ -675,21 +658,54 @@ def _pair_sums(prod: np.ndarray) -> np.ndarray:
     return prod.sum(axis=1) if cells % 2 else prod.reshape(k, -1, 2).sum(axis=2).sum(axis=1)
 
 
-def _step_pairings(seq: VectorSequence, functionals: list[StepFunction],
-                   modulus: bool) -> np.ndarray:
-    """The (length, len(functionals)) table of |<f, seq(n)>| (of |<f, |seq(n)|>|
-    with ``modulus``), by blocks; each functional is weighted once per level."""
+def _exact_sum(prods: list[float]) -> float:
+    """The correctly rounded sum of ``prods``, through ``Fraction`` when a
+    partial sum leaves the float range; refused when a product or the sum does."""
+    if all(map(math.isfinite, prods)):
+        try:
+            return math.fsum(prods)
+        except OverflowError:  # a partial sum left the float range; the exact sum may not
+            from fractions import Fraction  # a rare path; the import is slow
+            try:
+                return float(sum(map(Fraction, prods)))
+            except OverflowError:
+                pass
+    raise ValidationError("the pairing exceeds the float range")
+
+
+def _pairings(seq: VectorSequence, functionals: list[Element], modulus: bool) -> np.ndarray:
+    """The (length, len(functionals)) table of <f, seq(n)> (of <f, |seq(n)|>
+    with ``modulus``), each term generated once.  Step models pair by blocks,
+    each functional weighted once per level; sequence models term by term over
+    the common supports, which walks only the shorter one; the direct sum is
+    the sum of its parts' tables.  A pairing past the float range is refused."""
+    if seq.tag.kind == "l1_oplus_linf":
+        left, right = _parts(seq)
+        with np.errstate(over="ignore"):
+            table = (_pairings(left, [f.left for f in functionals], modulus)
+                     + _pairings(right, [f.right for f in functionals], modulus))
+        if not np.isfinite(table).all():
+            raise ValidationError("the pairing exceeds the float range")
+        return table
     table = np.empty((seq.length, len(functionals)))
-    weighted: dict[tuple[int, int], np.ndarray] = {}
+    if seq.tag.is_sequence_kind:
+        for n, x in enumerate((x.abs() for x in seq) if modulus else seq):
+            for j, f in enumerate(functionals):
+                a, b = f.coords, x.coords
+                if len(b) < len(a):
+                    a, b = b, a
+                table[n, j] = _exact_sum([v * b[i] for i, v in a.items() if i in b])
+        return table
+    weighted: dict[tuple[int, int], np.ndarray] = {}  # the cell weights times f at a level
     for rows, _, level, block in _step_blocks(seq, top=max(f.level for f in functionals)):
         if modulus:
             np.abs(block, out=block)
-        for j, f in enumerate(functionals):
-            m = max(level, f.level)
-            if (j, m) not in weighted:
-                weighted[j, m] = _weighted(f, m)
-            with np.errstate(over="ignore", invalid="ignore"):
-                table[rows, j] = np.abs(_pair_sums(_at_level(block, level, m) * weighted[j, m]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j, f in enumerate(functionals):
+                m = max(level, f.level)
+                if (j, m) not in weighted:
+                    weighted[j, m] = f.tag.measure.weight_array(m) * f.refined(m).values
+                table[rows, j] = _pair_sums(_at_level(block, level, m) * weighted[j, m])
         if not np.isfinite(table[rows]).all():
             raise ValidationError("the pairing exceeds the float range")
     return table
@@ -709,11 +725,7 @@ def weak_tail(seq: VectorSequence, functionals: Sequence[Element], ts: Tolerance
         check_tags(seq.tag, f.tag)
     if modulus:
         functionals = [f.abs() for f in functionals]
-    if seq.tag.kind == "lp_step":
-        table = _step_pairings(seq, functionals, modulus)
-    else:
-        terms = (x.abs() for x in seq) if modulus else iter(seq)
-        table = np.array([[abs(pairing(f, x)) for f in functionals] for x in terms])
+    table = np.abs(_pairings(seq, functionals, modulus))
     return _table_report("modulus-weak-tail" if modulus else "weak-tail", table, ts,
                          "functional_index",
                          {"family_size": len(functionals), "verdict_scope": "against family"})
@@ -748,26 +760,31 @@ def order_witness_atomic(seq: VectorSequence, bound: Element,
     if not bound.is_positive():
         raise ValidationError("bound must be >= 0")
     rows, columns, moduli = _sparse_moduli(seq)
-    touched, col = np.unique(columns, return_inverse=True)
+    # the atoms in increasing order and b, bound's values there, each closed by
+    # the sentinel 0.0; a coordinate outside the atoms gathers the sentinel
+    keys, b = _sorted_support(bound)
+    at = np.searchsorted(keys, columns)
+    at[keys[at] != columns] = len(keys) - 1
 
-    def undominated(v: LatticeVector) -> np.ndarray:  # the rows n - 1 where |seq(n)| <= v fails
+    def undominated(v: np.ndarray) -> np.ndarray:  # the rows n - 1 where |seq(n)| <= v fails
         # in increasing order, with repeats; an unstored 0.0 never exceeds v >= 0
-        return rows[moduli > (np.array([v[c] for c in touched.tolist()]) + ORDER_SLACK)[col]]
+        return rows[moduli > v[at] + ORDER_SLACK]
 
-    unbounded = undominated(bound)
+    unbounded = undominated(b)
     if unbounded.size:
         n = int(unbounded[0]) + 1
         raise NotOrderBounded(f"|seq({n})| is not dominated by the bound", witness_index=n)
-    atoms = sorted(bound.coords)
+    atoms = keys[:-1].tolist()
     entries = []
     for k in range(1, max(len(atoms), 8) + 1):
-        vk = LatticeVector(seq.tag, {a: (min(1.0 / k, bound[a]) if i < k else bound[a])
-                                     for i, a in enumerate(atoms)})
+        vk = b.copy()  # b with its first k entries capped at 1/k
+        np.minimum(vk[:k], 1.0 / k, out=vk[:k])
         bad = undominated(vk)
         last_bad = int(bad[-1]) + 1 if bad.size else 0
         if last_bad == seq.length:
             raise NoIndexFound(f"no index n_k within the horizon dominates step k={k}", step=k)
-        entries.append({"k": k, "index": last_bad + 1, "dominator_norm": vk.norm()})
+        entries.append({"k": k, "index": last_bad + 1,
+                        "dominator_norm": _vector_norm(seq.tag, vk[:-1].tolist())})
     return OrderWitness(atoms, entries)
 
 

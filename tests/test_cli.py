@@ -430,6 +430,8 @@ def test_units_pointwise_holds_stored_coordinates_only(tmp_path, capsys, horizon
 L1 = {"kind": "lp", "p": 1.0}
 C0 = {"kind": "c0"}
 STEP = {"kind": "lp_step", "p": 1.0, "measure": {"level": 0, "weights": [1.0]}}
+LINF = {"kind": "linf"}
+DIRECT_SUM = {"kind": "l1_oplus_linf"}
 
 
 @pytest.mark.parametrize("code, source, diagnostic", [
@@ -492,6 +494,11 @@ def test_summable_units_on_linf_are_summable(tmp_path, capsys):
     ({"tag": L1, "coords": {"1": 1e308, "2": -1e308}},
      {"tag": L1, "coords": {"1": 1e308, "2": 1e308}}),
     ({"tag": STEP, "level": 0, "values": [1e308]}, {"tag": STEP, "level": 0, "values": [1e308]}),
+    # each part's pairing is finite, their sum is not
+    ({"tag": DIRECT_SUM, "left": {"tag": L1, "coords": {"1": 1.0}},
+      "right": {"tag": LINF, "coords": {"1": 1.0}}},
+     {"tag": DIRECT_SUM, "left": {"tag": L1, "coords": {"1": 1e308}},
+      "right": {"tag": LINF, "coords": {"1": 1e308}}}),
 ])
 def test_pairing_beyond_the_float_range_exits_2(tmp_path, capsys, term, functional):
     scenario = {"schema": 1, "source": inline(term),

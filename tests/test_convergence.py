@@ -37,6 +37,7 @@ from unlattice.errors import (
     TagMismatch,
     ValidationError,
 )
+from unlattice import spaces
 from unlattice.gallery import (
     rademacher_modulated,
     std_units,
@@ -237,6 +238,35 @@ def test_block_tail_checks_term_tags():
             in_measure_tail(seq, 0.5, TS)
         with pytest.raises(TagMismatch):
             pointwise_tail(seq, TS)
+
+
+# a direct-sum limit stays well inside the float range, so x - limit does too
+small_row = st.dictionaries(block_index, st.floats(min_value=-2.0, max_value=2.0), max_size=4)
+test_row = st.dictionaries(block_index, st.floats(min_value=1e-3, max_value=2.0), max_size=6)
+
+
+def _direct(left: dict, right: dict) -> DirectSumVector:
+    return DirectSumVector(LatticeVector(lp(1), left), LatticeVector(linf(), right))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(block_row, block_row), min_size=1, max_size=10),
+       st.one_of(st.none(), st.tuples(small_row, small_row)),
+       st.lists(st.tuples(test_row, test_row), min_size=1, max_size=3), st.integers(1, 16))
+def test_direct_sum_tables_are_part_maxima(rows, limit_parts, test_parts, chunk_cells):
+    terms = [_direct(*row) for row in rows]
+    seq, calls = _counted(sequence_from_list(terms))
+    limit = zero(seq.tag) if limit_parts is None else _direct(*limit_parts)
+    # a test with a zero l1 part, as direct_sum_witness has
+    tests = [_direct(*parts) for parts in test_parts] + [_direct({}, {1: 1.0, 2: 0.5})]
+    diffs = [x - limit for x in terms]
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        norms = convergence._tail_norms(seq, limit)
+        meets = convergence._tail_norms(seq, limit, tests)
+    assert _bits(norms[:, 0]) == _bits(d.norm() for d in diffs)
+    assert [_bits(row) for row in meets] == [_bits(d._abs_meet_norm(u) for u in tests)
+                                             for d in diffs]
+    assert calls == list(range(1, len(terms) + 1)) * 2  # each term once per table
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +846,22 @@ def test_pairing_beyond_the_float_range():
     with pytest.raises(ValidationError, match="float range"):
         pairing(f, LatticeVector(tag, {1: 1e308, 2: -1e308}))
     g = StepFunction(lp_step(1), 0, np.array([1e308]))
+    # each part's pairing is finite, their sum is not; a finite sum keeps its bits
+    big = DirectSumVector(unit(tag, 1).scale(1e308), unit(linf(), 1).scale(1e308))
+    ones = DirectSumVector(unit(tag, 1), unit(linf(), 1))
+    edge = DirectSumVector(unit(tag, 1).scale(1e308), unit(linf(), 1).scale(7e307))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="float range"):
             pairing(g, g)
+        with pytest.raises(ValidationError, match="float range"):
+            pairing(big, ones)
+        for modulus in (False, True):
+            with pytest.raises(ValidationError, match="float range"):
+                weak_tail(sequence_from_list([ones, ones.scale(0.5)]), [edge, big], TS,
+                          modulus=modulus)
+    assert pairing(edge, ones) == 1e308 + 7e307
+    assert weak_tail(sequence_from_list([ones.scale(-1.0)]), [edge], TS).values == [1.7e308]
 
 
 def test_weak_tail_sign_modulation_cancels_exactly():
@@ -861,6 +903,46 @@ def test_weak_tail_direct_sum_pairing():
     f = DirectSumVector(unit(lp(1), 1), unit(linf(), 2))
     x = DirectSumVector(unit(lp(1), 1).scale(2.0), unit(linf(), 2).scale(-3.0))
     assert pairing(f, x) == -1.0
+
+
+def _pairing_ref(f, x) -> float:
+    """<f, x> by the per-family formulas: fsum of the products over the common
+    support, the adjacent-pair cell sum, and the sum of the parts' pairings."""
+    if isinstance(f, DirectSumVector):
+        return _pairing_ref(f.left, x.left) + _pairing_ref(f.right, x.right)
+    if isinstance(f, StepFunction):
+        return _pair_sum_ref(f, x)
+    return math.fsum(v * x[i] for i, v in f.coords.items() if i in x.coords)
+
+
+def _random_vector(rng, tag, size=6):
+    idx = rng.integers(1, 12, size).tolist()
+    return LatticeVector(tag, dict(zip(idx, rng.uniform(-2.0, 2.0, size).tolist())))
+
+
+@pytest.mark.parametrize("family", ["c0", "l1", "l2", "linf", "step", "direct_sum"])
+def test_pairing_tables_match_the_family_formulas(family):
+    rng = np.random.default_rng(["c0", "l1", "l2", "linf", "step", "direct_sum"].index(family))
+    if family == "step":
+        measure = MeasureModel(1, (0.3, 1.1))
+        tags = [lp_step(1.5, measure.refined(1 + k)) for k in range(2)]
+        make = lambda: _random_step(tags, (int(rng.integers(0, 2)), int(rng.integers(0, 3)),
+                                           1.0, int(rng.integers(0, 2 ** 16))))
+    elif family == "direct_sum":
+        make = lambda: DirectSumVector(_random_vector(rng, lp(1)), _random_vector(rng, linf()))
+    else:
+        tag = {"c0": c0(), "l1": lp(1), "l2": lp(2), "linf": linf()}[family]
+        make = lambda: _random_vector(rng, tag)
+    terms = [make() for _ in range(12)]
+    functionals = [make() for _ in range(3)]
+    seq, calls = _counted(sequence_from_list(terms))
+    assert _bits(pairing(f, x) for x in terms for f in functionals) == _bits(
+        _pairing_ref(f, x) for x in terms for f in functionals)
+    assert _bits(weak_tail(seq, functionals, TS).values) == _bits(
+        max(abs(_pairing_ref(f, x)) for f in functionals) for x in terms)
+    assert _bits(weak_tail(seq, functionals, TS, modulus=True).values) == _bits(
+        max(abs(_pairing_ref(f.abs(), x.abs())) for f in functionals) for x in terms)
+    assert calls == list(range(1, len(terms) + 1)) * 2  # each term once per diagnostic
 
 
 # ---------------------------------------------------------------------------
@@ -953,6 +1035,37 @@ def test_order_witness_matches_per_term_leq():
         assert calls == list(range(1, len(terms) + 1))
         outcomes.add(want[0] if isinstance(want[0], type) else "witness")
     assert outcomes == {NotOrderBounded, NoIndexFound, "witness"}
+
+
+def test_order_witness_reads_zero_outside_the_atoms():
+    tag = lp(2)
+    bound = LatticeVector(tag, {2: 1.0, 5: 0.5})
+    for extra, dominated in ((convergence.ORDER_SLACK, True), (0.5e-12, True), (2e-12, False)):
+        # coordinate 3 lies between the atoms and 9 past them: the bound is 0.0 there
+        terms = [LatticeVector(tag, {2: 0.5 ** n, 5: 0.25 ** n, 3 + 6 * (n % 2): extra})
+                 for n in range(1, 17)]
+        want = _order_witness_reference(terms, bound)
+        if dominated:
+            witness = order_witness_atomic(sequence_from_list(terms), bound, TS)
+            assert (witness.atoms, witness.entries) == want
+        else:
+            assert want == (NotOrderBounded, 1)
+            with pytest.raises(NotOrderBounded):
+                order_witness_atomic(sequence_from_list(terms), bound, TS)
+
+
+def test_order_witness_builds_no_vector_per_step():
+    tag = lp(1)
+    counts = []
+    for atoms in (16, 256):
+        bound = ones(tag, atoms)
+        seq = sequence_from_list([bound.scale(0.5 ** n) for n in range(1, 33)])
+        with mock.patch.object(spaces, "_clean_coords", wraps=spaces._clean_coords) as checked, \
+                mock.patch.object(LatticeVector, "_trusted", wraps=LatticeVector._trusted) as trusted:
+            witness = order_witness_atomic(seq, bound, TS)
+        assert len(witness.entries) == atoms
+        counts.append((checked.call_count, trusted.call_count))
+    assert counts[0] == counts[1] and sum(counts[0]) <= 1  # the zero limit of the moduli
 
 
 def test_almost_order_bounded():
