@@ -16,8 +16,12 @@ window apart.  A transient burst shorter than the window is
 indistinguishable from a settling coordinate at a finite horizon.
 
 Sequence models are read in CSR chunks, step models in dense blocks of the
-terms that share a level and a measure.  Every diagnostic, the pointwise
-verdict included, is one reduction over those chunks or blocks: no (terms x
+terms that share a level and a measure, and the l1 (+)_inf linf direct sum
+as its l1 and linf part sequences: a direct-sum norm is the max of the
+parts' norms, and a pairing the sum of the parts' pairings.  Every
+diagnostic, the pointwise verdict included, is one reduction over those
+chunks or blocks, except the pairings of sequence models, which go term by
+term over the common supports and so walk only the shorter one: no (terms x
 coordinates) or (terms x cells) matrix is built.
 """
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unlattice import convergence
+from unlattice import convergence, spaces
 
 from unlattice.convergence import (
     NOT_NULL,
@@ -37,7 +37,6 @@ from unlattice.errors import (
     TagMismatch,
     ValidationError,
 )
-from unlattice import spaces
 from unlattice.gallery import (
     rademacher_modulated,
     std_units,
@@ -848,20 +847,25 @@ def test_pairing_beyond_the_float_range():
     g = StepFunction(lp_step(1), 0, np.array([1e308]))
     # each part's pairing is finite, their sum is not; a finite sum keeps its bits
     big = DirectSumVector(unit(tag, 1).scale(1e308), unit(linf(), 1).scale(1e308))
-    ones = DirectSumVector(unit(tag, 1), unit(linf(), 1))
+    e1 = DirectSumVector(unit(tag, 1), unit(linf(), 1))
     edge = DirectSumVector(unit(tag, 1).scale(1e308), unit(linf(), 1).scale(7e307))
+    # the cell weight 2 times f overflows before any term is paired
+    heavy = lp_step(1, MeasureModel(0, (2.0,)))
+    h = StepFunction(heavy, 0, np.array([1e308]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="float range"):
             pairing(g, g)
         with pytest.raises(ValidationError, match="float range"):
-            pairing(big, ones)
+            weak_tail(sequence_from_list([constant_one(heavy)]), [h], TS)
+        with pytest.raises(ValidationError, match="float range"):
+            pairing(big, e1)
         for modulus in (False, True):
             with pytest.raises(ValidationError, match="float range"):
-                weak_tail(sequence_from_list([ones, ones.scale(0.5)]), [edge, big], TS,
+                weak_tail(sequence_from_list([e1, e1.scale(0.5)]), [edge, big], TS,
                           modulus=modulus)
-    assert pairing(edge, ones) == 1e308 + 7e307
-    assert weak_tail(sequence_from_list([ones.scale(-1.0)]), [edge], TS).values == [1.7e308]
+    assert pairing(edge, e1) == 1e308 + 7e307
+    assert weak_tail(sequence_from_list([e1.scale(-1.0)]), [edge], TS).values == [1.7e308]
 
 
 def test_weak_tail_sign_modulation_cancels_exactly():
@@ -920,9 +924,12 @@ def _random_vector(rng, tag, size=6):
     return LatticeVector(tag, dict(zip(idx, rng.uniform(-2.0, 2.0, size).tolist())))
 
 
-@pytest.mark.parametrize("family", ["c0", "l1", "l2", "linf", "step", "direct_sum"])
+PAIRING_FAMILIES = ("c0", "l1", "l2", "linf", "step", "direct_sum")
+
+
+@pytest.mark.parametrize("family", PAIRING_FAMILIES)
 def test_pairing_tables_match_the_family_formulas(family):
-    rng = np.random.default_rng(["c0", "l1", "l2", "linf", "step", "direct_sum"].index(family))
+    rng = np.random.default_rng(PAIRING_FAMILIES.index(family))
     if family == "step":
         measure = MeasureModel(1, (0.3, 1.1))
         tags = [lp_step(1.5, measure.refined(1 + k)) for k in range(2)]
@@ -1060,9 +1067,10 @@ def test_order_witness_builds_no_vector_per_step():
     for atoms in (16, 256):
         bound = ones(tag, atoms)
         seq = sequence_from_list([bound.scale(0.5 ** n) for n in range(1, 33)])
-        with mock.patch.object(spaces, "_clean_coords", wraps=spaces._clean_coords) as checked, \
-                mock.patch.object(LatticeVector, "_trusted", wraps=LatticeVector._trusted) as trusted:
-            witness = order_witness_atomic(seq, bound, TS)
+        with mock.patch.object(spaces, "_clean_coords", wraps=spaces._clean_coords) as checked:
+            with mock.patch.object(LatticeVector, "_trusted",
+                                   wraps=LatticeVector._trusted) as trusted:
+                witness = order_witness_atomic(seq, bound, TS)
         assert len(witness.entries) == atoms
         counts.append((checked.call_count, trusted.call_count))
     assert counts[0] == counts[1] and sum(counts[0]) <= 1  # the zero limit of the moduli

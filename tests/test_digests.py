@@ -184,13 +184,14 @@ GALLERY_DIAGNOSTICS = {
 
 
 def gallery_jobs():
+    ts = cv.ToleranceSpec()
     for entry, (horizons, diagnostics) in GALLERY_DIAGNOSTICS.items():
         for horizon in horizons:
             seq = runner.build_sequence({"gallery": entry, "params": {"horizon": horizon}})
             for diag in diagnostics:
                 name = "_".join(str(v) for v in diag.values())
                 yield (f"gallery/{entry}/{horizon}/{name}",
-                       lambda seq=seq, diag=diag: runner.run_diagnostic(seq, diag, cv.ToleranceSpec()))
+                       lambda seq=seq, diag=diag: runner.run_diagnostic(seq, diag, ts))
     # the direct-sum sequence against its witness 0 (+) 1 read past the witness's horizon
     l1, sup = lp(1), linf()
     for horizon in (64, 8192):
@@ -199,14 +200,14 @@ def gallery_jobs():
             lambda n: DirectSumVector(unit(l1, n).scale(0.5), unit(sup, n).scale(-2.0)))
         yield (f"gallery/direct_sum_scaled/{horizon}/un",
                lambda seq=seq: cv.un_tail(seq, zero(seq.tag),
-                                          runner.TEST_FAMILIES["direct_sum_witness"](seq),
-                                          cv.ToleranceSpec()))
+                                          runner.TEST_FAMILIES["direct_sum_witness"](seq), ts))
 
 
 WITNESS_TAGS = (c0(), lp(1), lp(2), lp(3), linf())
 
 
 def order_witness_jobs():
+    ts = cv.ToleranceSpec()
     for tag in WITNESS_TAGS:
         for s in range(25):
             rng = np.random.default_rng([4, WITNESS_TAGS.index(tag), s])
@@ -229,11 +230,11 @@ def order_witness_jobs():
             terms = [LatticeVector(tag, coords) for coords in terms]
             seq = cv.sequence_from_list(terms)
             yield (f"order_witness/{tag.describe()}/{s}",
-                   lambda seq=seq, bound=bound: cv.order_witness_atomic(seq, bound, cv.ToleranceSpec()))
+                   lambda seq=seq, bound=bound: cv.order_witness_atomic(seq, bound, ts))
         bound = LatticeVector(tag, {a: 1.0 for a in range(1, 129)})
         seq = cv.VectorSequence(tag, 64, lambda n, bound=bound: bound.scale(0.7 ** n))
         yield (f"order_witness/{tag.describe()}/128_atoms",
-               lambda seq=seq, bound=bound: cv.order_witness_atomic(seq, bound, cv.ToleranceSpec()))
+               lambda seq=seq, bound=bound: cv.order_witness_atomic(seq, bound, ts))
 
 
 def refusal_jobs():
@@ -310,11 +311,14 @@ def test_corpus_lists_every_family():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_family_matches_digests(family):
-    pinned = {k: v for k, v in _pinned()["digests"].items() if k.split("/")[0] == family}
+    corpus = _pinned()
+    pinned = {k: v for k, v in corpus["digests"].items() if k.split("/")[0] == family}
     got = render_digests(family)
     assert list(got) == list(pinned)  # no job dropped, added or reordered
     changed = [job_id for job_id, digest in got.items() if digest != pinned[job_id]]
-    assert not changed, f"{len(changed)} of {len(got)} outputs changed: {changed[:20]}"
+    assert not changed, (f"{len(changed)} of {len(got)} outputs changed: {changed[:20]} "
+                         f"(pinned with Python {corpus['python']} and numpy {corpus['numpy']}; "
+                         f"running {platform.python_version()} and {np.__version__})")
 
 
 if __name__ == "__main__":
