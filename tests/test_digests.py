@@ -7,14 +7,19 @@ A job calls one public function of ``convergence`` (``norm_tail``,
 seeded random sparse c0 / lp / linf sequences (values near the underflow and
 overflow edges, with and without a limit), random step sequences over
 non-uniform measures, random direct sums, or gallery entries at several
-horizons.  Its canonical output is the canonical JSON of the report or
-witness, the ``float.hex`` of a pairing, or ``Type: message`` of a refusal.
+horizons; or it calls ``constructive.riesz_decompose`` on a seeded random
+triple.  Its canonical output is the canonical JSON of the report or
+witness (of the six parts y, z, a, b, c, d of a Riesz witness), the
+``float.hex`` of a pairing, or ``Type: message`` of a refusal.
 ``tests/digests.json`` holds ``sha256(output)[:16]`` per job id, with the
 Python and numpy versions that wrote it.
 
 To rewrite the file after an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_digests.py
+
+It prints each job id whose digest it changed, added or removed, as
+``changed <id>``, ``added <id>`` or ``removed <id>``.
 """
 
 import hashlib
@@ -27,6 +32,7 @@ import pytest
 
 from unlattice import jsonio, runner
 from unlattice import convergence as cv
+from unlattice.constructive import RieszWitness, riesz_decompose
 from unlattice.errors import LatticeError
 from unlattice.spaces import (
     DirectSumVector,
@@ -35,6 +41,7 @@ from unlattice.spaces import (
     StepFunction,
     c0,
     direct_sum,
+    element_to_dict,
     linf,
     lp,
     lp_step,
@@ -281,9 +288,126 @@ def refusal_jobs():
         yield f"refusal/{name}", job
 
 
+#: the spaces of perfbench's ``small_elements`` Riesz batches
+RIESZ_TAGS = (c0(), linf(), lp(1), lp(2), lp(3), lp_step(1, level=1),
+              lp_step(2, MeasureModel(2, (0.1, 0.2, 0.3, 0.4))), direct_sum())
+RIESZ_TOLS = (1e-9, 1e-12, 1e-3)
+
+
+def _split(rng, a: np.ndarray) -> np.ndarray:
+    """Fractions t of ``a`` >= 0 for u = t * a: some 0 and some 1, so that u
+    or v = a - u lacks a coordinate or a cell that the other has."""
+    t = rng.uniform(0.0, 1.0, a.size)
+    t[rng.random(a.size) < 0.15] = 0.0
+    t[rng.random(a.size) < 0.15] = 1.0
+    return t * a
+
+
+def _seq_riesz(rng, tag, magnitude, tol):
+    """x, u, v with u + v = |x| up to rounding; at magnitudes up to 1, u or v
+    sometimes stores a coordinate of tol / 4 off x's support, which the
+    tolerance admits."""
+    x = _coords(rng, magnitude)
+    keys, ax = list(x), np.abs(np.array(list(x.values()), dtype=float))
+    us = _split(rng, ax)
+    u, v = dict(zip(keys, us.tolist())), dict(zip(keys, (ax - us).tolist()))
+    if magnitude <= 1.0 and rng.random() < 0.3:
+        (u, v)[int(rng.integers(0, 2))][int(rng.integers(25, 30))] = tol / 4
+    return tuple(LatticeVector(tag, c) for c in (x, u, v))
+
+
+def _step_riesz(rng, tags, magnitude):
+    """x, u, v with u + v = |x| up to rounding, at different levels: the
+    coarser of u and v takes a share of the least |x| over each of its cells,
+    the finer one the rest.  x and u draw their tags apart, so they often carry
+    distinct but compatible measures; some values are -0.0."""
+    tx, tu = (tags[int(rng.integers(0, len(tags)))] for _ in range(2))
+    lx = tx.measure.level + int(rng.integers(0, 3))
+    x = rng.uniform(0.5, 1.5, 2 ** lx) * magnitude * rng.choice([-1.0, 1.0], 2 ** lx)
+    x[rng.random(x.size) < 0.25] = 0.0
+    x[rng.random(x.size) < 0.1] = -0.0
+    coarse_tag, fine_tag = (tu, tx) if rng.random() < 0.5 else (tx, tu)
+    lc = coarse_tag.measure.level + int(rng.integers(0, 3))
+    top = max(lx, lc)
+    ax = np.abs(np.repeat(x, 2 ** (top - lx)))
+    coarse = _split(rng, ax.reshape(2 ** lc, -1).min(axis=1))
+    lf = max(top, fine_tag.measure.level) + int(rng.integers(0, 2))
+    fine = np.repeat(ax, 2 ** (lf - top)) - np.repeat(coarse, 2 ** (lf - lc))
+    fine[(fine == 0.0) & (rng.random(fine.size) < 0.5)] = -0.0
+    parts = [StepFunction(coarse_tag, lc, coarse), StepFunction(fine_tag, lf, fine)]
+    if coarse_tag is not tu:
+        parts.reverse()
+    return (StepFunction(tx, lx, x), *parts)
+
+
+def _riesz_triple(rng, tag, magnitude, tol):
+    if tag.kind == "lp_step":
+        base = tag.measure
+        tags = [lp_step(tag.p, base.refined(base.level + k)) for k in range(3)]
+        return _step_riesz(rng, tags, min(magnitude, 1e300))
+    if tag.kind == "l1_oplus_linf":
+        left = _seq_riesz(rng, lp(1), magnitude, tol)
+        right = _seq_riesz(rng, linf(), magnitude, tol)
+        return tuple(DirectSumVector(a, b) for a, b in zip(left, right))
+    return _seq_riesz(rng, tag, magnitude, tol)
+
+
+def riesz_jobs():
+    for tag in RIESZ_TAGS:
+        for s in range(30):
+            rng = np.random.default_rng([5, RIESZ_TAGS.index(tag), s])
+            magnitude = EDGES[int(rng.integers(0, len(EDGES)))] if s % 3 else 1.0
+            tol = RIESZ_TOLS[s % len(RIESZ_TOLS)]
+            x, u, v = _riesz_triple(rng, tag, magnitude, tol)
+            if s % 10 == 9:
+                v = v.scale(1.5)  # most such triples are no decomposition
+            yield (f"riesz/{tag.describe()}/{s}",
+                   lambda x=x, u=u, v=v, tol=tol: riesz_decompose(x, u, v, tol))
+    l2, sup, ds = lp(2), linf(), direct_sum()
+    x = LatticeVector(l2, {1: 1.0, 2: -2.0})
+    big = LatticeVector(l2, {1: 1e308, 2: 1e308})
+    dx = DirectSumVector(LatticeVector(lp(1), {1: -1.0}), LatticeVector(sup, {2: 1.0}))
+    dbig = DirectSumVector(LatticeVector(lp(1), {1: 1e308}), zero(sup))
+    tiny = lp_step(1, MeasureModel(1, (1e-12, 1.0)))
+    sx = StepFunction(tiny, 1, np.array([-1.0, 0.0]))
+    su = StepFunction(tiny, 1, np.array([1.5, 0.0]))
+    sbig = StepFunction(tiny, 1, np.array([1e308, 0.0]))
+    flat = lp_step(1, level=1)
+    fx = StepFunction(flat, 1, np.array([-1.0, 0.0]))
+    cases = {
+        "tag_mismatch_u": lambda: riesz_decompose(x, unit(c0(), 1), x.abs()),
+        "tag_mismatch_v": lambda: riesz_decompose(x, x.abs(), unit(lp(3), 1)),
+        "tag_mismatch_step": lambda: riesz_decompose(
+            sx, su, StepFunction(lp_step(1, MeasureModel(1, (0.5, 0.5))), 1, np.zeros(2))),
+        "tag_mismatch_direct_sum": lambda: riesz_decompose(dx, unit(sup, 1), dx.abs()),
+        "negative_u": lambda: riesz_decompose(x, x.abs().scale(-1.0), x.abs().scale(2.0)),
+        "negative_v": lambda: riesz_decompose(x, x.abs().scale(2.0), x.abs().scale(-1.0)),
+        "negative_step": lambda: riesz_decompose(sx, su.scale(-1.0), su),
+        "negative_direct_sum": lambda: riesz_decompose(dx, dx, dx.abs()),
+        "not_a_decomposition": lambda: riesz_decompose(x, x.abs(), x.abs()),
+        "not_a_decomposition_step": lambda: riesz_decompose(fx, fx.abs(), fx.abs()),
+        "not_a_decomposition_direct_sum": lambda: riesz_decompose(dx, dx.abs(), dx.abs()),
+        "overflow_sequence": lambda: riesz_decompose(x, big, big),
+        "overflow_sequence_before_tolerance": lambda: riesz_decompose(x, big, big, float("nan")),
+        "overflow_step": lambda: riesz_decompose(sx, sbig, sbig),
+        "overflow_direct_sum": lambda: riesz_decompose(dx, dbig, dbig),
+        "negative_part_d": lambda: riesz_decompose(sx, su, zero(tiny)),
+        "negative_part_d_tol": lambda: riesz_decompose(sx, su, zero(tiny), 1e-6),
+        "tol_nan": lambda: riesz_decompose(x, x.abs(), zero(l2), float("nan")),
+        "tol_negative": lambda: riesz_decompose(x, x.abs(), zero(l2), -1.0),
+        "tol_zero": lambda: riesz_decompose(x, x.abs(), zero(l2), 0.0),
+        "tol_zero_step": lambda: riesz_decompose(sx, sx.abs(), zero(tiny), 0.0),
+        "tol_negative_tag_mismatch": lambda: riesz_decompose(x, unit(c0(), 1), x.abs(), -1.0),
+        "tol_inf": lambda: riesz_decompose(x, x.abs(), zero(l2), float("inf")),
+        "tol_inf_negative_part_d": lambda: riesz_decompose(sx, su, zero(tiny), float("inf")),
+    }
+    for name, job in cases.items():
+        yield f"riesz/edge/{name}", job
+
+
 FAMILIES = {"sparse": sparse_jobs, "step": step_jobs, "direct_sum": direct_sum_jobs,
             "gallery": gallery_jobs, "order_witness": order_witness_jobs,
-            "refusal": refusal_jobs}
+            "refusal": refusal_jobs, "riesz": riesz_jobs}
 
 
 def canonical(job) -> str:
@@ -291,7 +415,12 @@ def canonical(job) -> str:
     JSON, a float by its hex, a refusal as ``Type: message``."""
     try:
         out = job()
-        return out.hex() if isinstance(out, float) else jsonio.dumps(out.to_json_dict())
+        if isinstance(out, float):
+            return out.hex()
+        if isinstance(out, RieszWitness):
+            return jsonio.dumps({name: element_to_dict(getattr(out, name))
+                                 for name in ("y", "z", "a", "b", "c", "d")})
+        return jsonio.dumps(out.to_json_dict())
     except LatticeError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -322,9 +451,19 @@ def test_family_matches_digests(family):
 
 
 if __name__ == "__main__":
+    pinned = _pinned()["digests"] if DIGESTS.exists() else {}
     digests = {}
     for family in FAMILIES:
         digests.update(render_digests(family))
     DIGESTS.write_text(json.dumps({"python": platform.python_version(),
                                    "numpy": np.__version__, "jobs": len(digests),
                                    "digests": digests}, indent=1) + "\n")
+    # the job ids whose digest this run changed, added or removed, one a line
+    for job_id, digest in digests.items():
+        if job_id not in pinned:
+            print("added", job_id)
+        elif pinned[job_id] != digest:
+            print("changed", job_id)
+    for job_id in pinned:
+        if job_id not in digests:
+            print("removed", job_id)
