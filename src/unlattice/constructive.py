@@ -77,6 +77,8 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     b = u - a, c = x+ - a, d = x- - b; in the componentwise models this
     choice satisfies a <= x+ and b <= x-, which forces a _|_ b and c _|_ d.
     """
+    if not tol > 0:
+        raise ValidationError("tol must be > 0")
     check_tags(x.tag, u.tag)
     check_tags(x.tag, v.tag)
     if not u.is_positive() or not v.is_positive():

@@ -112,6 +112,15 @@ def test_riesz_rejects_bad_split():
         riesz_decompose(x, x.abs().scale(-1.0), x.abs().scale(2.0))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, -0.0])
+def test_riesz_refuses_a_tolerance_not_above_zero(tol):
+    x = LatticeVector(lp(2), {1: 1.0, 2: -2.0})
+    with pytest.raises(ValidationError, match=r"^tol must be > 0$"):
+        riesz_decompose(x, x.abs(), zero(lp(2)), tol)
+    with pytest.raises(ValidationError, match=r"^tol must be > 0$"):  # before any other check
+        riesz_decompose(x, unit(c0(), 1), x.abs().scale(-1.0), tol)
+
+
 # ---------------------------------------------------------------------------
 # greedy disjointification
 # ---------------------------------------------------------------------------
