@@ -76,6 +76,8 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     The four positive parts are fixed constructively as a = x+ /\\ u,
     b = u - a, c = x+ - a, d = x- - b; in the componentwise models this
     choice satisfies a <= x+ and b <= x-, which forces a _|_ b and c _|_ d.
+    Each element family computes the defect || |x| - (u+v) || and the parts
+    in one pass over its aligned operands (its ``_riesz`` kernel).
     """
     if not tol > 0:
         raise ValidationError("tol must be > 0")
@@ -83,23 +85,21 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     check_tags(x.tag, v.tag)
     if not u.is_positive() or not v.is_positive():
         raise NegativeInput("u and v must be >= 0")
+    defect, d_min, (a, b, c, d, y, z) = x._riesz(u, v)
     x_norm = x.norm()
-    defect = (x.abs() - (u + v)).norm()
     if defect > tol * (1.0 + x_norm):
         raise NotADecomposition(
             f"|| |x| - (u+v) || = {defect:.3g} exceeds the tolerance"
         )
-    xp = x.pos()
-    xm = x.neg()
-    a = xp.meet(u)
-    b = u - a
-    c = xp - a
-    d = xm - b
-    neg_slack = tol * (1.0 + x_norm + u.norm() + v.norm())
-    for name, part in (("a", a), ("b", b), ("c", c), ("d", d)):
-        if not part.is_positive(slack=neg_slack):
-            raise NegativePart(f"part {name} dips below -{neg_slack:.3g}")
-    return RieszWitness(y=a - b, z=c - d, a=a, b=b, c=c, d=d)
+    # a, b and c are >= 0 by construction: u >= 0 and x+ >= 0 give
+    # a = min(x+, u) >= 0, and a <= u, a <= x+ give b = u - a >= 0 and
+    # c = x+ - a >= 0.  With tol > 0 the slack is >= 0 (never nan), so of the
+    # four parts only d can dip below -slack.
+    if d_min < 0.0:
+        neg_slack = tol * (1.0 + x_norm + u.norm() + v.norm())
+        if d_min < -neg_slack:
+            raise NegativePart(f"part d dips below -{neg_slack:.3g}")
+    return RieszWitness(y=y, z=z, a=a, b=b, c=c, d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,55 @@ class LatticeVector(_ElementOps):
         return _vector_norm(self.tag, [min(math.fabs(v), math.fabs(b[i]))
                                        for i, v in a.items() if i in b])
 
+    def _riesz(self, u: "LatticeVector", v: "LatticeVector"):
+        """The Riesz kernel of |self| = u + v, for u, v >= 0 whose tags the
+        caller has checked: the defect || |self| - (u + v) ||, the least
+        value of part d (0.0 when no value is negative) and the parts
+        (a, b, c, d, y, z) of ``riesz_decompose``, in one pass over the union
+        of the supports.  Every float is the one the chain of element
+        operations gives; b carries u's tag, the other parts self's."""
+        xs, us, vs = self.coords, u.coords, v.coords
+        defect, a, b, c, d, y, z = [], {}, {}, {}, {}, {}, {}
+        d_min, y_positive, z_positive = 0.0, True, True
+        for i in xs.keys() | us.keys() | vs.keys():
+            xi, ui = xs.get(i, 0.0), us.get(i, 0.0)
+            s = ui + vs.get(i, 0.0)
+            if s == math.inf:
+                raise ValidationError("coordinates must be finite")
+            e = math.fabs(xi) - s
+            if e:
+                defect.append(e)
+            xp = xi if xi > 0.0 else 0.0
+            xm = -xi if xi < 0.0 else 0.0
+            ai = min(xp, ui)
+            bi = ui - ai
+            ci = xp - ai
+            di = xm - bi
+            yi = ai - bi
+            zi = ci - di
+            if ai:
+                a[i] = ai
+            if bi:
+                b[i] = bi
+            if ci:
+                c[i] = ci
+            if di:
+                d[i] = di
+                if di < d_min:
+                    d_min = di
+            if yi:
+                y[i] = yi
+                if yi < 0.0:
+                    y_positive = False
+            if zi:
+                z[i] = zi
+                if zi < 0.0:
+                    z_positive = False
+        tag, new = self.tag, LatticeVector._trusted
+        return _vector_norm(tag, defect), d_min, (
+            new(tag, a), new(u.tag, b), new(tag, c), new(tag, d, d_min == 0.0),
+            new(tag, y, y_positive), new(tag, z, z_positive))
+
 
 def _vector_norm(tag: SpaceTag, values) -> float:
     """The norm in the sequence space ``tag`` of the vector whose nonzero
@@ -456,8 +505,7 @@ class StepFunction(_ElementOps):
             raise ValidationError("cannot coarsen a step function")
         if level == self.level:
             return self
-        v = np.repeat(self.values, 2 ** (level - self.level))
-        return StepFunction._trusted(self.tag, level, v)
+        return StepFunction._trusted(self.tag, level, _repeat(self.values, self.level, level))
 
     def _aligned(self, other: "StepFunction"):
         """The common level and both operands' values refined to it."""
@@ -530,18 +578,45 @@ class StepFunction(_ElementOps):
 
     def _abs_meet_norm(self, other: "StepFunction") -> float:
         # as LatticeVector._abs_meet_norm; only the coarser operand is refined
-        a, b = np.abs(self.values), np.abs(other.values)
-        if self.level < other.level:
-            a = np.repeat(a, 2 ** (other.level - self.level))
-        elif other.level < self.level:
-            b = np.repeat(b, 2 ** (self.level - other.level))
         level = max(self.level, other.level)
+        a = _repeat(np.abs(self.values), self.level, level)
+        b = _repeat(np.abs(other.values), other.level, level)
         return _step_norm(self.tag.measure.weight_array(level), np.minimum(a, b), self.tag.p)
+
+    def _riesz(self, u: "StepFunction", v: "StepFunction"):
+        """As ``LatticeVector._riesz``, in numpy over the operands refined
+        once: the defect at the level of x, u and v, the parts at the level of
+        x and u, as the chain of element operations refines them."""
+        check_tags(u.tag, v.tag)  # u + v checks it
+        top = max(self.level, u.level, v.level)
+        with np.errstate(over="ignore"):  # an overflowed sum is refused below
+            s = _repeat(u.values, u.level, top) + _repeat(v.values, v.level, top)
+        if not np.isfinite(s).all():
+            raise ValidationError("values must be finite")
+        e = np.abs(_repeat(np.abs(self.values), self.level, top) - s)
+        level = max(self.level, u.level)
+        x = _repeat(self.values, self.level, level)
+        xp, xm = np.maximum(x, 0.0), np.maximum(-x, 0.0)
+        uu = _repeat(u.values, u.level, level)
+        a = np.minimum(xp, uu)
+        b = uu - a
+        c = xp - a
+        d = xm - b
+        tag, new = self.tag, StepFunction._trusted
+        return _step_norm(tag.measure.weight_array(top), e, tag.p), float(d.min()), (
+            new(tag, level, a), new(u.tag, level, b), new(tag, level, c), new(tag, level, d),
+            new(tag, level, a - b), new(tag, level, c - d))
 
     def measure_where(self, predicate) -> float:
         """Total mass of the cells whose value satisfies ``predicate``."""
         mask = predicate(self.values)
         return float(self.weights()[mask].sum())
+
+
+def _repeat(values: np.ndarray, level: int, to: int) -> np.ndarray:
+    """The cell values ``values`` at ``level`` refined to ``to`` >= level;
+    ``values`` itself when the levels agree."""
+    return values if to == level else np.repeat(values, 2 ** (to - level))
 
 
 def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray:
@@ -656,6 +731,13 @@ class DirectSumVector(_ElementOps):
     def _abs_meet_norm(self, other: "DirectSumVector") -> float:
         return max(self.left._abs_meet_norm(other.left),
                    self.right._abs_meet_norm(other.right))
+
+    def _riesz(self, u: "DirectSumVector", v: "DirectSumVector"):
+        """As ``LatticeVector._riesz``, part by part: the norm is the max of
+        the parts' norms, and part d's least value the min of theirs."""
+        dl, ml, left = self.left._riesz(u.left, v.left)
+        dr, mr, right = self.right._riesz(u.right, v.right)
+        return max(dl, dr), min(ml, mr), tuple(map(DirectSumVector, left, right))
 
 
 #: The tags of the direct sum and of its parts, shared so that check_tags
