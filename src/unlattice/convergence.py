@@ -417,8 +417,12 @@ def truncation_index(u: Element, e: Element, eps: float, m_max: int = 2 ** 20) -
 
 def un_strong_unit(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:
     """``un_tail`` of a linf sequence against its strong unit 1, which no
-    horizon cuts off: || |x| /\\ 1 || = min(||x||, 1) exactly (min rounds nothing)."""
+    horizon cuts off: || |x| /\\ 1 || = min(||x||, 1) exactly (min rounds nothing).
+    A direct-sum sequence is read against 0 (+) 1: its l1 part meets 0, so the
+    value is its linf part sequence's against 1."""
     check_tags(seq.tag, limit.tag)
+    if seq.tag.kind == "l1_oplus_linf":
+        seq, limit = _parts(seq)[1], limit.right
     return _table_report("un-tail", np.minimum(_tail_norms(seq, limit), 1.0), ts,
                          "test_index", {"num_tests": 1})
 

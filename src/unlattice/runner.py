@@ -115,12 +115,17 @@ def _limit(limit, seq: VectorSequence) -> Element:
     return zero(seq.tag) if limit is None else element_from_dict(limit)
 
 
+#: (test family, space kind) pairs that ``un`` reads in closed form, with no
+#: horizon: linf's qip is its strong unit 1, and the direct sum's witness
+#: 0 (+) 1 is the strong unit on the linf part
+_STRONG_UNIT = (("qip", "linf"), ("direct_sum_witness", "l1_oplus_linf"))
+
 #: One adapter per diagnostic; its keyword parameters are the diagnostic's
 #: params, and it looks the diagnostic up in ``convergence`` at call time.
 DIAGNOSTICS = {
     "norm": lambda seq, ts, limit=None: cv.norm_tail(seq, _limit(limit, seq), ts),
-    "un": lambda seq, ts, tests="qip", limit=None: (  # linf's qip 1 has no horizon
-        cv.un_strong_unit(seq, _limit(limit, seq), ts) if tests == "qip" and seq.tag.kind == "linf"
+    "un": lambda seq, ts, tests="qip", limit=None: (
+        cv.un_strong_unit(seq, _limit(limit, seq), ts) if (tests, seq.tag.kind) in _STRONG_UNIT
         else cv.un_tail(seq, _limit(limit, seq), resolve(TEST_FAMILIES, tests, seq), ts)),
     "un_qip": lambda seq, ts, horizon=cv.DEFAULT_HORIZON, limit=None: cv.un_tail_qip(
         seq, _limit(limit, seq), ts, horizon=horizon),

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from unlattice.errors import RefinementOverflow, ValidationError
+from unlattice.convergence import ToleranceSpec, sequence_from_list, un_tail
+from unlattice.errors import RefinementOverflow, TagMismatch, ValidationError
 from unlattice.gallery import (
     GALLERY,
     direct_sum_seq,
@@ -18,9 +19,11 @@ from unlattice.gallery import (
 )
 from unlattice.runner import build_sequence, run_diagnostic
 from unlattice.spaces import (
+    DirectSumVector,
     LatticeVector,
     StepFunction,
     c0,
+    element_to_dict,
     is_disjoint,
     linf,
     lp,
@@ -130,6 +133,46 @@ def test_direct_sum_witness_shape():
     seq = direct_sum_seq(8)
     assert seq.at(3).left.coords == {3: 1.0}
     assert seq.at(3).right.coords == {3: 1.0}
+
+
+WITNESS_UN = {"name": "un", "tests": "direct_sum_witness"}
+
+
+def test_direct_sum_witness_reads_past_its_horizon():
+    # against 0 (+) 1, || |x_n| /\\ u || = min(||right part of x_n||_inf, 1):
+    # the witness's horizon of 4096 cuts nothing off
+    for horizon in (64, 4096, 8192):
+        seq = build_sequence({"gallery": "direct_sum", "params": {"horizon": horizon}})
+        report = run_diagnostic(seq, WITNESS_UN, ToleranceSpec()).to_json_dict()
+        assert report["verdict"] == "NOT_NULL"
+        assert report["values"] == [1.0] * horizon
+        assert report["witness"] == {"index": horizon - horizon // 4 + 1, "value": 1.0,
+                                     "test_index": 0}
+        assert report["extras"] == {"num_tests": 1}
+    seq = build_sequence({"gallery": "std_units_c0", "params": {"horizon": 8}})
+    with pytest.raises(TagMismatch, match=r"^cannot combine c0 with l1\(\+\)linf$"):
+        run_diagnostic(seq, WITNESS_UN, ToleranceSpec())
+
+
+def test_direct_sum_witness_closed_form_is_the_un_tail():
+    # within the witness's horizon the closed form gives un_tail's report, a limit included
+    rng = np.random.default_rng(5)
+    ts = ToleranceSpec(1e-3)
+
+    def vector(tag, scale):
+        size = int(rng.integers(0, 5))
+        keys = rng.choice(np.arange(1, 4097), size, replace=False).tolist()
+        return LatticeVector(tag, dict(zip(keys, (rng.uniform(-1.5, 1.5, size) * scale).tolist())))
+
+    for _ in range(20):
+        scale = float(rng.choice([1e-310, 1e-3, 1.0, 1e308]))
+        terms = [DirectSumVector(vector(lp(1), scale), vector(linf(), scale))
+                 for _ in range(int(rng.integers(1, 12)))]
+        limit = DirectSumVector(vector(lp(1), 1.0), vector(linf(), 1.0))
+        seq = sequence_from_list(terms)
+        closed = run_diagnostic(seq, dict(WITNESS_UN, limit=element_to_dict(limit)), ts)
+        assert closed.to_json_dict() == un_tail(seq, limit, [direct_sum_witness()],
+                                                ts).to_json_dict()
 
 
 def test_gallery_dump_shape():
