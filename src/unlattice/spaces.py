@@ -733,8 +733,9 @@ class DirectSumVector(_ElementOps):
                    self.right._abs_meet_norm(other.right))
 
     def _riesz(self, u: "DirectSumVector", v: "DirectSumVector"):
-        """As ``LatticeVector._riesz``, part by part: the norm is the max of
-        the parts' norms, and part d's least value the min of theirs."""
+        """As ``LatticeVector._riesz``, part by part: the defect is the max of
+        the parts' defects (the direct-sum norm), part d's least value the
+        min of theirs."""
         dl, ml, left = self.left._riesz(u.left, v.left)
         dr, mr, right = self.right._riesz(u.right, v.right)
         return max(dl, dr), min(ml, mr), tuple(map(DirectSumVector, left, right))
