@@ -6,11 +6,15 @@ A job calls one public function of ``convergence`` (``norm_tail``,
 ``pairing``, ``order_witness_atomic``) or ``runner.run_diagnostic`` on
 seeded random sparse c0 / lp / linf sequences (values near the underflow and
 overflow edges, with and without a limit), random step sequences over
-non-uniform measures, random direct sums, or gallery entries at several
-horizons; or it calls ``constructive.riesz_decompose`` on a seeded random
-triple.  Its canonical output is the canonical JSON of the report or
-witness (of the six parts y, z, a, b, c, d of a Riesz witness), the
-``float.hex`` of a pairing, or ``Type: message`` of a refusal.
+non-uniform measures (built in memory or decoded from inline literals),
+random direct sums, the typewriter at several levels, or gallery entries at
+several horizons; or it calls ``constructive.riesz_decompose`` on a seeded
+random triple, or ``constructive.uo_extract`` on a typewriter, a random step
+or sparse sequence or a gallery entry.  Its canonical output is the
+canonical JSON of the report or witness (of the six parts y, z, a, b, c, d
+of a Riesz witness; of the test vector, selection and report of a uo
+extraction), the ``float.hex`` of a pairing, or ``Type: message`` of a
+refusal.
 ``tests/digests.json`` holds ``sha256(output)[:16]`` per job id, with the
 Python and numpy versions that wrote it.
 
@@ -32,7 +36,8 @@ import pytest
 
 from unlattice import jsonio, runner
 from unlattice import convergence as cv
-from unlattice.constructive import RieszWitness, riesz_decompose
+from unlattice import gallery
+from unlattice.constructive import RieszWitness, UoExtraction, riesz_decompose, uo_extract
 from unlattice.errors import LatticeError
 from unlattice.spaces import (
     DirectSumVector,
@@ -45,6 +50,7 @@ from unlattice.spaces import (
     linf,
     lp,
     lp_step,
+    tag_to_dict,
     unit,
     zero,
 )
@@ -405,9 +411,106 @@ def riesz_jobs():
         yield f"riesz/edge/{name}", job
 
 
+#: the typewriter's levels: runs of one to seven terms, then several chunks per level
+TYPEWRITER_LEVELS = (1, 2, 3, 7, 10, 11)
+TYPEWRITER_DIAGNOSTICS = ({"name": "norm"}, {"name": "un_qip"},
+                          {"name": "in_measure", "delta": 0.5}, {"name": "pointwise"},
+                          {"name": "weak", "functionals": "step_family"})
+
+
+def typewriter_jobs():
+    for max_level in TYPEWRITER_LEVELS:
+        # the gallery's window where the run is long enough, length // 4 below it
+        ts = cv.ToleranceSpec(tol=1e-2, window=256 if max_level >= 9 else None)
+        for p in (1.0, 2.0):
+            seq = runner.build_sequence(
+                {"gallery": "typewriter", "params": {"max_level": max_level, "p": p}})
+            for diag in TYPEWRITER_DIAGNOSTICS:
+                yield (f"typewriter/{max_level}/p{p:g}/{diag['name']}",
+                       lambda seq=seq, diag=diag, ts=ts: runner.run_diagnostic(seq, diag, ts))
+
+
+def _step_literal(rng, tags, magnitude) -> dict:
+    """The literal of a random step function on one of the compatible ``tags``."""
+    x = _step(rng, tags, magnitude)
+    return {"tag": tag_to_dict(x.tag), "level": x.level, "values": x.values.tolist()}
+
+
+def inline_step_jobs():
+    for p in (1.0, 2.0):
+        for s in range(12):
+            rng = np.random.default_rng([6, int(p), s])
+            base = int(rng.integers(0, 3))
+            measure = MeasureModel(base, tuple(rng.uniform(0.1, 2.0, 2 ** base).tolist()))
+            tags = [lp_step(p, measure.refined(base + k)) for k in range(3)]
+            length = int(rng.integers(3, 41))
+            elements = _terms(rng, lambda m: _step_literal(rng, tags, min(m, 1e300)), length)
+            seq = runner.build_sequence({"inline": {"elements": elements}})
+            ts = _tolerance(rng, length)
+            delta = (1e-3, 0.5)[s % 2]
+            yield (f"inline_step/p{p:g}/{s}/in_measure",
+                   lambda seq=seq, ts=ts, delta=delta: cv.in_measure_tail(seq, delta, ts))
+            yield f"inline_step/p{p:g}/{s}/pointwise", lambda seq=seq, ts=ts: cv.pointwise_tail(seq, ts)
+
+
+UO_TS = cv.ToleranceSpec(tol=1e-2, window=2)
+
+
+def uo_jobs():
+    for max_level in range(4, 11):
+        for p in (1.0, 2.0):
+            yield (f"uo/typewriter/{max_level}/p{p:g}",
+                   lambda max_level=max_level, p=p: uo_extract(gallery.typewriter(max_level, p),
+                                                                 UO_TS))
+    for p in (1.0, 2.0):
+        for s in range(10):
+            rng = np.random.default_rng([7, int(p), s])
+            base = int(rng.integers(0, 3))
+            measure = MeasureModel(base, tuple(rng.uniform(0.1, 2.0, 2 ** base).tolist()))
+            tags = [lp_step(p, measure.refined(base + k)) for k in range(3)]
+            length = int(rng.integers(3, 33))
+            # null-ish sequences decay, so the selection finds its indices
+            decay = (1.0, 0.5, 0.1)[s % 3]
+            terms = _terms(rng, lambda m: _step(rng, tags, min(m, 1e300)), length)
+            terms = [x.scale(decay ** n) for n, x in enumerate(terms)]
+            if s % 4 == 1:
+                terms[int(rng.integers(0, length))] = zero(tags[0])
+            seq = cv.sequence_from_list(terms)
+            ts = cv.ToleranceSpec(TOLS[s % len(TOLS)], (None, 2)[s % 2])
+            yield f"uo/step/p{p:g}/{s}", lambda seq=seq, ts=ts: uo_extract(seq, ts)
+    for tag in (c0(), lp(1), lp(2), linf()):
+        for s in range(8):
+            rng = np.random.default_rng([8, SEQ_TAGS.index(tag), s])
+            length = int(rng.integers(3, 25))
+            decay = (1.0, 0.5, 0.1, 1e-3)[s % 4]
+            terms = _terms(rng, lambda m: _vector(rng, tag, m), length)
+            terms = [x.scale(decay ** n) for n, x in enumerate(terms)]
+            seq = cv.sequence_from_list(terms)
+            ts = cv.ToleranceSpec(TOLS[s % len(TOLS)], (None, 2)[s % 2])
+            yield f"uo/sparse/{tag.describe()}/{s}", lambda seq=seq, ts=ts: uo_extract(seq, ts)
+    # past n = 1074 the weight 2**-n of e underflows to 0.0 and e stops growing
+    for entry, horizon in (("std_units_c0", 2048), ("std_units_l2", 64), ("overlap_l2", 64),
+                           ("direct_sum", 64)):
+        seq = runner.build_sequence({"gallery": entry, "params": {"horizon": horizon}})
+        yield f"uo/gallery/{entry}/{horizon}", lambda seq=seq: uo_extract(seq, cv.ToleranceSpec())
+    # e overflows: a term's norm is subnormal, or its mass sits on a cell of weight 0
+    light = lp_step(1, MeasureModel(1, (0.0, 1.0)))
+    cases = {
+        "subnormal_norm_c0": [LatticeVector(c0(), {1: 1e-310}), unit(c0(), 2)],
+        "subnormal_norm_l1": [unit(lp(1), 1), LatticeVector(lp(1), {2: 3e-320, 5: 1.0e-310})],
+        "weightless_cell": [StepFunction(light, 1, np.array([1e300, 1e-300])),
+                            StepFunction(light, 1, np.array([0.0, 1.0]))],
+        "zero_sequence": [zero(lp(2))] * 4,
+    }
+    for name, terms in cases.items():
+        yield (f"uo/edge/{name}",
+               lambda terms=terms: uo_extract(cv.sequence_from_list(terms), cv.ToleranceSpec()))
+
+
 FAMILIES = {"sparse": sparse_jobs, "step": step_jobs, "direct_sum": direct_sum_jobs,
             "gallery": gallery_jobs, "order_witness": order_witness_jobs,
-            "refusal": refusal_jobs, "riesz": riesz_jobs}
+            "refusal": refusal_jobs, "riesz": riesz_jobs, "typewriter": typewriter_jobs,
+            "inline_step": inline_step_jobs, "uo": uo_jobs}
 
 
 def canonical(job) -> str:
@@ -420,6 +523,11 @@ def canonical(job) -> str:
         if isinstance(out, RieszWitness):
             return jsonio.dumps({name: element_to_dict(getattr(out, name))
                                  for name in ("y", "z", "a", "b", "c", "d")})
+        if isinstance(out, UoExtraction):
+            return jsonio.dumps({"test_vector": element_to_dict(out.test_vector),
+                                 "subindices": out.subindices, "meet_norms": out.meet_norms,
+                                 "report": out.report.to_json_dict(),
+                                 "degenerate": out.degenerate})
         return jsonio.dumps(out.to_json_dict())
     except LatticeError as exc:
         return f"{type(exc).__name__}: {exc}"
