@@ -22,13 +22,15 @@ To rewrite the file after an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_digests.py
 
-It prints each job id whose digest it changed, added or removed, as
-``changed <id>``, ``added <id>`` or ``removed <id>``.
+It prints each family's wall time, as ``<family> <seconds> s``, then each
+job id whose digest it changed, added or removed, as ``changed <id>``,
+``added <id>`` or ``removed <id>``.
 """
 
 import hashlib
 import json
 import platform
+import time
 from pathlib import Path
 
 import numpy as np
@@ -561,8 +563,10 @@ def test_family_matches_digests(family):
 if __name__ == "__main__":
     pinned = _pinned()["digests"] if DIGESTS.exists() else {}
     digests = {}
-    for family in FAMILIES:
+    for family in FAMILIES:  # the wall time of each family: the Tier-1 cost it adds
+        start = time.perf_counter()
         digests.update(render_digests(family))
+        print(family, f"{time.perf_counter() - start:.2f}", "s")
     DIGESTS.write_text(json.dumps({"python": platform.python_version(),
                                    "numpy": np.__version__, "jobs": len(digests),
                                    "digests": digests}, indent=1) + "\n")
