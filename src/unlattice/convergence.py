@@ -686,7 +686,10 @@ def _pairings(seq: VectorSequence, functionals: list[Element], modulus: bool) ->
     with ``modulus``), each term generated once.  Step models pair by blocks,
     each functional weighted once per level; sequence models term by term over
     the common supports, which walks only the shorter one; the direct sum is
-    the sum of its parts' tables.  A pairing past the float range is refused."""
+    the sum of its parts' tables.  A step row whose weighted sum is not finite
+    is paired again with the weights applied after f * x, so that w * f
+    overflowing does not refuse a finite pairing.  A pairing past the float
+    range is refused."""
     if seq.tag.kind == "l1_oplus_linf":
         left, right = _parts(seq)
         with np.errstate(over="ignore"):
@@ -713,7 +716,13 @@ def _pairings(seq: VectorSequence, functionals: list[Element], modulus: bool) ->
                 m = max(level, f.level)
                 if (j, m) not in weighted:
                     weighted[j, m] = f.tag.measure.weight_array(m) * f.refined(m).values
-                table[rows, j] = _pair_sums(_at_level(block, level, m) * weighted[j, m])
+                x = _at_level(block, level, m)
+                sums = _pair_sums(x * weighted[j, m])
+                redo = ~np.isfinite(sums)
+                if redo.any():  # w * f can overflow where f * x does not: weigh last
+                    sums[redo] = _pair_sums(
+                        x[redo] * f.refined(m).values * f.tag.measure.weight_array(m))
+                table[rows, j] = sums
         if not np.isfinite(table[rows]).all():
             raise ValidationError("the pairing exceeds the float range")
     return table

@@ -866,6 +866,21 @@ def test_pairing_beyond_the_float_range():
                           modulus=modulus)
     assert pairing(edge, e1) == 1e308 + 7e307
     assert weak_tail(sequence_from_list([e1.scale(-1.0)]), [edge], TS).values == [1.7e308]
+    # w * f = 2 * 1e308 overflows, w * f * x = 2e8 does not; a row that is 0.0
+    # on the overflowed cell pairs to its other cells
+    tiny = StepFunction(heavy, 0, np.array([1e-300]))
+    two = lp_step(1, MeasureModel(1, (2.0, 0.5)))
+    f2 = StepFunction(two, 1, np.array([1e308, 3.0]))
+    seq = sequence_from_list([StepFunction(two, 2, np.array([1e-300, 0.0, 2.0, 1.0])),
+                              StepFunction(two, 1, np.array([0.0, 1.0]))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pairing(h, tiny) == 2e8
+        assert weak_tail(sequence_from_list([tiny, tiny.scale(-1.0)]), [h], TS).values == [
+            2e8, 2e8]
+        assert weak_tail(seq, [f2], TS).values == [1e8 + (1.5 + 0.75), 1.5]
+        with pytest.raises(ValidationError, match="float range"):
+            pairing(h, StepFunction(heavy, 0, np.array([1.0])))
 
 
 def test_weak_tail_sign_modulation_cancels_exactly():
