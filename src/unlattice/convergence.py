@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,12 +79,15 @@ ORDER_SLACK = 1e-12
 class VectorSequence:
     """Finite, 1-based, deterministic sequence of tagged elements.  Iterating
     one of more than ``_MAX_CELLS`` terms is refused before a term is made,
-    and each term it makes is checked against ``tag``."""
+    and each term it makes is checked against ``tag``.  A step sequence may
+    carry ``blocks``, which makes its level blocks without making its terms
+    (see ``step_blocks``)."""
 
     tag: SpaceTag
     length: int
     at: Callable[[int], Element]
     name: str = ""
+    blocks: Callable[[Callable[[int], None]], Iterator[tuple]] | None = None
 
     def __post_init__(self):
         if self.length < 1:
@@ -99,6 +102,33 @@ class VectorSequence:
 
     def terms(self) -> list[Element]:
         return list(self)
+
+    def step_blocks(self, check: Callable[[int], None]) -> Iterator[tuple]:
+        """The terms of this step sequence as dense blocks ``(rows, tag, level,
+        values)``: row i of ``values``, a fresh array, holds the cell values at
+        ``level`` of term ``rows[i] + 1``; the rows of a block increase; and
+        ``tag`` is a term's tag whose measure all the block's terms share.  A
+        block holds ``_block_rows(level)`` rows or fewer, and ``check(level)``
+        runs before a block at ``level`` is made.  Without ``blocks``, each
+        term is generated once, checked and buffered with the terms of its
+        level and measure, so ``check`` runs before the next term is made."""
+        _check_cells(self.length, 1)
+        if self.blocks is not None:
+            yield from self.blocks(check)
+            return
+        pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
+        for n, x in enumerate(self):
+            check(x.level)
+            # the entry holds the tag, so the measure's id names it while buffered
+            key = (x.level, id(x.tag.measure))
+            tag, rows, values = pending.setdefault(key, (x.tag, [], []))
+            rows.append(n)
+            values.append(x.values)
+            if len(rows) == _block_rows(x.level):
+                del pending[key]
+                yield np.array(rows), tag, x.level, np.array(values)
+        for (level, _), (tag, rows, values) in pending.items():
+            yield np.array(rows), tag, level, np.array(values)
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
@@ -220,45 +250,35 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
             indptr, indices, data = [0], [], []
 
 
+def _block_rows(level: int) -> int:
+    """The fewest rows, one at least, whose cells at ``level`` reach
+    ``_CHUNK_CELLS``: a block's size."""
+    return -(-_CHUNK_CELLS >> level)
+
+
 def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: int = 0,
                  budget: bool = False):
-    """The terms of the step sequence ``seq``, less ``limit``, as dense blocks
-    ``(rows, tag, level, block)``: row i of ``block`` holds the cell values at
-    ``level`` of term ``rows[i] + 1``, and ``tag`` is a term's tag whose measure
-    all the block's terms share, so a row is weighted by its own term's measure.
-    The terms of one level and measure are buffered until they fill about
-    ``_CHUNK_CELLS`` cells at level ``top`` (or their own, if higher), so a
-    block refined to ``top`` stays that small.  Each term is generated once;
-    an overflowed difference is refused.  With ``budget``, a term is refused
-    before the next is generated once ``seq.length`` rows at level ``top`` or
-    its own would exceed ``_MAX_CELLS``: the size of the common refinement."""
-    pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
-    for n, x in enumerate(seq):
+    """The level blocks of the step sequence ``seq`` (``VectorSequence.step_blocks``),
+    less ``limit``, cut to ``_block_rows`` of level ``top`` or their own, if
+    higher, so a block refined to ``top`` stays that small.  An overflowed
+    difference is refused.  With ``budget``, a level is refused before its
+    first block is made once ``seq.length`` rows at ``top`` or that level
+    would exceed ``_MAX_CELLS``: the size of the common refinement."""
+    def check(level: int) -> None:
         if budget:
-            _check_cells(seq.length, 2 ** max(x.level, top))
-        # the entry holds the tag, so the measure's id names it while buffered
-        key = (x.level, id(x.tag.measure))
-        _, rows, values = pending.setdefault(key, (x.tag, [], []))
-        rows.append(n)
-        values.append(x.values)
-        if len(rows) << max(x.level, top) >= _CHUNK_CELLS:
-            yield _step_block(*pending.pop(key), x.level, limit)
-    for (level, _), entry in pending.items():
-        yield _step_block(*entry, level, limit)
+            _check_cells(seq.length, 2 ** max(level, top))
 
-
-def _step_block(tag: SpaceTag, rows: list[int], values: list[np.ndarray], level: int,
-                limit: StepFunction | None):
-    """The block of the buffered ``values`` of terms ``rows`` + 1 at ``level``."""
-    block = np.array(values)
-    if limit is not None:  # as x - limit: at the higher of the two levels
-        m = max(level, limit.level)
-        with np.errstate(over="ignore"):
-            block = _at_level(block, level, m) - limit.refined(m).values
-        if not np.isfinite(block).all():
-            raise ValidationError("values must be finite")
-        level = m
-    return np.array(rows), tag, level, block
+    for rows, tag, level, values in seq.step_blocks(check):
+        size = _block_rows(max(level, top))
+        for s in range(0, len(rows), size):
+            block, m = values[s:s + size], level
+            if limit is not None:  # as x - limit: at the higher of the two levels
+                m = max(level, limit.level)
+                with np.errstate(over="ignore"):
+                    block = _at_level(block, level, m) - limit.refined(m).values
+                if not np.isfinite(block).all():
+                    raise ValidationError("values must be finite")
+            yield rows[s:s + size], tag, m, block
 
 
 def _at_level(block: np.ndarray, level: int, m: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .convergence import _MAX_CELLS, ToleranceSpec, VectorSequence
+from .convergence import _MAX_CELLS, ToleranceSpec, VectorSequence, _block_rows
 from .errors import RefinementOverflow, ValidationError
 from .spaces import (
     DEFAULT_HORIZON,
@@ -100,7 +100,23 @@ def typewriter(max_level: int = DEFAULT_TYPEWRITER_LEVELS,
         v[cell] = 1.0
         return StepFunction._trusted(tag, k, v)
 
-    return VectorSequence(tag, length, at, name="typewriter")
+    def blocks(check):
+        # the terms 2**k .. 2**(k+1) - 1 of level k are the rows of the 2**k identity
+        for k in range(max_level):
+            check(k)
+            size = _block_rows(k)
+            for first in range(0, 2 ** k, size):
+                count = min(size, 2 ** k - first)
+                rows = np.arange(2 ** k - 1 + first, 2 ** k - 1 + first + count)
+                yield rows, tag, k, _indicator_rows(k, first, count)
+
+    return VectorSequence(tag, length, at, name="typewriter", blocks=blocks)
+
+
+def _indicator_rows(level: int, first: int, count: int) -> np.ndarray:
+    """Rows ``first`` .. ``first + count - 1`` of the 2**level identity: the
+    indicators of those cells at ``level``."""
+    return np.eye(count, 2 ** level, first)
 
 
 def rademacher(tag: SpaceTag, level: int) -> StepFunction:
