@@ -12,7 +12,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .convergence import (
     NULL,
@@ -35,7 +38,18 @@ from .errors import (
     SelectionStalled,
     ValidationError,
 )
-from .spaces import Element, check_tags, zero
+from .spaces import (
+    _L1,
+    _LINF,
+    DirectSumVector,
+    Element,
+    LatticeVector,
+    SpaceTag,
+    StepFunction,
+    _repeat,
+    check_tags,
+    zero,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +284,33 @@ def _select_geometric(length: int, q, target_count: int | None,
     return picks, values
 
 
+def _weighted_moduli(tag: SpaceTag, weighted: list[tuple[float, Element]]) -> Element:
+    """The sum of w |x| over the pairs (w, x) of ``weighted``, accumulated in
+    place in their order: one array at the sum's level for step models, one
+    dict for sequence models, one of each for the direct sum's parts.  Per
+    cell the additions are those of the chain e = e + |x|.scale(w) from
+    e = 0, in the same order, and refinement copies values exactly, so the
+    sum is that chain's bit for bit; a sum that overflows is refused as the
+    chain refuses it."""
+    if tag.kind == "lp_step":
+        level = max([tag.measure.level] + [x.level for _, x in weighted])
+        e = np.zeros(2 ** level)
+        with np.errstate(over="ignore", invalid="ignore"):  # _checked refuses the sum
+            for w, x in weighted:
+                e += _repeat(w * np.abs(x.values), x.level, level)
+        return StepFunction._checked(tag, level, e)
+    if tag.kind == "l1_oplus_linf":
+        return DirectSumVector(_weighted_moduli(_L1, [(w, x.left) for w, x in weighted]),
+                               _weighted_moduli(_LINF, [(w, x.right) for w, x in weighted]))
+    e: dict[int, float] = {}
+    for w, x in weighted:
+        for i, v in x.coords.items():
+            t = w * math.fabs(v)
+            if t:  # the chain drops a product that underflows to 0.0
+                e[i] = e.get(i, 0.0) + t
+    return LatticeVector._checked(tag, e)
+
+
 @dataclass
 class UoExtraction:
     test_vector: Element
@@ -298,12 +339,13 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         return UoExtraction(zero(seq.tag), list(range(1, seq.length + 1)),
                             [0.0] * seq.length, report, degenerate=True)
 
-    e = zero(seq.tag)
+    weighted = []
     for n in nonzero:
         w = 2.0 ** -n / norms[n - 1]
         if w == 0.0:
             break  # underflow past the representable horizon
-        e = e + terms[n - 1].abs().scale(w)
+        weighted.append((w, terms[n - 1]))
+    e = _weighted_moduli(seq.tag, weighted)
 
     subindices, meet_norms = _select_geometric(
         seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), target_count,
