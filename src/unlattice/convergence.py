@@ -55,6 +55,7 @@ from .spaces import (
     StepFunction,
     _fsum,
     _power_norm,
+    _power_step_norm,
     _step_norm,
     _vector_norm,
     check_tags,
@@ -294,7 +295,10 @@ def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
         m = max(level, u.level)
         a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
     w, p = tag.measure.weight_array(level), tag.p
-    return [_step_norm(w, row, p) for row in a]
+    if p == 1.0:
+        return [_step_norm(w, row, p) for row in a]
+    with np.errstate(over="ignore"):  # once per block, not once per row
+        return [_power_step_norm(w, row, p) for row in a]
 
 
 def _fsums(values: np.ndarray, bounds) -> np.ndarray:

@@ -640,7 +640,12 @@ def _step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(np.dot(w, a))
     with np.errstate(over="ignore"):
-        s = np.dot(w, a ** p)
+        return _power_step_norm(w, a, p)
+
+
+def _power_step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
+    """``_step_norm`` for p != 1, under the caller's ``np.errstate(over="ignore")``."""
+    s = np.dot(w, a ** p)
     if not MIN_NORMAL <= s < math.inf:
         # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
         big = a.max()
