@@ -1,9 +1,18 @@
 """Named sequence gallery: generators and the pinned verdict table."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from unlattice.convergence import ToleranceSpec, sequence_from_list, un_tail
+from unlattice import convergence, gallery
+from unlattice.convergence import (
+    ToleranceSpec,
+    VectorSequence,
+    pointwise_tail,
+    sequence_from_list,
+    un_tail,
+)
 from unlattice.errors import RefinementOverflow, TagMismatch, ValidationError
 from unlattice.gallery import (
     GALLERY,
@@ -85,6 +94,57 @@ def test_typewriter_block_layout():
     assert total.values.tolist() == [1.0] * 8
     with pytest.raises(ValidationError):
         typewriter(0)
+
+
+def _per_term(seq: VectorSequence) -> VectorSequence:
+    """``seq`` without its block producer: its blocks buffer its terms."""
+    return VectorSequence(seq.tag, seq.length, seq.at, name=seq.name)
+
+
+def _rows(blocks) -> list:
+    """(row, tag, level, values) of each row of ``blocks``, in row order."""
+    out = [(row, tag, level, values.tolist())
+           for rows, tag, level, block in blocks for row, values in zip(rows.tolist(), block)]
+    return sorted(out, key=lambda r: r[0])
+
+
+@pytest.mark.parametrize("chunk_cells", [16, 2 ** 16])
+@pytest.mark.parametrize("max_level", range(1, 10))
+def test_typewriter_blocks_are_the_buffered_terms(max_level, chunk_cells):
+    seq = typewriter(max_level)
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        for top in (0, max_level + 1):  # top above every term's level cuts every block
+            produced = list(convergence._step_blocks(seq, top=top))
+            buffered = list(convergence._step_blocks(_per_term(seq), top=top))
+            assert _rows(produced) == _rows(buffered) and len(produced) == len(buffered)
+            assert all(tag is seq.tag for _, tag, _, _ in produced)
+            for rows, _, level, block in produced:  # increasing rows, one block's size
+                assert (np.diff(rows) > 0).all() and block.flags.writeable
+                assert (len(rows) - 1) << max(level, top) < chunk_cells
+
+
+def test_typewriter_blocks_refuse_a_level_before_making_it():
+    seq = typewriter(6)  # 63 terms: level 3 needs 63 x 8 cells
+    made = []
+
+    def indicator_rows(level, first, count):
+        made.append(level)
+        return np.eye(count, 2 ** level, first)
+
+    ts = ToleranceSpec(window=1)
+    with mock.patch.object(convergence, "_MAX_CELLS", 31 * 16), \
+            mock.patch.object(gallery, "_indicator_rows", indicator_rows):
+        for top, last in ((0, 2), (5, None)):
+            made.clear()
+            with pytest.raises(ValidationError) as produced:
+                list(convergence._step_blocks(seq, top=top, budget=True))
+            with pytest.raises(ValidationError) as buffered:
+                list(convergence._step_blocks(_per_term(seq), top=top, budget=True))
+            assert str(produced.value) == str(buffered.value)
+            assert max(made, default=None) == last  # no block of the refused level
+        with pytest.raises(ValidationError, match="a 63 x 8 matrix exceeds 496 cells"):
+            pointwise_tail(seq, ts)
+        assert pointwise_tail(typewriter(5), ts).extras["refinement_level"] == 4
 
 
 def test_rademacher_structure():
