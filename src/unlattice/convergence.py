@@ -113,8 +113,8 @@ class VectorSequence:
         runs before a block at ``level`` is made.  Without ``blocks``, each
         term is generated once, checked and buffered with the terms of its
         level and measure, so ``check`` runs before the next term is made."""
-        _check_cells(self.length, 1)
         if self.blocks is not None:
+            _check_cells(self.length, 1)  # as iterating the terms checks it
             yield from self.blocks(check)
             return
         pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
