@@ -439,36 +439,37 @@ def truncation_index(u: Element, e: Element, eps: float, m_max: int = 2 ** 20) -
     return hi
 
 
+def _qip_norms(seq: VectorSequence, limit: Element, horizon: int = DEFAULT_HORIZON):
+    """The (length, 1) column || |seq(n) - limit| /\\ e || for the model's quasi-interior
+    point e: (2**-n) up to ``horizon`` in c0 and lp, the constant one in step models,
+    1 in linf (min(||x||, 1) exactly, on no horizon), (2**-n) (+) 1 in the direct sum."""
+    if seq.tag.kind == "l1_oplus_linf":
+        (left, right), h = _parts(seq), horizon
+        return np.maximum(_qip_norms(left, limit.left, h), _qip_norms(right, limit.right, h))
+    if seq.tag.kind == "linf":
+        return np.minimum(_tail_norms(seq, limit), 1.0)
+    return _tail_norms(seq, limit, [quasi_interior_point(seq.tag, horizon)])
+
+
 def un_strong_unit(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:
-    """``un_tail`` of a linf sequence against its strong unit 1, which no
-    horizon cuts off: || |x| /\\ 1 || = min(||x||, 1) exactly (min rounds nothing).
-    A direct-sum sequence is read against 0 (+) 1: its l1 part meets 0, so the
-    value is its linf part sequence's against 1."""
+    """``un_tail`` of a linf sequence against its strong unit 1, on no horizon; of a
+    direct sum against 0 (+) 1, which is its linf part's, as its l1 part meets 0."""
     check_tags(seq.tag, limit.tag)
     if seq.tag.kind == "l1_oplus_linf":
         seq, limit = _parts(seq)[1], limit.right
-    return _table_report("un-tail", np.minimum(_tail_norms(seq, limit), 1.0), ts,
-                         "test_index", {"num_tests": 1})
+    return _table_report("un-tail", _qip_norms(seq, limit), ts, "test_index", {"num_tests": 1})
 
 
 def un_tail_qip(seq: VectorSequence, limit: Element, ts: ToleranceSpec,
                 horizon: int = DEFAULT_HORIZON) -> TailReport:
-    """Single-vector un-test against the model's quasi-interior point e.
-
-    ``truncation_index`` gives the reduction step that makes the single
-    vector sufficient: u /\\ (m e) approximates any test u >= 0.  In linf,
-    e is the strong unit 1 (``un_strong_unit``): ``horizon`` cuts nothing off.
-    """
+    """Single-vector un-test against the model's quasi-interior point e: any
+    test u >= 0 is approximated by u /\\ (m e), m from ``truncation_index``."""
     if horizon < 1:
         raise ValidationError("qip horizon must be >= 1")
-    if seq.tag.kind != "linf":
-        report = un_tail(seq, limit, [quasi_interior_point(seq.tag, horizon)], ts)
-    else:
-        report = un_strong_unit(seq, limit, ts)
-    report.quantity = "un-tail-qip"
-    report.extras["test_family"] = "quasi-interior-point"
-    report.extras["qip_horizon"] = horizon
-    return report
+    check_tags(seq.tag, limit.tag)
+    return _table_report("un-tail-qip", _qip_norms(seq, limit, horizon), ts, "test_index",
+                         {"num_tests": 1, "test_family": "quasi-interior-point",
+                          "qip_horizon": horizon})
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ function that consumes it.  A diagnostic spec is {"name": <diagnostic>,
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 from typing import Mapping
 
 import numpy as np
@@ -83,7 +84,7 @@ def _step_functionals(seq: VectorSequence, *rows) -> list[Element]:
 
 
 TEST_FAMILIES = {
-    "qip": lambda seq: [quasi_interior_point(seq.tag)],
+    "qip": None,  # the model's quasi-interior point, which ``_un`` reads as un_tail_qip does
     "l1_part_units": lambda seq: [DirectSumVector(quasi_interior_point(lp(1)), zero(linf()))],
     "direct_sum_witness": lambda seq: [direct_sum_witness()],
     "profile": lambda seq: [seq.at(1).abs()],
@@ -115,18 +116,21 @@ def _limit(limit, seq: VectorSequence) -> Element:
     return zero(seq.tag) if limit is None else element_from_dict(limit)
 
 
-#: (test family, space kind) pairs that ``un`` reads in closed form, with no
-#: horizon: linf's qip is its strong unit 1, and the direct sum's witness
-#: 0 (+) 1 is the strong unit on the linf part
-_STRONG_UNIT = (("qip", "linf"), ("direct_sum_witness", "l1_oplus_linf"))
+def _un(seq: VectorSequence, ts: ToleranceSpec, tests="qip", limit=None) -> TailReport:
+    """``un_tail`` against ``tests``, but "qip" and the direct-sum witness in closed form."""
+    limit = _limit(limit, seq)
+    if tests == "qip":  # un_tail_qip at DEFAULT_HORIZON, reported as un_tail
+        return replace(cv.un_tail_qip(seq, limit, ts), quantity="un-tail", extras={"num_tests": 1})
+    if tests == "direct_sum_witness" and seq.tag.kind == "l1_oplus_linf":
+        return cv.un_strong_unit(seq, limit, ts)
+    return cv.un_tail(seq, limit, resolve(TEST_FAMILIES, tests, seq), ts)
+
 
 #: One adapter per diagnostic; its keyword parameters are the diagnostic's
 #: params, and it looks the diagnostic up in ``convergence`` at call time.
 DIAGNOSTICS = {
     "norm": lambda seq, ts, limit=None: cv.norm_tail(seq, _limit(limit, seq), ts),
-    "un": lambda seq, ts, tests="qip", limit=None: (
-        cv.un_strong_unit(seq, _limit(limit, seq), ts) if (tests, seq.tag.kind) in _STRONG_UNIT
-        else cv.un_tail(seq, _limit(limit, seq), resolve(TEST_FAMILIES, tests, seq), ts)),
+    "un": _un,
     "un_qip": lambda seq, ts, horizon=cv.DEFAULT_HORIZON, limit=None: cv.un_tail_qip(
         seq, _limit(limit, seq), ts, horizon=horizon),
     "in_measure": lambda seq, ts, delta: cv.in_measure_tail(seq, delta, ts),

@@ -766,17 +766,12 @@ def zero(tag: SpaceTag) -> Element:
 
 
 def quasi_interior_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> Element:
-    """A canonical quasi-interior point of the tagged model.
-
-    c0 and lp get the summable ``geometric_point`` (2**-n); linf gets its
-    strong unit 1 on the horizon; the step models get the constant-one
-    function.
-    """
+    """A canonical quasi-interior point of the tagged model: the summable
+    ``geometric_point`` (2**-n) in c0 and lp, the constant one in the step
+    models.  ``convergence.un_tail_qip`` reads linf's and the direct sum's."""
     if tag.kind == "lp_step":
         return constant_one(tag)
-    if tag.kind == "linf":
-        return ones(tag, horizon)
-    if tag.is_sequence_kind:
+    if tag.kind in ("c0", "lp"):
         return geometric_point(tag, horizon)
     raise ValidationError(f"no canonical quasi-interior point for {tag.describe()}")
 

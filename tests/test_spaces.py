@@ -344,12 +344,16 @@ def test_step_values_immutable():
 def test_quasi_interior_points():
     e = quasi_interior_point(c0(), horizon=8)
     assert e.coords == {n: 2.0 ** -n for n in range(1, 9)}
-    assert quasi_interior_point(linf(), horizon=4).coords == {n: 1.0 for n in range(1, 5)}
     f = quasi_interior_point(lp_step(2, level=2))
     assert f.values.tolist() == [1.0] * 4
-    for tag in (c0(), lp(1), linf(), lp_step(1)):
+    for tag in (c0(), lp(1), lp_step(1)):
         q = quasi_interior_point(tag, horizon=16)
         assert q.is_positive() and not q.is_zero()
+    # linf's strong unit 1 and the direct sum's (2**-n) (+) 1 are read in
+    # closed form by un_tail_qip; no finite horizon stores them as one element
+    for tag in (linf(), direct_sum()):
+        with pytest.raises(ValidationError, match="^no canonical quasi-interior point for "):
+            quasi_interior_point(tag, horizon=4)
 
 
 def test_quasi_interior_point_memory_is_bounded():

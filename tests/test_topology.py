@@ -25,6 +25,7 @@ from unlattice.spaces import (
     linf,
     lp,
     lp_step,
+    ones,
     quasi_interior_point,
     unit,
 )
@@ -288,5 +289,5 @@ def test_topology_agrees_with_un_diagnostic():
 
     seq_inf = std_units(linf(), 64)
     assert un_tail_qip(seq_inf, zero(linf()), ts).verdict == NOT_NULL
-    W = Neighborhood(quasi_interior_point(linf(), 64), ts.tol)
+    W = Neighborhood(ones(linf(), 64), ts.tol)
     assert not any(contains(W, seq_inf.at(n)) for n in range(49, 65))
