@@ -56,7 +56,6 @@ from .spaces import (
     _fsum,
     _power_norm,
     _power_step_norm,
-    _step_norm,
     _vector_norm,
     check_tags,
     quasi_interior_point,
@@ -295,8 +294,6 @@ def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
         m = max(level, u.level)
         a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
     w, p = tag.measure.weight_array(level), tag.p
-    if p == 1.0:
-        return [_step_norm(w, row, p) for row in a]
     with np.errstate(over="ignore"):  # once per block, not once per row
         return [_power_step_norm(w, row, p) for row in a]
 

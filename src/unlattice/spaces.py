@@ -636,15 +636,15 @@ def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray
 
 def _step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
     """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0:
-    the norm of a step function and of a block row."""
-    if p == 1.0:
-        return float(np.dot(w, a))
+    the norm of a step function and of a block row; inf where it overflows."""
     with np.errstate(over="ignore"):
         return _power_step_norm(w, a, p)
 
 
 def _power_step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
-    """``_step_norm`` for p != 1, under the caller's ``np.errstate(over="ignore")``."""
+    """``_step_norm`` under the caller's ``np.errstate(over="ignore")``."""
+    if p == 1.0:
+        return float(np.dot(w, a))
     s = np.dot(w, a ** p)
     if not MIN_NORMAL <= s < math.inf:
         # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|

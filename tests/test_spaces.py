@@ -164,6 +164,21 @@ def test_step_norms():
         assert StepFunction(lp_step(2, level=1), 1, np.zeros(2)).norm() == 0.0
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_step_norm_past_the_float_range_is_inf_without_a_warning(p):
+    # cell weights of 3.0 take w * |v|**p past the float range, at every p and
+    # in one cell at p = 1; the norm is inf, one step function or a block row
+    big = [StepFunction(lp_step(p, MeasureModel(1, (3.0, 3.0))), 1, np.array([1.5e308] * 2))]
+    if p == 1.0:
+        big.append(StepFunction(lp_step(p, MeasureModel(0, (3.0,))), 0, np.array([1e308])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in big:
+            assert x.norm() == math.inf
+            seq = convergence.sequence_from_list([x, x])
+            assert convergence._tail_norms(seq, zero(x.tag)).tolist() == [[math.inf]] * 2
+
+
 def test_direct_sum_norm_is_max():
     x = DirectSumVector(vec({1: 1.0, 2: 1.0}, lp(1)), vec({1: 0.5}, linf()))
     assert x.norm() == 2.0
