@@ -284,28 +284,29 @@ def _select_geometric(length: int, q, target_count: int | None,
     return picks, values
 
 
-def _weighted_moduli(tag: SpaceTag, weighted: list[tuple[float, Element]]) -> Element:
-    """The sum of w |x| over the pairs (w, x) of ``weighted``, accumulated in
-    place in their order: one array at the sum's level for step models, one
-    dict for sequence models, one of each for the direct sum's parts.  Per
-    cell the additions are those of the chain e = e + |x|.scale(w) from
-    e = 0, in the same order, and refinement copies values exactly, so the
-    sum is that chain's bit for bit; a sum that overflows is refused as the
-    chain refuses it."""
+def _weighted_moduli(tag: SpaceTag, weighted: list[tuple[float, float, Element]]) -> Element:
+    """The sum of w |x| (of |x| / d * w where d is not 1.0) over the triples
+    (w, d, x) of ``weighted``, accumulated in place in their order: one array
+    at the sum's level for step models, one dict for sequence models, one of
+    each for the direct sum's parts.  Where every d is 1.0, per cell the
+    additions are those of the chain e = e + |x|.scale(w) from e = 0, in the
+    same order, and refinement copies values exactly, so the sum is that
+    chain's bit for bit; a sum that overflows is refused as the chain refuses it."""
     if tag.kind == "lp_step":
-        level = max([tag.measure.level] + [x.level for _, x in weighted])
+        level = max([tag.measure.level] + [x.level for _, _, x in weighted])
         e = np.zeros(2 ** level)
         with np.errstate(over="ignore", invalid="ignore"):  # _checked refuses the sum
-            for w, x in weighted:
-                e += _repeat(w * np.abs(x.values), x.level, level)
+            for w, d, x in weighted:
+                a = np.abs(x.values)
+                e += _repeat(w * a if d == 1.0 else a / d * w, x.level, level)
         return StepFunction._checked(tag, level, e)
     if tag.kind == "l1_oplus_linf":
-        return DirectSumVector(_weighted_moduli(_L1, [(w, x.left) for w, x in weighted]),
-                               _weighted_moduli(_LINF, [(w, x.right) for w, x in weighted]))
+        return DirectSumVector(_weighted_moduli(_L1, [(w, d, x.left) for w, d, x in weighted]),
+                               _weighted_moduli(_LINF, [(w, d, x.right) for w, d, x in weighted]))
     e: dict[int, float] = {}
-    for w, x in weighted:
+    for w, d, x in weighted:
         for i, v in x.coords.items():
-            t = w * math.fabs(v)
+            t = w * math.fabs(v) if d == 1.0 else math.fabs(v) / d * w
             if t:  # the chain drops a product that underflows to 0.0
                 e[i] = e.get(i, 0.0) + t
     return LatticeVector._checked(tag, e)
@@ -344,7 +345,9 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         w = 2.0 ** -n / norms[n - 1]
         if w == 0.0:
             break  # underflow past the representable horizon
-        weighted.append((w, terms[n - 1]))
+        # a subnormal norm overflows w: that summand is (|x_n| / ||x_n||) 2**-n
+        weighted.append((w, 1.0, terms[n - 1]) if w < math.inf
+                        else (2.0 ** -n, norms[n - 1], terms[n - 1]))
     e = _weighted_moduli(seq.tag, weighted)
 
     subindices, meet_norms = _select_geometric(

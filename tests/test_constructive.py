@@ -611,6 +611,24 @@ def test_uo_extract_zero_sequence_degenerate():
     assert out.report.verdict == NULL
 
 
+def test_uo_extract_a_subnormal_norm():
+    # 2**-n / ||x_n|| overflows, so that summand of e is (|x_n| / ||x_n||) 2**-n
+    tiny = [LatticeVector(c0(), {1: 1e-310}), unit(c0(), 2)]
+    out = uo_extract(sequence_from_list(tiny), TS)
+    assert out.test_vector.coords == {1: 0.5, 2: 0.25}
+    assert out.subindices == [1, 2] and out.report.verdict == NULL
+    tag = lp_step(1, MeasureModel(1, (0.5, 0.5)))
+    steps = [StepFunction(tag, 1, np.array([1e-310, 3e-310])), StepFunction(tag, 1, np.ones(2))]
+    out = uo_extract(sequence_from_list(steps), TS)
+    d = steps[0].norm()
+    assert out.test_vector.values.tolist() == [1e-310 / d * 0.5 + 0.25, 3e-310 / d * 0.5 + 0.25]
+    # a cell of weight 0 holds a value that |x_n| / ||x_n|| takes past the float range
+    light = lp_step(1, MeasureModel(1, (0.0, 1.0)))
+    heavy = [StepFunction(light, 1, np.array([1e300, 1e-320])), StepFunction(light, 1, np.ones(2))]
+    with pytest.raises(ValidationError, match="values must be finite"):
+        uo_extract(sequence_from_list(heavy), TS)
+
+
 def test_uo_extract_target_count_stalls():
     seq = std_units(c0(), 16)
     out = uo_extract(seq, TS, target_count=10)
