@@ -343,6 +343,18 @@ def test_kp_advisory_warning_on_non_un_null_input():
         kp_disjointify_positive(seq, 4, TS, require_un_null=True)
 
 
+def test_kp_advisory_on_the_direct_sum():
+    # the direct sum's quasi-interior point (2**-n) (+) 1 meets each e_n (+) e_n
+    # in norm 1, so the advisory warns, and refuses when un-nullity is required
+    for kp in (kp_disjointify_positive, kp_disjointify):
+        res = kp(direct_sum_seq(64), 4, TS)
+        assert res.warnings == ["input sequence is not un-null against the default test "
+                                "family; the greedy scan may stall"]
+        assert res.selected_indices == [1, 2, 3, 4]
+        with pytest.raises(ValidationError, match="not un-null"):
+            kp(direct_sum_seq(64), 4, TS, require_un_null=True)
+
+
 def test_kp_signed_advisory_runs_once_on_the_signed_sequence():
     calls = []
 

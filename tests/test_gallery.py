@@ -1,5 +1,6 @@
 """Named sequence gallery: generators and the pinned verdict table."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from unlattice.runner import build_sequence, run_diagnostic
 from unlattice.spaces import (
     DirectSumVector,
     LatticeVector,
+    MeasureModel,
     StepFunction,
     c0,
     element_to_dict,
@@ -233,6 +235,62 @@ def test_direct_sum_witness_closed_form_is_the_un_tail():
         closed = run_diagnostic(seq, dict(WITNESS_UN, limit=element_to_dict(limit)), ts)
         assert closed.to_json_dict() == un_tail(seq, limit, [direct_sum_witness()],
                                                 ts).to_json_dict()
+
+
+def test_direct_sum_un_qip_reads_its_linf_part():
+    # e = (2**-n) (+) 1: the l1 part reads NULL, the linf part min(||x_n||, 1) = 1,
+    # so the direct sum reads NOT_NULL, as its witness 0 (+) 1 does
+    for horizon, index in ((64, 49), (512, 385), (4096, 3073), (8192, 6145)):
+        seq = build_sequence({"gallery": "direct_sum", "params": {"horizon": horizon}})
+        for diagnostic in ({"name": "un_qip"}, {"name": "un"}, WITNESS_UN):
+            report = run_diagnostic(seq, diagnostic, ToleranceSpec())
+            assert report.verdict == "NOT_NULL" and report.values == [1.0] * horizon
+            assert report.witness == {"index": index, "value": 1.0, "test_index": 0}
+
+
+def _random_vector(rng, tag):
+    keys = rng.choice(np.arange(1, 5001), int(rng.integers(0, 6)), replace=False)
+    return LatticeVector(tag, dict(zip(keys.tolist(), rng.uniform(-2.0, 2.0, keys.size).tolist())))
+
+
+def _random_step(rng, tag):
+    level = tag.measure.level + int(rng.integers(0, 3))
+    return StepFunction(tag, level, rng.uniform(-2.0, 2.0, 2 ** level))
+
+
+QIP_MODELS = {
+    "c0": lambda rng: _random_vector(rng, c0()),
+    "l1": lambda rng: _random_vector(rng, lp(1)),
+    "l2": lambda rng: _random_vector(rng, lp(2)),
+    "linf": lambda rng: _random_vector(rng, linf()),
+    "l2-step": lambda rng: _random_step(rng, lp_step(2, MeasureModel(1, (0.3, 0.7)))),
+    "direct_sum": lambda rng: DirectSumVector(_random_vector(rng, lp(1)),
+                                              _random_vector(rng, linf())),
+}
+
+
+@pytest.mark.parametrize("model", QIP_MODELS)
+def test_un_qip_family_is_the_un_qip_report(model):
+    # the "qip" family of un and the un_qip diagnostic read one column: the
+    # reports differ only in the quantity and un_qip's two extras
+    rng = np.random.default_rng(list(QIP_MODELS).index(model))
+    for _ in range(10):
+        seq = sequence_from_list([QIP_MODELS[model](rng) for _ in range(int(rng.integers(1, 12)))])
+        limit = element_to_dict(QIP_MODELS[model](rng))
+        ts = ToleranceSpec(float(rng.choice([1e-6, 1e-3, 0.5])))
+        un = run_diagnostic(seq, {"name": "un", "tests": "qip", "limit": limit}, ts).to_json_dict()
+        qip = run_diagnostic(seq, {"name": "un_qip", "limit": limit}, ts).to_json_dict()
+        assert qip.pop("quantity") == "un-tail-qip"
+        assert qip["extras"].pop("test_family") == "quasi-interior-point"
+        assert qip["extras"].pop("qip_horizon") == 4096
+        assert un == dict(qip, quantity="un-tail")
+
+
+def test_unknown_test_family_lists_the_known_ones():
+    seq = build_sequence({"gallery": "std_units_c0", "params": {"horizon": 8}})
+    known = "['qip', 'l1_part_units', 'direct_sum_witness', 'profile']"
+    with pytest.raises(ValidationError, match=re.escape(f"unknown family 'nope'; known: {known}")):
+        run_diagnostic(seq, {"name": "un", "tests": "nope"}, ToleranceSpec())
 
 
 def test_gallery_dump_shape():
