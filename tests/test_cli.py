@@ -445,6 +445,9 @@ DIRECT_SUM = {"kind": "l1_oplus_linf"}
      {"name": "un", "tests": [{"tag": C0, "coords": {"1": -1.0}}]}),
     ("non-step-sequence", {"gallery": "std_units_c0", "params": {"horizon": 8}},
      {"name": "in_measure", "delta": 0.5}),
+    # one cell past the maximum refinement level 14
+    ("refinement-overflow", inline({"tag": STEP, "level": 15, "values": [0.0] * 2 ** 15}),
+     "pointwise"),
     # a c0 limit on the direct sum is refused before its parts are read
     ("tag-mismatch", {"gallery": "direct_sum", "params": {"horizon": 8}},
      {"name": "un", "tests": "qip", "limit": {"tag": C0, "coords": {"1": 1.0}}}),
@@ -452,9 +455,6 @@ DIRECT_SUM = {"kind": "l1_oplus_linf"}
      {"name": "un", "tests": "direct_sum_witness", "limit": {"tag": C0, "coords": {"1": 1.0}}}),
     ("tag-mismatch", {"gallery": "direct_sum", "params": {"horizon": 8}},
      {"name": "un_qip", "limit": {"tag": C0, "coords": {"1": 1.0}}}),
-    # one cell past the maximum refinement level 14
-    ("refinement-overflow", inline({"tag": STEP, "level": 15, "values": [0.0] * 2 ** 15}),
-     "pointwise"),
 ])
 def test_input_errors_exit_2_with_one_line(tmp_path, capsys, code, source, diagnostic):
     if isinstance(diagnostic, str):
