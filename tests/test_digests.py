@@ -39,7 +39,16 @@ import pytest
 from unlattice import jsonio, runner
 from unlattice import convergence as cv
 from unlattice import gallery
-from unlattice.constructive import RieszWitness, UoExtraction, riesz_decompose, uo_extract
+from unlattice.constructive import (
+    DisjointificationResult,
+    RieszWitness,
+    UoExtraction,
+    kp_disjointify,
+    kp_disjointify_positive,
+    norm_to_order_subsequence,
+    riesz_decompose,
+    uo_extract,
+)
 from unlattice.errors import LatticeError
 from unlattice.spaces import (
     DirectSumVector,
@@ -509,15 +518,189 @@ def uo_jobs():
                lambda terms=terms: uo_extract(cv.sequence_from_list(terms), cv.ToleranceSpec()))
 
 
+#: gallery entry -> (horizon, target count) of each kp case: the overlap on both
+#: sides of n = 1074, where 2**-n underflows to 0.0, units that are un-null and
+#: units (linf, the direct sum) whose advisory warns "not un-null"
+KP_GALLERY = {"overlap_l2": ((64, 5), (1100, 4)), "std_units_c0": ((64, 6),),
+              "std_units_l1": ((96, 3),), "std_units_linf": ((64, 4),),
+              "direct_sum": ((64, 4),)}
+KP_TOLS = (cv.ToleranceSpec(), cv.ToleranceSpec(1e-3, 16))
+
+
+def kp_jobs():
+    for entry, cases in KP_GALLERY.items():
+        for horizon, count in cases:
+            seq = runner.build_sequence({"gallery": entry, "params": {"horizon": horizon}})
+            for t, ts in enumerate(KP_TOLS):
+                yield (f"kp/gallery/{entry}/{horizon}/{t}",
+                       lambda seq=seq, count=count, ts=ts: kp_disjointify(seq, count, ts))
+            yield (f"kp/gallery/{entry}/{horizon}/positive",
+                   lambda seq=seq, count=count: kp_disjointify_positive(seq, count, KP_TOLS[0]))
+            yield (f"kp/gallery/{entry}/{horizon}/required",
+                   lambda seq=seq, count=count: kp_disjointify(seq, count, KP_TOLS[0],
+                                                               require_un_null=True))
+    # random signed sequences whose supports thin out, so the scan finds its slots
+    for tag in (c0(), lp(1), lp(2), linf()):
+        for s in range(4):
+            rng = np.random.default_rng([9, SEQ_TAGS.index(tag), s])
+            length = int(rng.integers(8, 33))
+            terms = [LatticeVector(tag, {n + k: v for k, v in
+                                         enumerate(_coords(rng, 0.5 ** (n * s)).values())})
+                     for n in range(1, length + 1)]
+            seq = cv.sequence_from_list(terms)
+            count = int(rng.integers(2, 6))
+            yield f"kp/sparse/{tag.describe()}/{s}", lambda seq=seq, count=count: kp_disjointify(
+                seq, count, _tolerance(np.random.default_rng(s), length))
+            yield (f"kp/sparse/{tag.describe()}/{s}/positive",
+                   lambda seq=seq, count=count: kp_disjointify_positive(seq, count, KP_TOLS[0]))
+    tw = gallery.typewriter(4)
+    e1 = unit(c0(), 1)
+    cases = {
+        "typewriter": lambda: kp_disjointify(tw, 4, KP_TOLS[1]),
+        "constant_exhausts_the_horizon": lambda: kp_disjointify(
+            cv.sequence_from_list([e1] * 8), 3, KP_TOLS[0], check_un_null=False),
+        "unchecked": lambda: kp_disjointify(gallery.std_units(linf(), 16), 3, KP_TOLS[0],
+                                            check_un_null=False),
+        "target_0": lambda: kp_disjointify(gallery.std_units(c0(), 16), 0, KP_TOLS[0]),
+        "window_over_length": lambda: kp_disjointify(gallery.std_units(c0(), 4), 2,
+                                                     cv.ToleranceSpec(window=8)),
+        # the advisory refuses the sequence's size, the scan stops at its third slot
+        "advisory_over_budget": lambda: kp_disjointify(
+            gallery.std_units(c0(), cv._MAX_CELLS + 1), 3, KP_TOLS[0]),
+    }
+    for name, job in cases.items():
+        yield f"kp/edge/{name}", job
+    for tag in (c0(), lp(1), lp(3), linf(), lp_step(2, MeasureModel(1, (0.25, 0.75)))):
+        for s in range(3):
+            rng = np.random.default_rng([10, s])
+            if tag.kind == "lp_step":
+                tags = [tag]
+                vectors = [_step(rng, tags, 1.0) for _ in range(int(rng.integers(1, 6)))]
+                u = _step(rng, tags, 1.0, positive=True)
+            else:
+                vectors = [_vector(rng, tag) for _ in range(int(rng.integers(1, 6)))]
+                u = _vector(rng, tag, positive=True, max_size=12)
+            eps = (1e-6, 0.5, 4.0)[s]
+            yield (f"kp/almost_order_bounded/{tag.describe()}/{s}",
+                   lambda vectors=vectors, u=u, eps=eps: cv.almost_order_bounded_check(
+                       vectors, u, eps))
+            decay = (0.5, 0.1, 0.9)[s]
+            seq = cv.sequence_from_list([x.scale(decay ** n) for n, x in enumerate(vectors * 8)])
+            yield (f"kp/norm_to_order/{tag.describe()}/{s}",
+                   lambda seq=seq, s=s: norm_to_order_subsequence(
+                       seq, cv.ToleranceSpec(window=2), (None, 3, 40)[s]))
+    x = unit(c0(), 1)
+    cases = {
+        "almost_order_bounded_eps_0": lambda: cv.almost_order_bounded_check([x], x, 0.0),
+        "almost_order_bounded_empty": lambda: cv.almost_order_bounded_check([], x, 1.0),
+        "almost_order_bounded_negative_u": lambda: cv.almost_order_bounded_check(
+            [x], x.scale(-1.0), 1.0),
+        "almost_order_bounded_tag_mismatch": lambda: cv.almost_order_bounded_check(
+            [unit(lp(1), 1)], x, 1.0),
+        "almost_order_bounded_direct_sum": lambda: cv.almost_order_bounded_check(
+            [DirectSumVector(unit(lp(1), 1), unit(linf(), 2).scale(3.0))],
+            DirectSumVector(unit(lp(1), 1), unit(linf(), 2)), 1.0),
+        "norm_to_order_not_norm_null": lambda: norm_to_order_subsequence(
+            gallery.std_units(lp(1), 16), cv.ToleranceSpec()),
+        "norm_to_order_overlap": lambda: norm_to_order_subsequence(
+            cv.sequence_from_list([x.scale(0.5 ** n) for n in range(1, 30)]), cv.ToleranceSpec()),
+    }
+    for name, job in cases.items():
+        yield f"kp/edge/{name}", job
+
+
+def _literal(tag: dict, coords: dict) -> dict:
+    return {"tag": tag, "coords": coords}
+
+
+#: literal lists, as JSON text, whose decoding has edges: each runs through
+#: ``runner.build_sequence`` and every diagnostic of ``INLINE_DIAGNOSTICS``
+C0 = '{"kind": "c0"}'
+INLINE_EDGES = {
+    "leading_zero_key": f'[{{"tag": {C0}, "coords": {{"1": 2.0, "01": -3.0}}}}, '
+                        f'{{"tag": {C0}, "coords": {{"2": 1.0}}}}]',
+    "later_zero_deletes": f'[{{"tag": {C0}, "coords": {{"1": 2.0, "3": 1.0, "01": 0.0}}}}, '
+                          f'{{"tag": {C0}, "coords": {{"001": 1.0, "1": 0}}}}]',
+    "negative_zero": f'[{{"tag": {C0}, "coords": {{"1": -0.0, "2": 1.0}}}}, '
+                     f'{{"tag": {C0}, "coords": {{"2": -0.0}}}}]',
+    "string_value": f'[{{"tag": {C0}, "coords": {{"1": "1.5", "2": -2}}}}, '
+                    f'{{"tag": {C0}, "coords": {{"3": "-0.25"}}}}]',
+    "index_0": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, {{"tag": {C0}, "coords": {{"0": 1.0}}}}]',
+    "index_2_62": f'[{{"tag": {C0}, "coords": {{"{2 ** 62}": 1.0}}}}]',
+    "index_below_2_62": f'[{{"tag": {C0}, "coords": {{"{2 ** 62 - 1}": 1.0, "5": -1.0}}}}, '
+                        f'{{"tag": {C0}, "coords": {{"{2 ** 62 - 1}": 0.5}}}}]',
+    "nan_value": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, {{"tag": {C0}, "coords": {{"2": NaN}}}}]',
+    "inf_value": f'[{{"tag": {C0}, "coords": {{"2": -Infinity, "1": 1.0}}}}]',
+    # the refusal of literal 3 is reported, not the different one of literal 5
+    "refusals_3_and_5": "[" + ", ".join(
+        [f'{{"tag": {C0}, "coords": {{"1": 1.0}}}}'] * 2
+        + [f'{{"tag": {C0}, "coords": {{"1": 1.0, "2": Infinity}}}}',
+           f'{{"tag": {C0}, "coords": {{"4": 1.0}}}}',
+           f'{{"tag": {C0}, "coords": {{"-3": 1.0}}}}']) + "]",
+    "refusal_after_duplicate": f'[{{"tag": {C0}, "coords": {{"1": 1.0, "01": 2.0}}}}, '
+                               f'{{"tag": {C0}, "coords": {{"x": 1.0}}}}]',
+    "mixed_tags": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, '
+                  f'{{"tag": {{"kind": "lp", "p": 1}}, "coords": {{"2": 1.0}}}}]',
+    "mixed_kinds": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, '
+                   f'{{"tag": {{"kind": "lp_step", "p": 1, "measure": '
+                   f'{{"level": 0, "weights": [1.0]}}}}, "level": 0, "values": [1.0]}}]',
+    "equal_tag_literals": '[{"tag": {"kind": "lp", "p": 2}, "coords": {"1": 1.0}}, '
+                          '{"tag": {"kind": "lp", "p": 2.0}, "coords": {"2": 1.0}}]',
+    "coords_not_an_object": f'[{{"tag": {C0}, "coords": [1.0]}}]',
+    "empty_coords": f'[{{"tag": {C0}, "coords": {{}}}}, {{"tag": {C0}, "coords": {{"3": 1.0}}}}]',
+}
+INLINE_DIAGNOSTICS = ({"name": "norm"},
+                      {"name": "norm", "limit": {"tag": {"kind": "c0"}, "coords": {"1": 1.0}}},
+                      {"name": "un", "tests": [{"tag": {"kind": "c0"},
+                                                "coords": {"1": 1.0, "3": 0.5}}]},
+                      {"name": "un"}, {"name": "un_qip", "horizon": 64}, {"name": "pointwise"},
+                      {"name": "weak", "functionals": [{"tag": {"kind": "c0"},
+                                                        "coords": {"1": -1.0, "2": 2.0}}]},
+                      {"name": "weak", "functionals": "summable_units", "modulus": True})
+
+
+def _inline_cases():
+    """(case, tag literal, literal list as JSON text): the edges, then random lists."""
+    for name, text in INLINE_EDGES.items():
+        yield name, {"kind": "c0"}, text
+    for kind in ({"kind": "c0"}, {"kind": "lp", "p": 1}, {"kind": "lp", "p": 2.0},
+                 {"kind": "lp", "p": 3}, {"kind": "linf"}):
+        for s in range(3):
+            rng = np.random.default_rng([11, s, len(json.dumps(kind))])
+            length = int(rng.integers(3, 30))
+            terms = _terms(rng, lambda m: _coords(rng, m, positive=s == 2, max_size=40), length)
+            literals = [_literal(kind, {str(i): v for i, v in t.items()}) for t in terms]
+            yield f"{json.dumps(kind, sort_keys=True)}/{s}", kind, json.dumps(literals)
+
+
+def inline_sparse_jobs():
+    ts = cv.ToleranceSpec(window=2)
+    for case, tag, text in _inline_cases():
+        source = {"inline": {"elements": json.loads(text)}}
+        for diag in INLINE_DIAGNOSTICS:
+            diag = json.loads(json.dumps(diag).replace('{"kind": "c0"}', json.dumps(tag)))
+            name = "_".join(str(v) for k, v in diag.items() if k in ("name", "modulus"))
+            name += "_limit" if "limit" in diag else ""
+            name += "_tests" if isinstance(diag.get("tests"), list) else ""
+            yield (f"inline_sparse/{case}/{name}",
+                   lambda source=source, diag=diag: runner.run_diagnostic(
+                       runner.build_sequence(source), diag, ts))
+        yield (f"inline_sparse/{case}/uo_extract",
+               lambda source=source: uo_extract(runner.build_sequence(source), ts))
+        yield (f"inline_sparse/{case}/kp",
+               lambda source=source: kp_disjointify(runner.build_sequence(source), 2, ts))
+
+
 FAMILIES = {"sparse": sparse_jobs, "step": step_jobs, "direct_sum": direct_sum_jobs,
             "gallery": gallery_jobs, "order_witness": order_witness_jobs,
             "refusal": refusal_jobs, "riesz": riesz_jobs, "typewriter": typewriter_jobs,
-            "inline_step": inline_step_jobs, "uo": uo_jobs}
+            "inline_step": inline_step_jobs, "uo": uo_jobs, "kp": kp_jobs,
+            "inline_sparse": inline_sparse_jobs}
 
 
 def canonical(job) -> str:
-    """The canonical output of ``job()``: a report or witness as canonical
-    JSON, a float by its hex, a refusal as ``Type: message``."""
+    """The canonical output of ``job()``: a report, witness or result as
+    canonical JSON, a float by its hex, a refusal as ``Type: message``."""
     try:
         out = job()
         if isinstance(out, float):
@@ -525,6 +708,12 @@ def canonical(job) -> str:
         if isinstance(out, RieszWitness):
             return jsonio.dumps({name: element_to_dict(getattr(out, name))
                                  for name in ("y", "z", "a", "b", "c", "d")})
+        if isinstance(out, DisjointificationResult):
+            return jsonio.dumps({**out.to_json_dict(), "disjoint_parts": [
+                element_to_dict(d) for d in out.disjoint_parts]})
+        if isinstance(out, cv.AlmostOrderBoundedResult):
+            return jsonio.dumps({"bounded": out.bounded, "worst_value": out.worst_value,
+                                 "worst_index": out.worst_index})
         if isinstance(out, UoExtraction):
             return jsonio.dumps({"test_vector": element_to_dict(out.test_vector),
                                  "subindices": out.subindices, "meet_norms": out.meet_norms,
