@@ -142,9 +142,10 @@ def _kp_prologue(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
     """Check ``target_count`` and run the un-null advisory; its warnings.
 
     The verdict reads only the last ``window`` values, and the value of term n
-    depends on x_n alone, so the advisory runs on that tail window: the terms
-    before it are never generated.  |x_n| and x_n meet the quasi-interior
-    point in the same norm, so a signed sequence is checked as it is.
+    depends on x_n alone, so the advisory runs on that tail window, cut with
+    the sequence's producer: the terms before it are never generated.  |x_n|
+    and x_n meet the quasi-interior point in the same norm, so a signed
+    sequence is checked as it is.
     """
     if target_count < 1:
         raise ValidationError("target_count must be >= 1")
@@ -153,8 +154,7 @@ def _kp_prologue(seq: VectorSequence, target_count: int, ts: ToleranceSpec,
     try:
         _check_cells(seq.length, 1)  # the whole sequence is held to the budget, not the tail
         w = ts.window_for(seq.length)
-        head = seq.length - w
-        tail = VectorSequence(seq.tag, w, lambda n: seq.at(head + n))
+        tail = seq.window(seq.length - w, w)
         report = un_tail_qip(tail, zero(seq.tag), ToleranceSpec(ts.tol, w))
     except Exception as exc:  # advisory only; never fatal
         return [f"un-null precondition could not be checked: {exc}"]

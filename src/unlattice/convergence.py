@@ -27,6 +27,7 @@ coordinates) or (terms x cells) matrix is built.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -52,6 +53,7 @@ from .spaces import (
     Element,
     LatticeVector,
     SpaceTag,
+    SparseRows,
     StepFunction,
     _fsum,
     _power_norm,
@@ -79,15 +81,20 @@ ORDER_SLACK = 1e-12
 class VectorSequence:
     """Finite, 1-based, deterministic sequence of tagged elements.  Iterating
     one of more than ``_MAX_CELLS`` terms is refused before a term is made,
-    and each term it makes is checked against ``tag``.  A step sequence may
-    carry ``blocks``, which makes its level blocks without making its terms
-    (see ``step_blocks``)."""
+    and each term it makes is checked against ``tag``.
+
+    A sequence may carry ``blocks``, a producer that makes its terms in bulk
+    without making them one at a time, in its model's layout: a step
+    sequence's level blocks, ``blocks(check)`` (see ``step_blocks``); a
+    sequence model's CSR chunks of the terms ``first + 1`` .. ``stop``,
+    ``blocks(first, stop)`` (see ``_sparse_chunks``); or the direct sum's two
+    part sequences, ``blocks()`` (see ``_parts``)."""
 
     tag: SpaceTag
     length: int
     at: Callable[[int], Element]
     name: str = ""
-    blocks: Callable[[Callable[[int], None]], Iterator[tuple]] | None = None
+    blocks: Callable[..., Iterator[tuple] | tuple] | None = None
 
     def __post_init__(self):
         if self.length < 1:
@@ -102,6 +109,19 @@ class VectorSequence:
 
     def terms(self) -> list[Element]:
         return list(self)
+
+    def window(self, head: int, length: int) -> "VectorSequence":
+        """The terms ``head + 1`` .. ``head + length`` as a sequence of their
+        own, which keeps this sequence's producer where one can be cut to
+        them: a sequence model's chunks and the direct sum's parts."""
+        blocks = None
+        if self.blocks is not None and self.tag.is_sequence_kind:
+            def blocks(first, stop):
+                return self.blocks(head + first, head + stop)
+        elif self.blocks is not None and self.tag.kind == "l1_oplus_linf":
+            def blocks():
+                return tuple(part.window(head, length) for part in self.blocks())
+        return VectorSequence(self.tag, length, lambda n: self.at(head + n), blocks=blocks)
 
     def step_blocks(self, check: Callable[[int], None]) -> Iterator[tuple]:
         """The terms of this step sequence as dense blocks ``(rows, tag, level,
@@ -132,13 +152,18 @@ class VectorSequence:
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
-    elements = list(elements)
+    """The sequence of ``elements``; of ``SparseRows``, one whose chunks are
+    slices of their CSR and whose terms are made as they are asked for."""
+    rows = elements if isinstance(elements, SparseRows) else None
+    if rows is None:
+        elements = list(elements)
     if not elements:
         raise ValidationError("a sequence needs at least one element")
-    tag = elements[0].tag
-    for x in elements[1:]:
-        check_tags(tag, x.tag)
-    return VectorSequence(tag, len(elements), lambda n: elements[n - 1], name=name)
+    tags = [x.tag for x in elements] if rows is None else rows.tags
+    for tag in tags[1:]:
+        check_tags(tags[0], tag)
+    return VectorSequence(tags[0], len(elements), lambda n: elements[n - 1], name=name,
+                          blocks=None if rows is None else _csr_blocks(rows))
 
 
 @dataclass(frozen=True)
@@ -236,8 +261,17 @@ _CHUNK_CELLS = 2 ** 16
 
 def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
     """The moduli |seq(n) - limit| in CSR chunks ``(indptr, indices, data)`` of
-    about ``_CHUNK_CELLS`` stored coordinates, generating each term once."""
+    about ``_CHUNK_CELLS`` stored coordinates: a chunk closes at the first term
+    that brings it to ``_CHUNK_CELLS``, and at the last term.  A term's
+    coordinates are in the order of its ``coords``.  Against the limit 0 the
+    chunks of a sequence with a producer come from it; otherwise each term is
+    generated once."""
     limit_is_zero = limit.is_zero()
+    if seq.blocks is not None and limit_is_zero:
+        _check_cells(seq.length, 1)  # as iterating the terms checks it
+        for indptr, indices, data in seq.blocks(0, seq.length):
+            yield indptr, indices, np.abs(data)
+        return
     indptr, indices, data = [0], [], []
     for n, x in enumerate(seq, start=1):
         coords = x.coords if limit_is_zero else (x - limit).coords
@@ -248,6 +282,29 @@ def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
             yield (np.array(indptr), np.fromiter(indices, np.int64, len(indices)),
                    np.abs(np.fromiter(data, float, len(data))))
             indptr, indices, data = [0], [], []
+
+
+def _chunk_bounds(stored: Callable[[int], int], first: int, stop: int):
+    """The row ranges ``(s, e)`` into which ``_sparse_chunks`` cuts the rows
+    ``first`` .. ``stop - 1``, given ``stored(r)``, the number of stored
+    coordinates in the rows before row r."""
+    s = first
+    while s < stop:
+        e = bisect.bisect_left(range(s + 1, stop), stored(s) + _CHUNK_CELLS, key=stored) + s + 1
+        yield s, e
+        s = e
+
+
+def _csr_blocks(rows: SparseRows):
+    """The chunk producer of a sequence held as ``rows``: slices of its CSR."""
+    indptr, indices, data = rows.indptr, rows.indices, rows.data
+
+    def blocks(first: int, stop: int):
+        for s, e in _chunk_bounds(lambda r: int(indptr[r]), first, stop):
+            a, b = indptr[s], indptr[e]
+            yield indptr[s:e + 1] - a, indices[a:b], data[a:b]
+
+    return blocks
 
 
 def _block_rows(level: int) -> int:
@@ -372,8 +429,10 @@ def _tail_norms(seq: VectorSequence, limit: Element,
 
 
 def _parts(seq: VectorSequence) -> tuple[VectorSequence, VectorSequence]:
-    """The l1 and the linf part sequences of the direct-sum sequence ``seq``,
-    over its terms, each generated once."""
+    """The l1 and the linf part sequences of the direct-sum sequence ``seq``:
+    its producer's, or over its terms, each generated once."""
+    if seq.blocks is not None:
+        return seq.blocks()
     terms = seq.terms()
     return (VectorSequence(_L1, seq.length, lambda n: terms[n - 1].left, seq.name),
             VectorSequence(_LINF, seq.length, lambda n: terms[n - 1].right, seq.name))

@@ -15,12 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .convergence import _MAX_CELLS, ToleranceSpec, VectorSequence, _block_rows
+from .convergence import _MAX_CELLS, ToleranceSpec, VectorSequence, _block_rows, _chunk_bounds
 from .errors import RefinementOverflow, ValidationError
 from .spaces import (
     DEFAULT_HORIZON,
     MAX_INDEX,
     MAX_REFINE_LEVEL,
+    _L1,
+    _LINF,
     DirectSumVector,
     LatticeVector,
     SpaceTag,
@@ -53,22 +55,32 @@ def _unit(tag: SpaceTag, n: int) -> LatticeVector:
     return LatticeVector._trusted(tag, {_index(n): 1.0})
 
 
+def _units(tag: SpaceTag, horizon: int, name: str) -> VectorSequence:
+    """seq(n) = e_n in the sequence space ``tag``; its chunks store one
+    coordinate per term."""
+    def blocks(first: int, stop: int):
+        for s, e in _chunk_bounds(lambda r: r, first, stop):
+            yield np.arange(e - s + 1), np.arange(s + 1, e + 1), np.ones(e - s)
+
+    return VectorSequence(tag, horizon, lambda n: _unit(tag, n), name=name, blocks=blocks)
+
+
 def std_units(tag: SpaceTag, horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     """seq(n) = e_n, the standard unit sequence."""
     if not tag.is_sequence_kind:
         raise ValidationError("std_units needs a sequence-space tag")
-    return VectorSequence(tag, horizon, lambda n: _unit(tag, n),
-                          name=f"std_units_{tag.describe()}")
+    return _units(tag, horizon, f"std_units_{tag.describe()}")
 
 
 def direct_sum_seq(horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     """seq(n) = f_n (+) g_n with f_n the l1 units and g_n the linf units."""
-    l1, sup = lp(1), linf()
+    left, right = _units(_L1, horizon, "direct_sum"), _units(_LINF, horizon, "direct_sum")
 
     def at(n: int) -> DirectSumVector:
-        return DirectSumVector(_unit(l1, n), _unit(sup, n))
+        return DirectSumVector(left.at(n), right.at(n))
 
-    return VectorSequence(SpaceTag("l1_oplus_linf"), horizon, at, name="direct_sum")
+    return VectorSequence(SpaceTag("l1_oplus_linf"), horizon, at, name="direct_sum",
+                          blocks=lambda: (left, right))
 
 
 def direct_sum_witness(horizon: int = DEFAULT_HORIZON) -> DirectSumVector:
@@ -143,6 +155,10 @@ def rademacher_modulated(x: StepFunction,
                           name="rademacher_modulated")
 
 
+#: The last n with 2.0 ** -n > 0.0.
+_LAST_WEIGHT = 1074
+
+
 def overlap_seq(tag: SpaceTag, horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     """x_n = e_n + 2**-n (e_1 + ... + e_{n-1}): un-null but nowhere disjoint."""
     if not tag.is_sequence_kind:
@@ -154,7 +170,23 @@ def overlap_seq(tag: SpaceTag, horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequ
         coords[n] = 1.0
         return LatticeVector._trusted(tag, coords)
 
-    return VectorSequence(tag, horizon, at, name=f"overlap_{tag.describe()}")
+    def stored(r: int) -> int:  # the coordinates of the terms 1 .. r
+        k = min(r, _LAST_WEIGHT)
+        return k * (k + 1) // 2 + r - k
+
+    def blocks(first: int, stop: int):
+        # term n stores w = 2**-n at 1 .. n - 1 and 1.0 at n, or only 1.0 at n once w is 0.0
+        for s, e in _chunk_bounds(stored, first, stop):
+            n = np.arange(s + 1, e + 1)
+            w = np.ldexp(1.0, -n)  # 2.0 ** -n, exactly
+            counts = np.where(w > 0.0, n, 1)
+            indptr = np.concatenate(([0], np.cumsum(counts)))
+            indices = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - n + counts, counts) + 1
+            data = np.repeat(w, counts)
+            data[indptr[1:] - 1] = 1.0
+            yield indptr, indices, data
+
+    return VectorSequence(tag, horizon, at, name=f"overlap_{tag.describe()}", blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

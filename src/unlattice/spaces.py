@@ -853,9 +853,10 @@ def element_from_dict(d: Mapping) -> Element:
     return _element_from_dict(d, tag_from_dict)
 
 
-def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
+def elements_from_dicts(ds: Sequence[Mapping]) -> Sequence[Element]:
     """The elements a list of literals describes; equal tag literals give one
-    shared ``SpaceTag``, so their elements combine without comparing measures."""
+    shared ``SpaceTag``, so their elements combine without comparing measures.
+    A list of sequence-model literals is decoded into one ``SparseRows``."""
     tags: dict[tuple, SpaceTag] = {}
 
     def tag_of(literal: Mapping) -> SpaceTag:
@@ -873,10 +874,10 @@ def elements_from_dicts(ds: Sequence[Mapping]) -> list[Element]:
             tag = tags[key] = tag_from_dict(literal)
         return tag
 
-    steps = _step_elements(ds, tag_of)
-    if steps is not None:
-        return steps
-    return [_element_from_dict(d, tag_of) for d in ds]
+    out = _step_elements(ds, tag_of)
+    if out is None:
+        out = _sparse_rows(ds, tag_of)
+    return [_element_from_dict(d, tag_of) for d in ds] if out is None else out
 
 
 def _step_elements(ds: Sequence[Mapping], tag_of) -> list[StepFunction] | None:
@@ -905,6 +906,76 @@ def _step_elements(ds: Sequence[Mapping], tag_of) -> list[StepFunction] | None:
     except Exception:  # the per-element path names the refusal
         return None
     return out
+
+
+class SparseRows(Sequence):
+    """Sequence-model elements held as one CSR: element k stores the values
+    ``data[indptr[k]:indptr[k + 1]]``, all nonzero, at the indices
+    ``indices[indptr[k]:indptr[k + 1]]`` in its literal's order, and its tag
+    is ``tags[k]``.  Each access makes a fresh element; none is kept."""
+
+    def __init__(self, tags: list[SpaceTag], indptr: np.ndarray, indices: np.ndarray,
+                 data: np.ndarray):
+        self.tags, self.indptr, self.indices, self.data = tags, indptr, indices, data
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __getitem__(self, k: int) -> LatticeVector:
+        k = range(len(self.tags))[k]
+        s, e = self.indptr[k], self.indptr[k + 1]
+        values = self.data[s:e].tolist()
+        return LatticeVector._trusted(self.tags[k], dict(zip(self.indices[s:e].tolist(), values)),
+                                      not values or min(values) > 0.0)
+
+
+#: 10**k for k = 0 .. 18: an index below 2**62 has as many decimal digits as
+#: these powers it reaches
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _sparse_rows(ds: Sequence[Mapping], tag_of) -> SparseRows | None:
+    """The elements of a list of sequence-model literals as one ``SparseRows``,
+    converted as ``_clean_coords`` converts them.  None when a literal is not
+    a sequence-model literal (a list of other literals is told at its first),
+    when the list would be refused, or when a key is neither an int nor the
+    canonical decimal string of its index: only then can two keys of a literal
+    name one index.  The per-element path then gives the first refusal in list
+    order, or resolves the keys that name one index."""
+    tags, counts, keys, values = [], [0], [], []
+    try:
+        for d in ds:
+            tag = tag_of(d["tag"])
+            if not tag.is_sequence_kind:
+                return None
+            coords = d["coords"]
+            keys += coords
+            values += coords.values()
+            tags.append(tag)
+            counts.append(len(coords))
+        indices = np.array(keys, dtype=np.int64)
+        data = np.fromiter(values, float, len(values))
+    except Exception:  # the per-element path names the refusal
+        return None
+    if indices.size and not (indices.min() >= 1 and indices.max() < MAX_INDEX):
+        return None
+    try:
+        text = "".join(keys)
+    except TypeError:  # not every key is a str: then every key must be an int
+        if not all(type(i) is int for i in keys):
+            return None
+    else:  # an ASCII key is canonical iff it has no more characters than its index's digits
+        digits = np.searchsorted(_POWERS_OF_TEN, indices, side="right")
+        if not (text.isascii() and len(text) == digits.sum()):
+            return None
+    if not np.isfinite(data).all():
+        return None
+    indptr = np.cumsum(counts)
+    stored = data != 0.0
+    if not stored.all():  # zeros, -0.0 included, are not stored
+        indptr = np.concatenate(([0], np.cumsum(stored)))[indptr]
+        indices, data = indices[stored], data[stored]
+    return SparseRows(tags, indptr, indices, data)
 
 
 def _element_from_dict(d: Mapping, tag_of) -> Element:

@@ -27,6 +27,7 @@ from unlattice.gallery import (
     std_units,
     typewriter,
 )
+from unlattice.constructive import kp_disjointify
 from unlattice.runner import build_sequence, run_diagnostic
 from unlattice.spaces import (
     DirectSumVector,
@@ -37,8 +38,10 @@ from unlattice.spaces import (
     element_to_dict,
     is_disjoint,
     linf,
+    elements_from_dicts,
     lp,
     lp_step,
+    zero,
 )
 
 
@@ -123,6 +126,108 @@ def test_typewriter_blocks_are_the_buffered_terms(max_level, chunk_cells):
             for rows, _, level, block in produced:  # increasing rows, one block's size
                 assert (np.diff(rows) > 0).all() and block.flags.writeable
                 assert (len(rows) - 1) << max(level, top) < chunk_cells
+
+
+def _chunks(seq: VectorSequence) -> list:
+    return list(convergence._sparse_chunks(seq, zero(seq.tag)))
+
+
+def _same_chunks(produced: list, per_term: list) -> None:
+    """Equal chunk for chunk, array for array, bit for bit."""
+    assert len(produced) == len(per_term)
+    for a, b in zip(produced, per_term):
+        for x, y in zip(a, b):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+# 1074 is the last n with 2**-n > 0.0; 1076 terms store 577 977 coordinates,
+# several chunks of 2**16
+@pytest.mark.parametrize("chunk_cells", [7, 2 ** 16])
+@pytest.mark.parametrize("horizon", [1, 2, 64, 1073, 1074, 1076])
+def test_overlap_chunks_are_the_per_term_chunks(horizon, chunk_cells):
+    seq = overlap_seq(lp(2), horizon)
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        _same_chunks(_chunks(seq), _chunks(_per_term(seq)))
+
+
+#: (horizon, chunk cells): one chunk, one chunk to the last term, several chunks
+UNIT_CHUNKS = [(1, 7), (7, 7), (40, 7), (5, 2 ** 16)]
+
+
+@pytest.mark.parametrize("horizon, chunk_cells", UNIT_CHUNKS)
+@pytest.mark.parametrize("tag", [c0(), lp(1), lp(2), linf()])
+def test_unit_chunks_are_the_per_term_chunks(tag, horizon, chunk_cells):
+    seq = std_units(tag, horizon)
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        _same_chunks(_chunks(seq), _chunks(_per_term(seq)))
+
+
+@pytest.mark.parametrize("horizon, chunk_cells", UNIT_CHUNKS)
+def test_direct_sum_part_chunks_are_the_per_term_chunks(horizon, chunk_cells):
+    seq = direct_sum_seq(horizon)
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        for produced, per_term in zip(convergence._parts(seq), convergence._parts(_per_term(seq))):
+            assert produced.tag is per_term.tag and produced.length == per_term.length
+            _same_chunks(_chunks(produced), _chunks(per_term))
+
+
+def _per_term_window(seq: VectorSequence, head: int, length: int) -> VectorSequence:
+    return VectorSequence(seq.tag, length, lambda n: seq.at(head + n))
+
+
+@pytest.mark.parametrize("chunk_cells", [7, 2 ** 16])
+@pytest.mark.parametrize("head, length", [(0, 3), (1, 5), (60, 4), (1000, 76), (1073, 3),
+                                          (1074, 2)])
+def test_window_chunks_are_the_per_term_chunks(head, length, chunk_cells):
+    literals = [{"tag": {"kind": "lp", "p": 3}, "coords": {str(n + k): 0.5 ** k for k in range(n % 5)}}
+                for n in range(1, head + length + 1)]  # every fifth term is empty
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        for seq in (overlap_seq(lp(2), head + length), std_units(c0(), head + length),
+                    sequence_from_list(elements_from_dicts(literals))):
+            window = seq.window(head, length)
+            assert window.length == length and window.blocks is not None
+            _same_chunks(_chunks(window), _chunks(_per_term_window(seq, head, length)))
+        seq = direct_sum_seq(head + length)
+        parts = zip(convergence._parts(seq.window(head, length)),
+                    convergence._parts(_per_term_window(seq, head, length)))
+        for produced, per_term in parts:
+            _same_chunks(_chunks(produced), _chunks(per_term))
+
+
+@pytest.mark.parametrize("chunk_cells", [3, 2 ** 16])
+def test_inline_chunks_are_the_per_term_chunks(chunk_cells):
+    rng = np.random.default_rng(12)
+    literals = [{"tag": {"kind": "c0"},
+                 "coords": {str(i): v for i, v in zip(rng.choice(50, 6, replace=False) + 1,
+                                                      rng.normal(size=6) * (rng.random(6) < 0.6))}}
+                for _ in range(40)]
+    rows = elements_from_dicts(literals)
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        _same_chunks(_chunks(sequence_from_list(rows)), _chunks(sequence_from_list(list(rows))))
+
+
+def _termless(seq: VectorSequence) -> VectorSequence:
+    """``seq``, whose terms may not be made one at a time."""
+    def at(n):
+        raise AssertionError(f"term {n} made")
+
+    return VectorSequence(seq.tag, seq.length, at, seq.name, seq.blocks)
+
+
+def test_producers_make_no_terms():
+    ts = ToleranceSpec()
+    literals = [{"tag": {"kind": "c0"}, "coords": {str(n): 1.0}} for n in range(1, 9)]
+    for seq in (overlap_seq(lp(2), 40), std_units(linf(), 40), direct_sum_seq(40),
+                sequence_from_list(elements_from_dicts(literals))):
+        seq = _termless(seq)
+        for name in ("norm", "un_qip", "pointwise") if seq.tag.is_sequence_kind else ("norm",):
+            run_diagnostic(seq, {"name": name}, ts)
+    # the kp advisory cuts its window with the producer; only the scan makes terms
+    made = []
+    seq = overlap_seq(lp(2), 400)
+    kp_disjointify(VectorSequence(seq.tag, seq.length, lambda n: made.append(n) or seq.at(n),
+                                  blocks=seq.blocks), 3, ts)
+    assert made == list(range(1, max(made) + 1)) and max(made) < 100
 
 
 def test_typewriter_blocks_refuse_a_level_before_making_it():

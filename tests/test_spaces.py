@@ -550,8 +550,9 @@ def test_unkeyable_tag_literals_keep_their_refusals():
 
 def _decode_each(ds):
     """elements_from_dicts with every literal decoded on its own, as the
-    per-element path does: the reference for the grouped decoding."""
-    with mock.patch.object(spaces, "_step_elements", return_value=None):
+    per-element path does: the reference for the grouped and CSR decodings."""
+    with mock.patch.object(spaces, "_step_elements", return_value=None), \
+            mock.patch.object(spaces, "_sparse_rows", return_value=None):
         return elements_from_dicts(ds)
 
 
@@ -604,6 +605,99 @@ def test_a_list_with_other_literals_decodes_each_alone():
         assert [type(x) for x in xs] == [type(y) for y in ys]
         assert [element_to_dict(x) for x in xs] == [element_to_dict(y) for y in ys]
     assert elements_from_dicts([]) == []
+
+
+def _coords_of(x: LatticeVector) -> list:
+    """x's stored coordinates in their order, each value by its bits."""
+    return [(type(i), i, v.hex()) for i, v in x.coords.items()]
+
+
+def _random_sparse_literals(rng, count):
+    """Sequence literals of one kind, each tag written in one of several equal
+    ways, with signed, zero and -0.0 values, empty literals and far indices."""
+    kind = [{"kind": "c0"}, {"kind": "lp", "p": 2}, {"kind": "linf"}][int(rng.integers(3))]
+    tags = [kind, dict(kind, p=2.0)] if "p" in kind else [kind, dict(kind)]
+    literals = []
+    for _ in range(count):
+        size = int(rng.integers(0, 12))
+        indices = rng.choice(10 ** 4, size, replace=False) + 1
+        indices[rng.random(size) < 0.1] = 2 ** 62 - 1 - int(rng.integers(5))
+        values = rng.normal(size=size) * (rng.random(size) < 0.8)
+        values[rng.random(size) < 0.1] = -0.0
+        if rng.random() < 0.3:
+            values = np.abs(values)
+        coords = dict(zip(indices.tolist(), values.tolist()))
+        literals.append({"tag": tags[int(rng.integers(2))], "coords": coords})
+    return literals
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_literals_decode_as_each_alone(seed):
+    literals = _random_sparse_literals(np.random.default_rng(seed), 60)
+    # int keys in memory, and the canonical string keys of a JSON text
+    for ds in (literals, json.loads(json.dumps(literals))):
+        xs, ys = elements_from_dicts(ds), _decode_each(ds)
+        assert isinstance(xs, spaces.SparseRows) and len(xs) == len(ys) == len(ds)
+        for x, y in zip(xs, ys):
+            assert type(x) is LatticeVector and x.tag == y.tag
+            assert _coords_of(x) == _coords_of(y) and x._positive == y._positive
+        # the same tag objects are shared, and between the same elements
+        assert [[a.tag is b.tag for b in xs] for a in xs] == [[a.tag is b.tag for b in ys]
+                                                              for a in ys]
+        assert _coords_of(xs[-1]) == _coords_of(xs[len(ds) - 1])  # a negative index
+        with pytest.raises(IndexError):
+            xs[len(ds)]
+
+
+@pytest.mark.parametrize("coords", [
+    {"1": 2.0, "01": -3.0}, {"1": 2.0, "3": 1.0, "01": 0.0}, {"+1": 1.0}, {" 2": 1.0},
+    {"1_0": 1.0}, {"\u0661": 1.0}, {1: 1.0, "2": 2.0}, {True: 1.0}, {1.5: 1.0, 2: -1.0},
+    {np.int64(3): 1.0},
+])
+def test_keys_that_may_name_one_index_twice_decode_each_alone(coords):
+    ds = [{"tag": {"kind": "c0"}, "coords": {"5": 1.0}}, {"tag": {"kind": "c0"}, "coords": coords}]
+    xs, ys = elements_from_dicts(ds), _decode_each(ds)
+    assert type(xs) is list
+    assert [_coords_of(x) for x in xs] == [_coords_of(y) for y in ys]
+    assert [x._positive for x in xs] == [y._positive for y in ys]
+
+
+def _sparse(coords, tag=None):
+    return {"tag": tag or {"kind": "c0"}, "coords": coords}
+
+
+SPARSE_GOOD = [_sparse({"1": 1.0, "4": -2.0}), _sparse({}), _sparse({"2": "1.5", "3": 0.0})]
+
+
+@pytest.mark.parametrize("literals, message", [
+    (SPARSE_GOOD + [_sparse({"0": 1.0})], "coordinate indices must be >= 1"),
+    (SPARSE_GOOD + [_sparse({str(2 ** 62): 1.0})], "coordinate indices must be >= 1"),
+    (SPARSE_GOOD + [_sparse({str(10 ** 30): 1.0})], "coordinate indices must be >= 1"),
+    (SPARSE_GOOD + [_sparse({"-3": 1.0})], "coordinate indices must be >= 1"),
+    (SPARSE_GOOD + [_sparse({"1": math.nan})], "coordinates must be finite"),
+    (SPARSE_GOOD + [_sparse({"1": "inf"})], "coordinates must be finite"),
+    (SPARSE_GOOD + [_sparse({"1": None})], "malformed element literal: TypeError"),
+    (SPARSE_GOOD + [_sparse({"1": "abc"})], "malformed element literal: ValueError"),
+    (SPARSE_GOOD + [_sparse({"1": 10 ** 400})], "malformed element literal: OverflowError"),
+    (SPARSE_GOOD + [_sparse({"x": 1.0})], "malformed element literal: ValueError"),
+    (SPARSE_GOOD + [_sparse([1.0])], "malformed element literal: AttributeError"),
+    (SPARSE_GOOD + [{"tag": {"kind": "c0"}}], "malformed element literal: KeyError: 'coords'"),
+    (SPARSE_GOOD + [_sparse({"1": 1.0}, {"kind": "lp"})], "lp spaces need a finite p"),
+    # the first refusal in list order, not a later or a different one
+    (SPARSE_GOOD + [_sparse({"1": math.inf, "0": 1.0}), _sparse({"-3": 1.0})],
+     "coordinates must be finite"),
+    (SPARSE_GOOD + [_sparse({"0": 1.0, "1": math.inf})], "coordinate indices must be >= 1"),
+    (SPARSE_GOOD + [_sparse({"1": 1.0, "01": 2.0}), _sparse({"x": 1.0})],
+     "malformed element literal: ValueError"),
+])
+def test_sparse_literals_keep_the_first_refusal(literals, message):
+    for ds in (literals, json.loads(json.dumps(literals))):
+        with pytest.raises(ValidationError, match=message) as batch:
+            elements_from_dicts(ds)
+        with pytest.raises(ValidationError) as each:
+            _decode_each(ds)
+        assert str(batch.value) == str(each.value)
+        assert type(batch.value) is type(each.value)
 
 
 def _step(level, values, tag=STEP_TAG_LITERAL):
