@@ -99,20 +99,21 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     check_tags(x.tag, v.tag)
     if not u.is_positive() or not v.is_positive():
         raise NegativeInput("u and v must be >= 0")
-    defect, d_min, (a, b, c, d, y, z) = x._riesz(u, v)
-    x_norm = x.norm()
-    if defect > tol * (1.0 + x_norm):
-        raise NotADecomposition(
-            f"|| |x| - (u+v) || = {defect:.3g} exceeds the tolerance"
-        )
-    # a, b and c are >= 0 by construction: u >= 0 and x+ >= 0 give
-    # a = min(x+, u) >= 0, and a <= u, a <= x+ give b = u - a >= 0 and
-    # c = x+ - a >= 0.  With tol > 0 the slack is >= 0 (never nan), so of the
-    # four parts only d can dip below -slack.
-    if d_min < 0.0:
-        neg_slack = tol * (1.0 + x_norm + u.norm() + v.norm())
-        if d_min < -neg_slack:
-            raise NegativePart(f"part d dips below -{neg_slack:.3g}")
+    with np.errstate(over="ignore"):  # once for the call's step norms
+        defect, d_min, (a, b, c, d, y, z) = x._riesz(u, v)
+        x_norm = x._norm()
+        if defect > tol * (1.0 + x_norm):
+            raise NotADecomposition(
+                f"|| |x| - (u+v) || = {defect:.3g} exceeds the tolerance"
+            )
+        # a, b and c are >= 0 by construction: u >= 0 and x+ >= 0 give
+        # a = min(x+, u) >= 0, and a <= u, a <= x+ give b = u - a >= 0 and
+        # c = x+ - a >= 0.  With tol > 0 the slack is >= 0 (never nan), so of the
+        # four parts only d can dip below -slack.
+        if d_min < 0.0:
+            neg_slack = tol * (1.0 + x_norm + u._norm() + v._norm())
+            if d_min < -neg_slack:
+                raise NegativePart(f"part d dips below -{neg_slack:.3g}")
     return RieszWitness(y=y, z=z, a=a, b=b, c=c, d=d)
 
 
@@ -350,9 +351,10 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
                         else (2.0 ** -n, norms[n - 1], terms[n - 1]))
     e = _weighted_moduli(seq.tag, weighted)
 
-    subindices, meet_norms = _select_geometric(
-        seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), target_count,
-        "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
+    with np.errstate(over="ignore"):  # a step norm past the float range is inf
+        subindices, meet_norms = _select_geometric(
+            seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), target_count,
+            "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
     sub = sequence_from_list([terms[n - 1] for n in subindices])
     if seq.tag.kind == "lp_step":
         # Borel-Cantelli style a.e. certificate: values[j] is the mass of the

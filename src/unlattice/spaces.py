@@ -206,6 +206,11 @@ class _ElementOps:
 
     __rmul__ = __mul__
 
+    def _norm(self) -> float:
+        """``norm``, for a caller that holds ``np.errstate(over="ignore")``
+        over a batch of norms; only a step norm needs it."""
+        return self.norm()
+
     def approx_eq(self, other, tol: float = 1e-12) -> bool:
         d = self - other
         scale = 1.0 + self.norm() + other.norm()
@@ -356,7 +361,8 @@ class LatticeVector(_ElementOps):
     def _abs_meet_norm(self, other: "LatticeVector") -> float:
         """|| |self| /\\ |other| ||, for an ``other`` whose tag the caller has
         checked: the gauge of the un-topology when other >= 0.  Each family
-        computes it in one pass, with no modulus or meet element built."""
+        computes it in one pass, with no modulus or meet element built; a step
+        function's, under the caller's ``np.errstate(over="ignore")``."""
         a, b = self.coords, other.coords
         if len(b) < len(a):
             a, b = b, a
@@ -574,19 +580,25 @@ class StepFunction(_ElementOps):
         return self.tag.measure.weight_array(self.level)
 
     def norm(self) -> float:
-        return _step_norm(self.weights(), np.abs(self.values), self.tag.p)
+        with np.errstate(over="ignore"):  # a norm past the float range is inf
+            return self._norm()
+
+    def _norm(self) -> float:
+        return _power_step_norm(self.weights(), np.abs(self.values), self.tag.p)
 
     def _abs_meet_norm(self, other: "StepFunction") -> float:
         # as LatticeVector._abs_meet_norm; only the coarser operand is refined
         level = max(self.level, other.level)
         a = _repeat(np.abs(self.values), self.level, level)
         b = _repeat(np.abs(other.values), other.level, level)
-        return _step_norm(self.tag.measure.weight_array(level), np.minimum(a, b), self.tag.p)
+        return _power_step_norm(self.tag.measure.weight_array(level), np.minimum(a, b),
+                                self.tag.p)
 
     def _riesz(self, u: "StepFunction", v: "StepFunction"):
         """As ``LatticeVector._riesz``, in numpy over the operands refined
         once: the defect at the level of x, u and v, the parts at the level of
-        x and u, as the chain of element operations refines them."""
+        x and u, as the chain of element operations refines them.  The caller
+        holds ``np.errstate(over="ignore")``."""
         check_tags(u.tag, v.tag)  # u + v checks it
         top = max(self.level, u.level, v.level)
         with np.errstate(over="ignore"):  # an overflowed sum is refused below
@@ -603,7 +615,7 @@ class StepFunction(_ElementOps):
         c = xp - a
         d = xm - b
         tag, new = self.tag, StepFunction._trusted
-        return _step_norm(tag.measure.weight_array(top), e, tag.p), float(d.min()), (
+        return _power_step_norm(tag.measure.weight_array(top), e, tag.p), float(d.min()), (
             new(tag, level, a), new(u.tag, level, b), new(tag, level, c), new(tag, level, d),
             new(tag, level, a - b), new(tag, level, c - d))
 
@@ -634,15 +646,11 @@ def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray
     return v
 
 
-def _step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
-    """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0:
-    the norm of a step function and of a block row; inf where it overflows."""
-    with np.errstate(over="ignore"):
-        return _power_step_norm(w, a, p)
-
-
 def _power_step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
-    """``_step_norm`` under the caller's ``np.errstate(over="ignore")``."""
+    """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0:
+    the norm of a step function and of a block row; inf where it overflows.
+    The caller holds ``np.errstate(over="ignore")``, once for a batch of
+    norms: it costs more than a dot over a few cells."""
     if p == 1.0:
         return float(np.dot(w, a))
     s = np.dot(w, a ** p)
@@ -797,8 +805,8 @@ def is_disjoint(x: Element, y: Element, tol: float = 0.0) -> bool:
     if tol < 0:
         raise ValidationError("tol must be >= 0")
     check_tags(x.tag, y.tag)
-    m = x._abs_meet_norm(y)
-    return m <= tol * (1.0 + x.norm() + y.norm())
+    with np.errstate(over="ignore"):  # a step norm past the float range is inf
+        return x._abs_meet_norm(y) <= tol * (1.0 + x._norm() + y._norm())
 
 
 # ---------------------------------------------------------------------------

@@ -625,11 +625,13 @@ INLINE_EDGES = {
                      f'{{"tag": {C0}, "coords": {{"2": -0.0}}}}]',
     "string_value": f'[{{"tag": {C0}, "coords": {{"1": "1.5", "2": -2}}}}, '
                     f'{{"tag": {C0}, "coords": {{"3": "-0.25"}}}}]',
-    "index_0": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, {{"tag": {C0}, "coords": {{"0": 1.0}}}}]',
+    "index_0": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, '
+               f'{{"tag": {C0}, "coords": {{"0": 1.0}}}}]',
     "index_2_62": f'[{{"tag": {C0}, "coords": {{"{2 ** 62}": 1.0}}}}]',
     "index_below_2_62": f'[{{"tag": {C0}, "coords": {{"{2 ** 62 - 1}": 1.0, "5": -1.0}}}}, '
                         f'{{"tag": {C0}, "coords": {{"{2 ** 62 - 1}": 0.5}}}}]',
-    "nan_value": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, {{"tag": {C0}, "coords": {{"2": NaN}}}}]',
+    "nan_value": f'[{{"tag": {C0}, "coords": {{"1": 1.0}}}}, '
+                 f'{{"tag": {C0}, "coords": {{"2": NaN}}}}]',
     "inf_value": f'[{{"tag": {C0}, "coords": {{"2": -Infinity, "1": 1.0}}}}]',
     # the refusal of literal 3 is reported, not the different one of literal 5
     "refusals_3_and_5": "[" + ", ".join(

@@ -179,7 +179,8 @@ def _per_term_window(seq: VectorSequence, head: int, length: int) -> VectorSeque
 @pytest.mark.parametrize("head, length", [(0, 3), (1, 5), (60, 4), (1000, 76), (1073, 3),
                                           (1074, 2)])
 def test_window_chunks_are_the_per_term_chunks(head, length, chunk_cells):
-    literals = [{"tag": {"kind": "lp", "p": 3}, "coords": {str(n + k): 0.5 ** k for k in range(n % 5)}}
+    literals = [{"tag": {"kind": "lp", "p": 3},
+                 "coords": {str(n + k): 0.5 ** k for k in range(n % 5)}}
                 for n in range(1, head + length + 1)]  # every fifth term is empty
     with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
         for seq in (overlap_seq(lp(2), head + length), std_units(c0(), head + length),

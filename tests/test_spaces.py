@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlattice import convergence, spaces
+from unlattice import convergence, spaces, topology
+from unlattice.constructive import riesz_decompose, uo_extract
 from unlattice.convergence import ToleranceSpec, un_tail_qip
 from unlattice.errors import NegativeInput, TagMismatch, ValidationError
 from unlattice.gallery import std_units
@@ -177,6 +178,20 @@ def test_step_norm_past_the_float_range_is_inf_without_a_warning(p):
             assert x.norm() == math.inf
             seq = convergence.sequence_from_list([x, x])
             assert convergence._tail_norms(seq, zero(x.tag)).tolist() == [[math.inf]] * 2
+
+
+def test_step_norm_batches_past_the_float_range_are_inf_without_a_warning():
+    # the callers that hold one errstate for a batch of step norms
+    big = StepFunction(lp_step(1, MeasureModel(1, (3.0, 3.0))), 1, np.array([1.5e308] * 2))
+    V = topology.Neighborhood(big.abs(), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert topology.gauge(V, big) == math.inf and not topology.contains(V, big)
+        assert not is_disjoint(big, big)
+        witness = riesz_decompose(big, big.abs(), zero(big.tag))
+        assert witness.y.values.tolist() == big.values.tolist()
+        out = uo_extract(convergence.sequence_from_list([big, big]), ToleranceSpec())
+        assert out.test_vector.is_zero()
 
 
 def test_direct_sum_norm_is_max():
