@@ -18,7 +18,12 @@ indistinguishable from a settling coordinate at a finite horizon.
 Sequence models are read in CSR chunks, step models in dense blocks of the
 terms that share a level and a measure, and the l1 (+)_inf linf direct sum
 as its l1 and linf part sequences: a direct-sum norm is the max of the
-parts' norms, and a pairing the sum of the parts' pairings.  Every
+parts' norms, and a pairing the sum of the parts' pairings.  A sequence
+model's chunks come from its producer where it has one, with no term made:
+the gallery's units, overlap sequence and direct-sum parts build theirs with
+``np.arange`` and ``np.repeat``, and a list of sequence literals decoded as
+one CSR (``spaces.SparseRows``) gives slices of it.  Otherwise each term is
+generated once and its coordinates are flattened into the chunk.  Every
 diagnostic, the pointwise verdict included, is one reduction over those
 chunks or blocks, except the pairings of sequence models, which go term by
 term over the common supports and so walk only the shorter one: no (terms x
