@@ -10,11 +10,16 @@ non-uniform measures (built in memory or decoded from inline literals),
 random direct sums, the typewriter at several levels, or gallery entries at
 several horizons; or it calls ``constructive.riesz_decompose`` on a seeded
 random triple, or ``constructive.uo_extract`` on a typewriter, a random step
-or sparse sequence or a gallery entry.  Its canonical output is the
-canonical JSON of the report or witness (of the six parts y, z, a, b, c, d
-of a Riesz witness; of the test vector, selection and report of a uo
-extraction), the ``float.hex`` of a pairing, or ``Type: message`` of a
-refusal.
+or sparse sequence or a gallery entry; or ``kp_disjointify`` (with its
+un-null advisory), ``kp_disjointify_positive``, ``almost_order_bounded_check``
+or ``norm_to_order_subsequence``; or it builds an inline source from a
+JSON-parsed literal list with decoding edges and runs every sparse
+diagnostic, ``uo_extract`` and ``kp_disjointify`` on it.  Its canonical
+output is the canonical JSON of the report, witness or result (of the six
+parts y, z, a, b, c, d of a Riesz witness; of the test vector, selection and
+report of a uo extraction; of the selection and disjoint parts of a
+disjointification), the ``float.hex`` of a pairing, or ``Type: message`` of
+a refusal.
 ``tests/digests.json`` holds ``sha256(output)[:16]`` per job id, with the
 Python and numpy versions that wrote it.
 
