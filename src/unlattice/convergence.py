@@ -159,16 +159,17 @@ class VectorSequence:
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
     """The sequence of ``elements``; of ``SparseRows``, one whose chunks are
     slices of their CSR and whose terms are made as they are asked for."""
-    rows = elements if isinstance(elements, SparseRows) else None
-    if rows is None:
+    if isinstance(elements, SparseRows):
+        tags, blocks = elements.tags, _csr_blocks(elements)
+    else:
         elements = list(elements)
+        tags, blocks = [x.tag for x in elements], None
     if not elements:
         raise ValidationError("a sequence needs at least one element")
-    tags = [x.tag for x in elements] if rows is None else rows.tags
     for tag in tags[1:]:
         check_tags(tags[0], tag)
     return VectorSequence(tags[0], len(elements), lambda n: elements[n - 1], name=name,
-                          blocks=None if rows is None else _csr_blocks(rows))
+                          blocks=blocks)
 
 
 @dataclass(frozen=True)
