@@ -972,7 +972,8 @@ def _sparse_rows(ds: Sequence[Mapping], tag_of) -> SparseRows | None:
     except TypeError:  # not every key is a str: then every key must be an int
         if not all(type(i) is int for i in keys):
             return None
-    else:  # an ASCII key is canonical iff it has no more characters than its index's digits
+    else:  # no ASCII key has fewer characters than its index has digits; a canonical
+        # one has as many, any other more
         digits = np.searchsorted(_POWERS_OF_TEN, indices, side="right")
         if not (text.isascii() and len(text) == digits.sum()):
             return None
