@@ -14,7 +14,9 @@ or sparse sequence or a gallery entry; or ``kp_disjointify`` (with its
 un-null advisory), ``kp_disjointify_positive``, ``almost_order_bounded_check``
 or ``norm_to_order_subsequence``; or it builds an inline source from a
 JSON-parsed literal list with decoding edges and runs every sparse
-diagnostic, ``uo_extract`` and ``kp_disjointify`` on it.  Its canonical
+diagnostic, ``uo_extract`` and ``kp_disjointify`` on it, or from a
+JSON-parsed step literal list with decoding edges or edge magnitudes and
+runs the six step diagnostics and ``uo_extract`` on it.  Its canonical
 output is the canonical JSON of the report, witness or result (of the six
 parts y, z, a, b, c, d of a Riesz witness; of the test vector, selection and
 report of a uo extraction; of the selection and disjoint parts of a
@@ -34,6 +36,7 @@ job id whose digest it changed, added or removed, as ``changed <id>``,
 
 import hashlib
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -698,11 +701,91 @@ def inline_sparse_jobs():
                lambda source=source: kp_disjointify(runner.build_sequence(source), 2, ts))
 
 
+def _step_tag_literal(p, weights, level) -> dict:
+    return {"kind": "lp_step", "p": p, "measure": {"level": level, "weights": weights}}
+
+
+def _step_lit(level, values, tag=None) -> dict:
+    return {"tag": tag or _step_tag_literal(2, [0.25, 0.75], 1), "level": level, "values": values}
+
+
+#: step literal lists whose decoding has edges; ``tuple_rows`` holds each
+#: row as a tuple once parsed, as a list built in memory may
+INLINE_STEP_EDGES = {
+    "int_and_bool_values": [_step_lit(1, [1, True]), _step_lit(2, [False, 2, -3, 0]),
+                            _step_lit(1, [0.5, 1])],
+    "negative_zero": [_step_lit(1, [-0.0, 1.0]), _step_lit(1, [-0.0, -0.0]),
+                      _step_lit(2, [0.0, -0.0, 2.0, -1.0])],
+    "numeric_strings": [_step_lit(1, ["1.5", "-2"]), _step_lit(1, ["1e-3", 4.0]),
+                        _step_lit(2, ["0", "-0.0", "2.5", "1"])],
+    "tuple_rows": [_step_lit(1, [1.0, -2.0]), _step_lit(2, [0.5, 0, -1.0, 3.0]),
+                   _step_lit(1, [0.25, 0.125])],
+    "mixed_levels": [_step_lit(1 + n % 4, [(-0.5) ** n * (1 + k % 3) for k in range(2 << n % 4)])
+                     for n in range(12)],
+    # equal as values: p 2 and 2.0, measure level 1 and 1.0, weights 1 and 1.0, key order
+    "equal_tag_literals": [
+        _step_lit(1, [1.0, 2.0], _step_tag_literal(2, [1, 3], 1)),
+        _step_lit(2, [1.0, 0.0, -1.0, 0.5], _step_tag_literal(2.0, [1.0, 3.0], 1.0)),
+        _step_lit(1, [0.5, 0.25], {"measure": {"weights": [1, 3.0], "level": 1}, "p": 2,
+                                   "kind": "lp_step"})],
+    # the refusal of literal 3 is reported, not the different one of literal 5
+    "refusals_3_and_5": [_step_lit(1, [1.0, 2.0]), _step_lit(2, [1.0] * 4),
+                         _step_lit(1, [1.0, math.nan]), _step_lit(1, [0.5, 0.5]),
+                         _step_lit(2, [1.0] * 3)],
+    # one (tag, level) group whose third row is one value too long
+    "ragged_group": [_step_lit(2, [1.0] * 4), _step_lit(2, [2.0] * 4), _step_lit(2, [1.0] * 5)],
+}
+#: the magnitude of an edge list's terms, and the cell weights of its measure:
+#: a subnormal weight, weights near 0 and near 3
+STEP_EDGE_MAGNITUDES = {"tiny": 1e-310, "huge": 1e308}
+STEP_EDGE_WEIGHTS = [5e-324, 3.0, 1e-300, 2.9999999999999996]
+INLINE_STEP_DIAGNOSTICS = ({"name": "norm"}, {"name": "un"}, {"name": "un_qip", "horizon": 64},
+                           {"name": "in_measure", "delta": 1e-3},
+                           {"name": "weak", "functionals": "step_family"},
+                           {"name": "pointwise"})
+
+
+def _inline_step_cases():
+    """(case, literal list parsed from its JSON text): the decoding edges, then
+    lists of values near 1e-310 or 1e308 on a measure of weights near 0 and
+    3, for each p."""
+    for name, literals in INLINE_STEP_EDGES.items():
+        literals = json.loads(json.dumps(literals))
+        if name == "tuple_rows":
+            literals = [dict(d, values=tuple(d["values"])) for d in literals]
+        yield name, literals
+    for p in (1, 1.5, 2, 3):
+        for case, magnitude in STEP_EDGE_MAGNITUDES.items():
+            rng = np.random.default_rng([12, int(2 * p), len(case)])
+            tag = _step_tag_literal(p, STEP_EDGE_WEIGHTS, 2)
+            literals = []
+            for n in range(12):
+                level = 2 + int(rng.integers(0, 3))
+                v = rng.uniform(0.5, 1.5, 2 ** level) * rng.choice([-1.0, 1.0], 2 ** level)
+                v[rng.random(v.size) < 0.3] = 0.0
+                # the edge magnitude at about half the terms, 1.0 elsewhere
+                v *= magnitude if rng.random() < 0.5 else 1.0
+                literals.append(_step_lit(level, v.tolist(), tag))
+            yield f"p{p:g}/{case}", json.loads(json.dumps(literals))
+
+
+def inline_step_edges_jobs():
+    ts = cv.ToleranceSpec(window=2)
+    for case, literals in _inline_step_cases():
+        source = {"inline": {"elements": literals}}
+        for diag in INLINE_STEP_DIAGNOSTICS:
+            yield (f"inline_step_edges/{case}/{diag['name']}",
+                   lambda source=source, diag=diag: runner.run_diagnostic(
+                       runner.build_sequence(source), diag, ts))
+        yield (f"inline_step_edges/{case}/uo_extract",
+               lambda source=source: uo_extract(runner.build_sequence(source), ts))
+
+
 FAMILIES = {"sparse": sparse_jobs, "step": step_jobs, "direct_sum": direct_sum_jobs,
             "gallery": gallery_jobs, "order_witness": order_witness_jobs,
             "refusal": refusal_jobs, "riesz": riesz_jobs, "typewriter": typewriter_jobs,
             "inline_step": inline_step_jobs, "uo": uo_jobs, "kp": kp_jobs,
-            "inline_sparse": inline_sparse_jobs}
+            "inline_sparse": inline_sparse_jobs, "inline_step_edges": inline_step_edges_jobs}
 
 
 def canonical(job) -> str:
