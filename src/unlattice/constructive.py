@@ -99,7 +99,7 @@ def riesz_decompose(x: Element, u: Element, v: Element,
     check_tags(x.tag, v.tag)
     if not u.is_positive() or not v.is_positive():
         raise NegativeInput("u and v must be >= 0")
-    with np.errstate(over="ignore"):  # once for the call's step norms
+    with np.errstate(over="ignore", invalid="ignore"):  # once for the call's step norms
         defect, d_min, (a, b, c, d, y, z) = x._riesz(u, v)
         x_norm = x._norm()
         if defect > tol * (1.0 + x_norm):
@@ -351,7 +351,7 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
                         else (2.0 ** -n, norms[n - 1], terms[n - 1]))
     e = _weighted_moduli(seq.tag, weighted)
 
-    with np.errstate(over="ignore"):  # a step norm past the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a step norm past the float range is inf
         subindices, meet_norms = _select_geometric(
             seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), target_count,
             "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")

@@ -357,7 +357,7 @@ def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
         m = max(level, u.level)
         a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
     w, p = tag.measure.weight_array(level), tag.p
-    with np.errstate(over="ignore"):  # once per block, not once per row
+    with np.errstate(over="ignore", invalid="ignore"):  # once per block, not once per row
         return [_power_step_norm(w, row, p) for row in a]
 
 

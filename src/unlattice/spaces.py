@@ -207,8 +207,8 @@ class _ElementOps:
     __rmul__ = __mul__
 
     def _norm(self) -> float:
-        """``norm``, for a caller that holds ``np.errstate(over="ignore")``
-        over a batch of norms; only a step norm needs it."""
+        """``norm``, for a caller that holds ``np.errstate(over="ignore",
+        invalid="ignore")`` over a batch of norms; only a step norm needs it."""
         return self.norm()
 
     def approx_eq(self, other, tol: float = 1e-12) -> bool:
@@ -362,7 +362,8 @@ class LatticeVector(_ElementOps):
         """|| |self| /\\ |other| ||, for an ``other`` whose tag the caller has
         checked: the gauge of the un-topology when other >= 0.  Each family
         computes it in one pass, with no modulus or meet element built; a step
-        function's, under the caller's ``np.errstate(over="ignore")``."""
+        function's, under the caller's ``np.errstate(over="ignore",
+        invalid="ignore")``."""
         a, b = self.coords, other.coords
         if len(b) < len(a):
             a, b = b, a
@@ -580,7 +581,7 @@ class StepFunction(_ElementOps):
         return self.tag.measure.weight_array(self.level)
 
     def norm(self) -> float:
-        with np.errstate(over="ignore"):  # a norm past the float range is inf
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
             return self._norm()
 
     def _norm(self) -> float:
@@ -598,7 +599,7 @@ class StepFunction(_ElementOps):
         """As ``LatticeVector._riesz``, in numpy over the operands refined
         once: the defect at the level of x, u and v, the parts at the level of
         x and u, as the chain of element operations refines them.  The caller
-        holds ``np.errstate(over="ignore")``."""
+        holds ``np.errstate(over="ignore", invalid="ignore")``."""
         check_tags(u.tag, v.tag)  # u + v checks it
         top = max(self.level, u.level, v.level)
         with np.errstate(over="ignore"):  # an overflowed sum is refused below
@@ -649,13 +650,17 @@ def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray
 def _power_step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
     """(sum w * a**p)**(1/p) for cell weights ``w`` and cell values ``a`` >= 0:
     the norm of a step function and of a block row; inf where it overflows.
-    The caller holds ``np.errstate(over="ignore")``, once for a batch of
-    norms: it costs more than a dot over a few cells."""
+    The caller holds ``np.errstate(over="ignore", invalid="ignore")``, once
+    for a batch of norms: it costs more than a dot over a few cells.  A power
+    that overflows is inf, and inf on a cell of weight 0 makes the sum nan."""
     if p == 1.0:
         return float(np.dot(w, a))
     s = np.dot(w, a ** p)
     if not MIN_NORMAL <= s < math.inf:
-        # the sum is subnormal, zero or overflowed: sum the powers of |v| / max|v|
+        # the sum is subnormal, zero, overflowed or nan: sum the powers of |v| / max|v|
+        # over the cells of positive weight, as a cell of weight 0 adds nothing
+        if not w.all():
+            a, w = a[w > 0.0], w[w > 0.0]
         big = a.max()
         if big == 0.0:
             return 0.0
@@ -805,7 +810,7 @@ def is_disjoint(x: Element, y: Element, tol: float = 0.0) -> bool:
     if tol < 0:
         raise ValidationError("tol must be >= 0")
     check_tags(x.tag, y.tag)
-    with np.errstate(over="ignore"):  # a step norm past the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a step norm past the float range is inf
         return x._abs_meet_norm(y) <= tol * (1.0 + x._norm() + y._norm())
 
 

@@ -53,13 +53,14 @@ class Neighborhood:
 def gauge(V: Neighborhood, x: Element) -> float:
     """The membership quantity || |x| /\\ u ||."""
     check_tags(V.tag, x.tag)
-    with np.errstate(over="ignore"):  # a step norm past the float range is inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a step norm past the float range is inf
         return x._abs_meet_norm(V.u)
 
 
 def _member(V: Neighborhood, x: Element) -> bool:
     """``contains(V, x)`` for an x of V's tag, under the caller's
-    ``np.errstate(over="ignore")``: the axiom suite holds it once."""
+    ``np.errstate(over="ignore", invalid="ignore")``: the axiom suite holds it
+    once."""
     return x._abs_meet_norm(V.u) < V.eps
 
 
@@ -150,7 +151,7 @@ def _sample_eps(rng) -> float:
 
 def _sample_member(V: Neighborhood, rng) -> Element:
     """A random element of V: draw and, if needed, shrink into the ball.
-    The caller holds ``np.errstate(over="ignore")``."""
+    The caller holds ``np.errstate(over="ignore", invalid="ignore")``."""
     x = _sample_element(V.tag, rng)
     if _member(V, x):
         return x
@@ -225,7 +226,7 @@ def axiom_suite(tag: SpaceTag, samples: int = 10_000, rng_seed: int = 0) -> Axio
         ok = not _member(V, x)
         return ok, (None if ok else {"x": _describe(x)})
 
-    with np.errstate(over="ignore"):  # once for the suite's step norms
+    with np.errstate(over="ignore", invalid="ignore"):  # once for the suite's step norms
         run("zero-membership", t_zero)
         run("base-intersection", t_intersection)
         run("additive-halving", t_addition)

@@ -180,6 +180,23 @@ def test_step_norm_past_the_float_range_is_inf_without_a_warning(p):
             assert convergence._tail_norms(seq, zero(x.tag)).tolist() == [[math.inf]] * 2
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_weightless_cell_adds_nothing_to_a_step_norm(p):
+    # |v|**p overflows on the cell of weight 0, so the power sum is nan; the
+    # rescale takes the largest modulus of a cell of positive weight, not 1e300
+    tag = lp_step(p, MeasureModel(1, (0.0, 1.0)))
+    x = StepFunction(tag, 1, np.array([1e300, 2.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert x.norm() == 2.0
+        seq = convergence.sequence_from_list([x, x])
+        assert convergence._tail_norms(seq, zero(tag)).tolist() == [[2.0]] * 2
+        assert topology.gauge(topology.Neighborhood(x.abs(), 1.0), x) == 2.0
+        assert not is_disjoint(x, x)
+        # a sum that underflows is rescaled by the same modulus
+        assert StepFunction(tag, 1, np.array([1.0, 1e-250])).norm() == 1e-250
+
+
 def test_step_norm_batches_past_the_float_range_are_inf_without_a_warning():
     # the callers that hold one errstate for a batch of step norms
     big = StepFunction(lp_step(1, MeasureModel(1, (3.0, 3.0))), 1, np.array([1.5e308] * 2))
