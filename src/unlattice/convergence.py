@@ -60,6 +60,7 @@ from .spaces import (
     SpaceTag,
     SparseRows,
     StepFunction,
+    StepRows,
     _fsum,
     _power_norm,
     _power_step_norm,
@@ -158,9 +159,11 @@ class VectorSequence:
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
     """The sequence of ``elements``; of ``SparseRows``, one whose chunks are
-    slices of their CSR and whose terms are made as they are asked for."""
-    if isinstance(elements, SparseRows):
-        tags, blocks = elements.tags, _csr_blocks(elements)
+    slices of their CSR, and of ``StepRows``, one whose level blocks are cut
+    from their group blocks; either makes its terms as they are asked for."""
+    producer = {SparseRows: _csr_blocks, StepRows: _group_blocks}.get(type(elements))
+    if producer is not None:
+        tags, blocks = elements.tags, producer(elements)
     else:
         elements = list(elements)
         tags, blocks = [x.tag for x in elements], None
@@ -309,6 +312,21 @@ def _csr_blocks(rows: SparseRows):
         for s, e in _chunk_bounds(lambda r: int(indptr[r]), first, stop):
             a, b = indptr[s], indptr[e]
             yield indptr[s:e + 1] - a, indices[a:b], data[a:b]
+
+    return blocks
+
+
+def _group_blocks(rows: StepRows):
+    """The level-block producer of a step sequence held as ``rows``: each
+    group's block, cut to ``_block_rows`` of its level, each cut a fresh copy,
+    as a consumer may write to it; ``check(level)`` runs before a group's
+    first block."""
+    def blocks(check: Callable[[int], None]):
+        for tag, level, positions, block in rows.groups:
+            check(level)
+            size = _block_rows(level)
+            for s in range(0, len(positions), size):
+                yield positions[s:s + size], tag, level, block[s:s + size].copy()
 
     return blocks
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -638,13 +639,30 @@ def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray
     or a block of rows, one function each (``ndim`` 2)."""
     if level < tag.measure.level:
         raise ValidationError("function level below the measure's base level")
-    v = np.array(values, dtype=float)
+    v = _float_rows(values, level) if ndim == 2 else np.array(values, dtype=float)
     if v.ndim != ndim or not _is_power_length(v.shape[-1], level):
         raise ValidationError("values must have 2**level entries")
     if not np.isfinite(v).all():
         raise ValidationError("values must be finite")
     v.setflags(write=False)
     return v
+
+
+def _float_rows(rows: Sequence, level: int) -> np.ndarray:
+    """``np.array(rows, dtype=float)``, faster where every row is a list or a
+    tuple of 2**level values: those are packed by one ``struct.Struct`` and
+    read back with ``np.frombuffer``, which gives the same bits.  Anything
+    else, and any exception on the way, takes ``np.array``, so every value
+    and every refusal is its."""
+    n = len(rows[0]) if rows and type(rows[0]) in (list, tuple) else 0
+    # the length is told by _is_power_length before a format of n values is built
+    if n and _is_power_length(n, level) and all(type(r) in (list, tuple) for r in rows):
+        try:
+            pack = struct.Struct(f"{n}d").pack
+            return np.frombuffer(b"".join([pack(*r) for r in rows])).reshape(len(rows), n)
+        except Exception:  # a row of another length, a value that is not a float
+            pass
+    return np.array(rows, dtype=float)
 
 
 def _power_step_norm(w: np.ndarray, a: np.ndarray, p: float) -> float:
@@ -869,7 +887,8 @@ def element_from_dict(d: Mapping) -> Element:
 def elements_from_dicts(ds: Sequence[Mapping]) -> Sequence[Element]:
     """The elements a list of literals describes; equal tag literals give one
     shared ``SpaceTag``, so their elements combine without comparing measures.
-    A list of sequence-model literals is decoded into one ``SparseRows``."""
+    A list of step literals is decoded into one ``StepRows``, a list of
+    sequence-model literals into one ``SparseRows``."""
     tags: dict[tuple, SpaceTag] = {}
 
     def tag_of(literal: Mapping) -> SpaceTag:
@@ -893,13 +912,14 @@ def elements_from_dicts(ds: Sequence[Mapping]) -> Sequence[Element]:
     return [_element_from_dict(d, tag_of) for d in ds] if out is None else out
 
 
-def _step_elements(ds: Sequence[Mapping], tag_of) -> list[StepFunction] | None:
-    """The elements of a list of step literals, checked one (tag, level) group
-    at a time: one array and one run of the checks per group, each element a
-    row of it.  None when a literal is not a step literal (a list of other
-    literals is told at its first) or a group fails a check, so that the
-    per-element path gives the first refusal in list order."""
-    groups: dict[tuple, tuple] = {}  # (id(tag), level) -> (tag, level, positions, rows)
+def _step_elements(ds: Sequence[Mapping], tag_of) -> StepRows | list | None:
+    """The elements of a list of step literals as one ``StepRows``, checked one
+    (tag, level) group at a time: one block and one run of the checks per
+    group; ``[]`` for an empty list.  None when a literal is not a step
+    literal (a list of other literals is told at its first) or a group fails
+    a check, so that the per-element path gives the first refusal in list
+    order."""
+    tags, groups = [], {}  # (id(tag), level) -> (tag, level, positions, rows)
     try:
         for i, d in enumerate(ds):
             tag = tag_of(d["tag"])
@@ -911,14 +931,36 @@ def _step_elements(ds: Sequence[Mapping], tag_of) -> list[StepFunction] | None:
                 group = groups[id(tag), level] = (tag, level, [], [])
             group[2].append(i)
             group[3].append(d["values"])
-        out: list = [None] * len(ds)
-        for tag, level, positions, rows in groups.values():
-            block = _step_values(tag, level, rows, ndim=2)
-            for i, row in zip(positions, block):
-                out[i] = StepFunction._trusted(tag, level, row)
+            tags.append(tag)
+        blocks = [(tag, level, np.array(positions), _step_values(tag, level, rows, ndim=2))
+                  for tag, level, positions, rows in groups.values()]
     except Exception:  # the per-element path names the refusal
         return None
-    return out
+    return StepRows(tags, blocks) if tags else []
+
+
+class StepRows(Sequence):
+    """Step functions held as one read-only block per (tag, level) group:
+    ``groups`` lists ``(tag, level, positions, block)``, where row j of
+    ``block`` holds the cell values at ``level`` of the element at list
+    position ``positions[j]``, and element k's tag is ``tags[k]``.  Each
+    access makes a fresh element, a row of its block; none is kept."""
+
+    def __init__(self, tags: list[SpaceTag], groups: list[tuple]):
+        self.tags, self.groups = tags, groups
+        # element k is row _row[k] of group _group[k]
+        self._group, self._row = np.empty((2, len(tags)), dtype=np.intp)
+        for g, (_, _, positions, _) in enumerate(groups):
+            self._group[positions] = g
+            self._row[positions] = np.arange(len(positions))
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def __getitem__(self, k: int) -> StepFunction:
+        k = range(len(self.tags))[k]
+        tag, level, _, block = self.groups[self._group[k]]
+        return StepFunction._trusted(tag, level, block[self._row[k]])
 
 
 class SparseRows(Sequence):

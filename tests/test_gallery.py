@@ -1,12 +1,13 @@
 """Named sequence gallery: generators and the pinned verdict table."""
 
+import json
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from unlattice import convergence, gallery
+from unlattice import convergence, gallery, spaces
 from unlattice.convergence import (
     ToleranceSpec,
     VectorSequence,
@@ -205,6 +206,68 @@ def test_inline_chunks_are_the_per_term_chunks(chunk_cells):
     rows = elements_from_dicts(literals)
     with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
         _same_chunks(_chunks(sequence_from_list(rows)), _chunks(sequence_from_list(list(rows))))
+
+
+def _inline_step_literals(rng, count: int) -> list:
+    """JSON-parsed step literals at up to two levels above their measure's,
+    over a measure written in two equal ways and over its refinement, a
+    compatible measure of a tag of its own; some values are -0.0."""
+    base = {"kind": "lp_step", "p": 2, "measure": {"level": 1, "weights": [0.25, 0.75]}}
+    tags = [base, dict(base, p=2.0),
+            dict(base, measure={"level": 2, "weights": [0.125, 0.125, 0.375, 0.375]})]
+    literals = []
+    for _ in range(count):
+        tag = tags[int(rng.integers(len(tags)))]
+        level = tag["measure"]["level"] + int(rng.integers(0, 3))
+        values = rng.normal(size=2 ** level) * (rng.random(2 ** level) < 0.7)
+        values[rng.random(values.size) < 0.1] = -0.0
+        literals.append({"tag": tag, "level": level, "values": values.tolist()})
+    return json.loads(json.dumps(literals))
+
+
+def _block_bits(blocks) -> list:
+    """(rows, tag id, level, dtype, shape, bytes) of each block, in the order
+    of their first rows."""
+    return sorted(((rows.tolist(), id(tag), level, block.dtype, block.shape, block.tobytes())
+                   for rows, tag, level, block in blocks), key=lambda b: b[0])
+
+
+@pytest.mark.parametrize("chunk_cells", [8, 64, 2 ** 16])
+def test_inline_step_blocks_are_the_buffered_terms(chunk_cells):
+    rows = elements_from_dicts(_inline_step_literals(np.random.default_rng(3), 60))
+    seq = sequence_from_list(rows)
+    assert isinstance(rows, spaces.StepRows) and len(rows.groups) == 6  # 2 tags x 3 levels
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        checked, produced = [], []
+        for block in seq.step_blocks(checked.append):
+            assert block[2] in checked  # its level was checked before the block was made
+            produced.append(block)
+        buffered = list(_per_term(seq).step_blocks(lambda level: None))
+        assert _block_bits(produced) == _block_bits(buffered)
+        assert (len(produced) > len(rows.groups)) == (chunk_cells < 2 ** 16)
+        for _, _, _, block in produced:  # a fresh copy, which the consumer may write to
+            assert block.flags.writeable
+            assert not any(np.shares_memory(block, group[3]) for group in rows.groups)
+        for top in (0, 5):  # top above every term's level cuts every block
+            assert (_block_bits(convergence._step_blocks(seq, top=top))
+                    == _block_bits(convergence._step_blocks(_per_term(seq), top=top)))
+
+
+def test_inline_step_diagnostics_make_no_terms():
+    seq = build_sequence({"inline": {"elements": _inline_step_literals(
+        np.random.default_rng(4), 40)}})
+    ts = ToleranceSpec()
+
+    def made(rows, k):
+        raise AssertionError(f"element {k} made")
+
+    with mock.patch.object(spaces.StepRows, "__getitem__", made):
+        for diag in ({"name": "norm"}, {"name": "un"}, {"name": "un_qip"},
+                     {"name": "in_measure", "delta": 0.5},
+                     {"name": "weak", "functionals": "step_family"}, {"name": "pointwise"}):
+            run_diagnostic(seq, diag, ts)
+        with pytest.raises(AssertionError, match="element 0 made"):  # the per-term path
+            run_diagnostic(_per_term(seq), {"name": "norm"}, ts)
 
 
 def _termless(seq: VectorSequence) -> VectorSequence:

@@ -590,7 +590,8 @@ def _decode_each(ds):
 
 def _random_step_literals(rng, count):
     """Step literals over two measures, at mixed levels, each tag written in
-    one of several equal ways."""
+    one of several equal ways; among the float values are ints, bools, -0.0
+    and subnormal values, and some rows are tuples."""
     other = {"kind": "lp_step", "p": 2.0, "measure": {"level": 1, "weights": [0.25, 0.75]}}
     measure = STEP_TAG_LITERAL["measure"]
     tags = [STEP_TAG_LITERAL, dict(STEP_TAG_LITERAL, p=1.0),
@@ -603,8 +604,24 @@ def _random_step_literals(rng, count):
         tag = tags[int(rng.integers(len(tags)))]
         level = tag["measure"]["level"] + int(rng.integers(0, 3))
         values = rng.normal(size=2 ** int(level)) * (rng.random(2 ** int(level)) < 0.7)
-        literals.append({"tag": tag, "level": level, "values": values.tolist()})
+        kinds = rng.choice(5, values.size, p=[0.6, 0.1, 0.1, 0.1, 0.1])
+        values = [(v, -0.0, v * 1e-310, round(v * 4), v > 0)[k]
+                  for v, k in zip(values.tolist(), kinds)]
+        literals.append({"tag": tag, "level": level,
+                         "values": tuple(values) if rng.random() < 0.3 else values})
     return literals
+
+
+def _bits(literal):
+    """``literal`` with every float written by its hex, so that == compares
+    floats bit for bit, -0.0 apart from 0.0."""
+    if isinstance(literal, float):
+        return literal.hex()
+    if isinstance(literal, dict):
+        return {k: _bits(v) for k, v in literal.items()}
+    if isinstance(literal, list):
+        return [_bits(v) for v in literal]
+    return literal
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -612,11 +629,12 @@ def test_grouped_step_literals_decode_as_each_alone(seed):
     literals = _random_step_literals(np.random.default_rng(seed), 40)
     for ds in (literals, json.loads(json.dumps(literals))):
         xs, ys = elements_from_dicts(ds), _decode_each(ds)
-        assert len(xs) == len(ys) == len(ds)
+        assert isinstance(xs, spaces.StepRows) and len(xs) == len(ys) == len(ds)
         for x, y in zip(xs, ys):
             assert type(x) is StepFunction and x.tag == y.tag
             assert x.level == y.level and type(x.level) is int
-            assert x.values.dtype == y.values.dtype and x.values.tolist() == y.values.tolist()
+            assert x.values.dtype == y.values.dtype
+            assert _bits(element_to_dict(x)) == _bits(element_to_dict(y))
             assert not x.values.flags.writeable
             with pytest.raises(ValueError):
                 x.values[0] = 1.0
@@ -624,9 +642,14 @@ def test_grouped_step_literals_decode_as_each_alone(seed):
         assert [[a.tag is b.tag for b in xs] for a in xs] == [[a.tag is b.tag for b in ys]
                                                               for a in ys]
         assert len({id(x.tag) for x in xs}) == 2
-        # each element is a row of one block per (tag, level) group
+        # each element is a row of one block per (tag, level) group, made anew
+        # on each access
         blocks = {(id(x.tag), x.level): x.values.base for x in xs}
         assert all(x.values.base is blocks[id(x.tag), x.level] for x in xs)
+        assert xs[0] is not xs[0] and _bits(element_to_dict(xs[-1])) == _bits(
+            element_to_dict(xs[len(ds) - 1]))  # a negative index
+        with pytest.raises(IndexError):
+            xs[len(ds)]
 
 
 def test_a_list_with_other_literals_decodes_each_alone():
@@ -760,9 +783,29 @@ GOOD = [_step(2, [1.0, 2.0, 3.0, 4.0]), _step(3, [0.5] * 8), _step(2, [0.0] * 4)
      "malformed element literal: KeyError: 'level'"),
     (GOOD + [_step(1.5, [1.0] * 4)], "a level must be an integer"),
     (GOOD + [[1.0]], "malformed element literal: TypeError"),
+    # rows of 2**level entries that are not lists or tuples: a dict, a set (in
+    # memory only) and strings
+    (GOOD + [_step(2, {0.5: 1.0, 1.5: 2.0, 2.5: 3.0, 3.5: 4.0})],
+     "malformed element literal: TypeError"),
+    (GOOD + [_step(2, {0.5, 1.5, 2.5, 3.5})], "malformed element literal: TypeError"),
+    (GOOD + [_step(2, "abcd")], "malformed element literal: ValueError"),
+    (GOOD + [_step(2, "1234")], "values must have 2\\*\\*level entries"),
+    # numeric-string rows decode; one past the float range or not a number is refused
+    (GOOD + [_step(2, ["1.5", "2", "-0.0", "1e-3"]), _step(2, ["inf", "1", "2", "3"])],
+     "values must be finite"),
+    (GOOD + [_step(2, ["1e400", "1", "2", "3"])], "values must be finite"),
+    (GOOD + [_step(2, ["1", "2", "3", "x"])], "malformed element literal: ValueError"),
+    (GOOD + [_step(2, [10 ** 400, 1.0, 1.0, 1.0])], "malformed element literal: OverflowError"),
+    # told by length, with no 2**level built
+    (GOOD + [_step(10 ** 18, [1.0] * 4)], "values must have 2\\*\\*level entries"),
+    (GOOD + [_step(10 ** 18, [1.0])], "values must have 2\\*\\*level entries"),
 ])
 def test_grouped_step_literals_keep_the_first_refusal(literals, message):
-    for ds in (literals, json.loads(json.dumps(literals))):
+    try:
+        parsed = (json.loads(json.dumps(literals)),)
+    except TypeError:  # a set row has no JSON text
+        parsed = ()
+    for ds in (literals, *parsed):
         with pytest.raises(ValidationError, match=message) as grouped:
             elements_from_dicts(ds)
         with pytest.raises(ValidationError) as each:
