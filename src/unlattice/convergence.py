@@ -23,7 +23,12 @@ model's chunks come from its producer where it has one, with no term made:
 the gallery's units, overlap sequence and direct-sum parts build theirs with
 ``np.arange`` and ``np.repeat``, and a list of sequence literals decoded as
 one CSR (``spaces.SparseRows``) gives slices of it.  Otherwise each term is
-generated once and its coordinates are flattened into the chunk.  Every
+generated once and its coordinates are flattened into the chunk.  A step
+model's level blocks come from its producer likewise: the typewriter makes
+them as identity rows, and a list of step literals decoded into one block
+per (tag, level) group (``spaces.StepRows``) gives copies of cuts of those;
+otherwise each term is generated once and buffered with the terms of its
+level and measure.  Every
 diagnostic, the pointwise verdict included, is one reduction over those
 chunks or blocks, except the pairings of sequence models, which go term by
 term over the common supports and so walk only the shorter one: no (terms x
@@ -91,7 +96,9 @@ class VectorSequence:
 
     A sequence may carry ``blocks``, a producer that makes its terms in bulk
     without making them one at a time, in its model's layout: a step
-    sequence's level blocks, ``blocks(check)`` (see ``step_blocks``); a
+    sequence's level blocks, ``blocks(check)`` (see ``step_blocks``; the
+    typewriter's identity rows, or cuts of the group blocks of a
+    ``StepRows``, see ``_group_blocks``); a
     sequence model's CSR chunks of the terms ``first + 1`` .. ``stop``,
     ``blocks(first, stop)`` (see ``_sparse_chunks``); or the direct sum's two
     part sequences, ``blocks()`` (see ``_parts``)."""
