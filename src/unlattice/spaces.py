@@ -24,6 +24,7 @@ import math
 import numbers
 import operator
 import struct
+import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence, Union
 
@@ -629,8 +630,9 @@ class StepFunction(_ElementOps):
 
 def _repeat(values: np.ndarray, level: int, to: int) -> np.ndarray:
     """The cell values ``values`` at ``level`` refined to ``to`` >= level;
-    ``values`` itself when the levels agree."""
-    return values if to == level else np.repeat(values, 2 ** (to - level))
+    ``values`` itself when the levels agree.  The method, not ``np.repeat``,
+    which gives the same array through a dispatch wrapper."""
+    return values if to == level else values.repeat(2 ** (to - level))
 
 
 def _step_values(tag: SpaceTag, level: int, values, ndim: int = 1) -> np.ndarray:
@@ -996,7 +998,18 @@ def _sparse_rows(ds: Sequence[Mapping], tag_of) -> SparseRows | None:
     when the list would be refused, or when a key is neither an int nor the
     canonical decimal string of its index: only then can two keys of a literal
     name one index.  The per-element path then gives the first refusal in list
-    order, or resolves the keys that name one index."""
+    order, or resolves the keys that name one index.
+
+    String keys are parsed in one C pass, ``np.fromstring`` over the keys
+    joined by commas, with its warnings raised; int keys go through
+    ``np.array``.  A parse that fails or warns, or that reads another number of
+    indices than there are keys (a key that is empty or holds a comma), falls
+    back to the per-element path.  The text is then canonical iff it has one
+    character per digit of its indices besides the joining commas: each index
+    >= 1 is read from a run of ASCII digits at least as long as its decimal
+    form, and a sign, a space, a leading zero or another comma adds a
+    character but no digit.  A key past the int64 range saturates, and the
+    range check refuses it first."""
     tags, counts, keys, values = [], [0], [], []
     try:
         for d in ds:
@@ -1008,22 +1021,33 @@ def _sparse_rows(ds: Sequence[Mapping], tag_of) -> SparseRows | None:
             values += coords.values()
             tags.append(tag)
             counts.append(len(coords))
-        indices = np.array(keys, dtype=np.int64)
         data = np.fromiter(values, float, len(values))
     except Exception:  # the per-element path names the refusal
         return None
-    if indices.size and not (indices.min() >= 1 and indices.max() < MAX_INDEX):
-        return None
     try:
-        text = "".join(keys)
+        text = ",".join(keys)
     except TypeError:  # not every key is a str: then every key must be an int
         if not all(type(i) is int for i in keys):
             return None
-    else:  # no ASCII key has fewer characters than its index has digits; a canonical
-        # one has as many, any other more
-        digits = np.searchsorted(_POWERS_OF_TEN, indices, side="right")
-        if not (text.isascii() and len(text) == digits.sum()):
-            return None
+        text = ""
+    if not text.isascii():
+        return None
+    try:
+        if text:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy < 2 warns on text it cannot read
+                indices = np.fromstring(text, dtype=np.int64, sep=",")
+        else:  # int keys, or none
+            indices = np.array(keys, dtype=np.int64)
+    except Exception:  # the per-element path names the refusal
+        return None
+    if len(indices) != len(keys):
+        return None
+    if indices.size and not (indices.min() >= 1 and indices.max() < MAX_INDEX):
+        return None
+    if text and len(text) - (len(keys) - 1) != np.searchsorted(
+            _POWERS_OF_TEN, indices, side="right").sum():
+        return None
     if not np.isfinite(data).all():
         return None
     indptr = np.cumsum(counts)

@@ -755,6 +755,56 @@ def test_sparse_literals_keep_the_first_refusal(literals, message):
         assert type(batch.value) is type(each.value)
 
 
+def _decoded(decode, ds):
+    """What ``decode(ds)`` gives: each element's tag, stored coordinates and
+    sign flag, or the type and message of its refusal."""
+    try:
+        return [(x.tag, _coords_of(x), x._positive) for x in decode(ds)]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+#: keys that the one C parse of the joined string keys must read as the
+#: per-element path does, or hand to it
+PARSE_KEYS = [" 1", "1 ", "\t1", "1\n", "+1", "01", "1,2", "", "1_0", "٣", "-1", "0",
+              "2.0", "1e3", "0x1", "9999999999999999999", str(2 ** 62), str(2 ** 62 - 1)]
+
+
+@pytest.mark.parametrize("literals", [
+    *([_sparse({key: 2.0})] for key in PARSE_KEYS),
+    *([_sparse({"5": 1.0}), _sparse({"1": -1.0, key: 2.0}), _sparse({"3": 1.0})]
+      for key in PARSE_KEYS),
+    [_sparse({"1": 1.0, "01": 2.0})],
+    [_sparse({"1": 1.0, "": 2.0})],  # "1," reads one index for two keys
+    [_sparse({"2": 1.0}), _sparse({"3": 1.0, "\u00a01": 2.0})],
+    [_sparse({1: 1.0, 2 ** 62 - 1: -2.0}), _sparse({7: 0.5})],
+    [_sparse({1: 1.0, "2": -2.0})],
+    [_sparse({"1": 1.0}), _sparse({2: -2.0})],
+    [],
+    [_sparse({})],
+    [_sparse({}), _sparse({"4": 1.0}), _sparse({})],
+    [_sparse({"1": "1.5"}), _sparse({"2": 1.0})],
+    [_sparse({"2": 1.0}), _sparse({"1": math.nan})],
+    [_sparse({"2": 1.0}), _sparse({"1": 10 ** 400})],
+], ids=repr)
+def test_string_keys_parse_as_each_alone(literals):
+    for ds in (literals, json.loads(json.dumps(literals))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _decoded(elements_from_dicts, ds) == _decoded(
+                lambda ds: [element_from_dict(d) for d in ds], ds)
+
+
+def test_canonical_string_keys_take_one_parse():
+    ds = [_sparse({"1": 1.0, str(2 ** 62 - 1): -2.0, "10": 0.0}), _sparse({}),
+          _sparse({"987654321": 0.5})]
+    xs = elements_from_dicts(ds)
+    assert isinstance(xs, spaces.SparseRows)
+    assert [_coords_of(x) for x in xs] == [_coords_of(y) for y in _decode_each(ds)]
+    for key in ("01", "+1", " 1", "1\n"):  # a key that is not canonical goes per element
+        assert type(elements_from_dicts(ds + [_sparse({key: 1.0})])) is list
+
+
 def _step(level, values, tag=STEP_TAG_LITERAL):
     return {"tag": tag, "level": level, "values": values}
 

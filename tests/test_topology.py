@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from unlattice import topology
+from unlattice import jsonio, topology
 from unlattice.convergence import NOT_NULL, NULL, ToleranceSpec, un_tail_qip, zero
 from unlattice.errors import NoRoom, ValidationError
 from unlattice.gallery import std_units
@@ -268,6 +268,114 @@ def test_axiom_suite_draws_are_pinned(name):
         axiom_suite(tag_from_name(name), samples=4, rng_seed=0)
     assert len(drawn) == 40
     assert hashlib.sha256(json.dumps(drawn).encode()).hexdigest()[:16] == SAMPLE_DIGESTS[name]
+
+
+def _uniform_element(tag, rng, positive=False, max_index=64):
+    """The suite's draw as it was written with ``Generator.uniform``: the
+    reference that its ``Generator.random`` draws must match bit for bit."""
+    if tag.kind == "lp_step":
+        level = max(tag.measure.level, int(rng.integers(1, 7)))
+        vals = rng.uniform(-1.0, 1.0, size=2 ** level)
+        if positive:
+            vals = np.abs(vals)
+        return StepFunction._trusted(tag, level, vals)
+    size = int(rng.integers(1, 9))
+    support = rng.choice(max_index, size=size, replace=False) + 1
+    vals = rng.uniform(-1.0, 1.0, size=size)
+    if positive:
+        vals = np.abs(vals)
+    coords = {i: v for i, v in zip(support.tolist(), vals.tolist()) if v}
+    return LatticeVector._trusted(
+        tag, coords, positive or not coords or min(coords.values()) > 0.0)
+
+
+def _uniform_eps(rng):
+    return float(10.0 ** rng.uniform(-4.0, 0.0))
+
+
+def _uniform_member(V, rng):
+    x = _uniform_element(V.tag, rng)
+    if topology._member(V, x):
+        return x
+    n = x._norm()
+    if n == 0.0:
+        return x
+    return x.scale(0.9 * V.eps * float(rng.uniform(0.1, 1.0)) / n)
+
+
+def _draws(element, tag, seed, positive):
+    """200 elements drawn from one generator, and its state after them."""
+    rng = np.random.default_rng(seed)
+    drawn = [element_to_dict(element(tag, rng, positive=positive)) for _ in range(200)]
+    return drawn, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+@pytest.mark.parametrize("positive", [False, True])
+def test_axiom_suite_draws_equal_the_uniform_draws(name, positive):
+    tag = tag_from_name(name)
+    for seed in range(20):
+        assert _draws(topology._sample_element, tag, seed, positive) == _draws(
+            _uniform_element, tag, seed, positive)
+
+
+def _members(element, eps, member, tag, seed):
+    """The eps and a member of 200 neighborhoods drawn from one generator, and
+    its state after them."""
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for _ in range(200):
+        u = element(tag, rng, positive=True)
+        if not u.is_zero():
+            V = Neighborhood._trusted(u, eps(rng))
+            drawn.append((V.eps.hex(), element_to_dict(member(V, rng))))
+    return drawn, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_axiom_suite_eps_and_rescales_equal_the_uniform_draws(name):
+    tag = tag_from_name(name)
+    with np.errstate(over="ignore", invalid="ignore"):  # as the suite holds it
+        for seed in range(5):
+            assert _members(topology._sample_element, topology._sample_eps,
+                            topology._sample_member, tag, seed) == _members(
+                _uniform_element, _uniform_eps, _uniform_member, tag, seed)
+
+
+#: sha256 prefixes of jsonio.dumps of axiom_suite(tag, 300, seed), and of
+#: every (u, eps, x) the suite's membership tests see in axiom_suite(tag, 50,
+#: seed): the reports and the draws of the uniform sampler
+SUITE_DIGESTS = {
+    ("c0", 3): ("67c40058d235ec10", "b3ed0e69fdcb125c"),
+    ("c0", 11): ("32e7a469326c3842", "4140e49f30318c05"),
+    ("l1", 3): ("da89cdede6bf780f", "24367c7230efc13f"),
+    ("l1", 11): ("83ebaddd7dc51337", "33432cb1fa28bc2b"),
+    ("l2", 3): ("f09d847086cc4b4b", "244dfbf7d275129e"),
+    ("l2", 11): ("ad5d002798a79b44", "8a3684c4b39d4bdc"),
+    ("linf", 3): ("d4bb0075a2ca5664", "844fd2f6060d10eb"),
+    ("linf", 11): ("87d970b1329d0a22", "9e450e8058f26dad"),
+    ("l1-step", 3): ("d797d313ed73823f", "34077fd515cb8fa1"),
+    ("l1-step", 11): ("a0a14d90395e1ca8", "3481ce9c21bb8c43"),
+    ("l2-step", 3): ("efb86c3fd845d39c", "dcc9d03f5e7bd257"),
+    ("l2-step", 11): ("64e67c46a3c68a6c", "9815648e530cd425"),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(SUITE_DIGESTS))
+def test_axiom_suite_reports_and_memberships_are_pinned(name, seed):
+    tag = tag_from_name(name)
+    report = jsonio.dumps(axiom_suite(tag, 300, seed).to_json_dict())
+    seen = hashlib.sha256()
+    member = topology._member
+
+    def record(V, x):
+        seen.update(json.dumps([element_to_dict(V.u), V.eps.hex(), element_to_dict(x)]).encode())
+        return member(V, x)
+
+    with mock.patch.object(topology, "_member", side_effect=record):
+        axiom_suite(tag, 50, seed)
+    assert (hashlib.sha256(report.encode()).hexdigest()[:16],
+            seen.hexdigest()[:16]) == SUITE_DIGESTS[name, seed]
 
 
 def test_tag_from_name():
