@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -81,7 +82,11 @@ def _tolerance_from(scenario: dict, args) -> ToleranceSpec:
             tol = _env_default("UNLATTICE_TOL", float, ToleranceSpec().tol)
         if window is None:
             window = _env_default("UNLATTICE_WINDOW", int, None)
-        return ToleranceSpec(tol=float(tol), window=window)
+        try:
+            tol = float(tol)
+        except OverflowError:  # an int past the float range is not finite either
+            tol = math.inf
+        return ToleranceSpec(tol=tol, window=window)
 
     return bind(spec, scenario.get("tolerance") or {}, "tolerance")
 

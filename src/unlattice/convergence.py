@@ -190,8 +190,8 @@ class ToleranceSpec:
     window: int | None = None  # None -> length // 4 (at least 1)
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError("tol must be > 0")
+        if not (self.tol > 0 and math.isfinite(self.tol)):  # an inf tol makes every tail null
+            raise ValidationError("tol must be finite and > 0")
         if self.window is not None and self.window < 1:
             raise ValidationError("window must be >= 1")
 

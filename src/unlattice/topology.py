@@ -9,6 +9,7 @@ excludes x from V_{|x|, ||x||} deterministically.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -249,17 +250,18 @@ def axiom_suite(tag: SpaceTag, samples: int = 10_000, rng_seed: int = 0) -> Axio
     return report
 
 
+#: the names of lp and lp-step tags: "l", a decimal p, and "-step" for a step model
+_LP_NAME = re.compile(r"l(\d+\.?\d*|\.\d+)(-step)?")
+
+
 def tag_from_name(name: str) -> SpaceTag:
-    """Space tags addressable from the command line."""
+    """Space tags addressable from the command line: c0, linf, l<p> and
+    l<p>-step (a step model on [0, 1] with Lebesgue measure)."""
     name = name.lower()
     if name in ("c0", "linf"):
         return SpaceTag(name)
-    try:
-        if name.startswith("l") and "step" in name:
-            # e.g. "l1-step", "l2-step"
-            return lp_step(float(name[1:].split("-")[0]), MeasureModel.lebesgue(0))
-        if name.startswith("l"):
-            return SpaceTag("lp", p=float(name[1:]))
-    except ValueError:
-        pass
-    raise ValidationError(f"unknown space name {name!r}")
+    match = _LP_NAME.fullmatch(name)
+    if match is None:
+        raise ValidationError(f"unknown space name {name!r}")
+    p = float(match[1])
+    return lp_step(p, MeasureModel.lebesgue(0)) if match[2] else SpaceTag("lp", p=p)

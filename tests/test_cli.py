@@ -259,6 +259,14 @@ def test_axioms_verb(tmp_path, capsys):
     assert report["total_failures"] == 0
     assert run_cli(["axioms", "weird-space", "--samples", "5"]) == cli.EXIT_VALIDATION
     assert run_cli(["axioms", "lfoo", "--samples", "5"]) == cli.EXIT_VALIDATION
+    capsys.readouterr()
+    # only l<p>-step names a step model
+    for name in ("l1-step-x", "l2-anystep", "l1-stepper"):
+        assert run_cli(["axioms", name, "--samples", "5"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error (validation): unknown space name {name!r}\n"
+    assert run_cli(["axioms", "l1.5-step", "--samples", "5"]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -288,6 +296,37 @@ def test_kp_verb(tmp_path, capsys):
     assert len(result["selected_indices"]) == 4
     for k, r in enumerate(result["residual_norms"], start=1):
         assert r < 2.0 ** -k
+
+
+def test_a_tolerance_that_is_not_finite_exits_2(tmp_path, capsys, monkeypatch):
+    # the units of linf are not un-null: at the default tol the kp advisory
+    # says so, while an inf tol would call every tail null
+    units = {"schema": 1, "diagnostic": {"name": "norm"},
+             "source": {"gallery": "std_units_linf", "params": {"horizon": 64}}}
+    path = write_scenario(tmp_path, units)
+    assert run_cli(["kp", path, "--count", "3"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["result"]["warnings"] == [
+        "input sequence is not un-null against the default test family; "
+        "the greedy scan may stall"]
+
+    def refused(argv):
+        assert run_cli(argv) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""  # refused before anything is computed
+        assert captured.err == "error (validation): tol must be finite and > 0\n"
+
+    refused(["kp", path, "--count", "3", "--tol", "inf"])
+    refused(["run", path, "--tol=-inf"])
+    # 1e400 parses as inf, 10**400 has no float
+    for tol in ("1e400", "1" + "0" * 400):
+        text = json.dumps(dict(units, tolerance={"window": 4})).replace('"window"',
+                                                                        f'"tol": {tol}, "window"')
+        (tmp_path / "big.json").write_text(text)
+        refused(["run", tmp_path / "big.json"])
+    with monkeypatch.context() as env:
+        env.setenv("UNLATTICE_TOL", "inf")
+        refused(["run", path])
+        refused(["kp", path, "--count", "3"])
 
 
 def test_inline_source(tmp_path, capsys):

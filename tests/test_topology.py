@@ -387,6 +387,18 @@ def test_tag_from_name():
         tag_from_name("hilbert")
 
 
+def test_tag_from_name_takes_only_the_listed_forms():
+    assert tag_from_name("L1.5") == lp(1.5)
+    assert tag_from_name("l3-step") == lp_step(3)
+    for name in ("l1-step-x", "l2-anystep", "l1-stepper", "l2-step-step", "l-step", "lstep",
+                 "l", "l1.2.3", "l.", "l2-", "l 2", "l+2", "l1e0", "lnan", "linfinity", "l2_0",
+                 "l2-STEP-1", "c0-step", "linf-step"):
+        with pytest.raises(ValidationError, match="unknown space name"):
+            tag_from_name(name)
+    with pytest.raises(ValidationError, match="lp spaces need a finite p >= 1"):
+        tag_from_name("l0.5-step")
+
+
 def test_topology_agrees_with_un_diagnostic():
     ts = ToleranceSpec()
     seq = std_units(c0(), 64)
