@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -190,7 +191,8 @@ class ToleranceSpec:
     window: int | None = None  # None -> length // 4 (at least 1)
 
     def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):  # an inf tol makes every tail null
+        # an inf tol makes every tail null; an int past the float range is refused too
+        if not 0 < self.tol <= sys.float_info.max:
             raise ValidationError("tol must be finite and > 0")
         if self.window is not None and self.window < 1:
             raise ValidationError("window must be >= 1")

@@ -93,7 +93,7 @@ def test_norm_tail_nonzero_limit():
     assert report.verdict == NULL
 
 
-@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-9, 10 ** 400])
 def test_a_tolerance_that_is_not_finite_and_positive_is_refused(tol):
     with pytest.raises(ValidationError, match=r"^tol must be finite and > 0$"):
         ToleranceSpec(tol=tol)
