@@ -707,7 +707,7 @@ def test_sparse_literals_decode_as_each_alone(seed):
 @pytest.mark.parametrize("coords", [
     {"1": 2.0, "01": -3.0}, {"1": 2.0, "3": 1.0, "01": 0.0}, {"+1": 1.0}, {" 2": 1.0},
     {"1_0": 1.0}, {"\u0661": 1.0}, {1: 1.0, "2": 2.0}, {True: 1.0}, {1.5: 1.0, 2: -1.0},
-    {np.int64(3): 1.0},
+    {np.int64(3): 1.0}, {"1\n": 1.0},
 ])
 def test_keys_that_may_name_one_index_twice_decode_each_alone(coords):
     ds = [{"tag": {"kind": "c0"}, "coords": {"5": 1.0}}, {"tag": {"kind": "c0"}, "coords": coords}]
@@ -793,16 +793,6 @@ def test_string_keys_parse_as_each_alone(literals):
             warnings.simplefilter("error")
             assert _decoded(elements_from_dicts, ds) == _decoded(
                 lambda ds: [element_from_dict(d) for d in ds], ds)
-
-
-def test_canonical_string_keys_take_one_parse():
-    ds = [_sparse({"1": 1.0, str(2 ** 62 - 1): -2.0, "10": 0.0}), _sparse({}),
-          _sparse({"987654321": 0.5})]
-    xs = elements_from_dicts(ds)
-    assert isinstance(xs, spaces.SparseRows)
-    assert [_coords_of(x) for x in xs] == [_coords_of(y) for y in _decode_each(ds)]
-    for key in ("01", "+1", " 1", "1\n"):  # a key that is not canonical goes per element
-        assert type(elements_from_dicts(ds + [_sparse({key: 1.0})])) is list
 
 
 def _step(level, values, tag=STEP_TAG_LITERAL):
