@@ -16,7 +16,11 @@ or ``norm_to_order_subsequence``; or it builds an inline source from a
 JSON-parsed literal list with decoding edges and runs every sparse
 diagnostic, ``uo_extract`` and ``kp_disjointify`` on it, or from a
 JSON-parsed step literal list with decoding edges or edge magnitudes and
-runs the six step diagnostics and ``uo_extract`` on it.  Its canonical
+runs the six step diagnostics and ``uo_extract`` on it; or it runs
+``un_tail_qip``, ``un`` with ``"qip"`` and ``kp_disjointify`` (its un-null
+advisory) on an inline sequence whose coordinates sit at the edges of the
+quasi-interior point (2**-n): indices 1, 1074, 1075, the qip horizon +- 1
+and the far ones, at qip horizons around 1074.  Its canonical
 output is the canonical JSON of the report, witness or result (of the six
 parts y, z, a, b, c, d of a Riesz witness; of the test vector, selection and
 report of a uo extraction; of the selection and disjoint parts of a
@@ -781,11 +785,58 @@ def inline_step_edges_jobs():
                lambda source=source: uo_extract(runner.build_sequence(source), ts))
 
 
+#: qip horizons around 2**-n's last nonzero index 1074, at both parities
+QIP_HORIZONS = (1, 2, 537, 538, 1073, 1074, 1075, 4096)
+
+
+def _qip_edge_terms(tag, horizon: int, shift: int) -> list:
+    """Eight terms at the qip's edge coordinates (1, 1074, 1075, horizon +- 1
+    and the far ones), each at an ``EDGES`` magnitude: one holds them all, one
+    only far coordinates and one none, so that every meet of those two is 0."""
+    edge = sorted({1, 1074, 1075, max(1, horizon - 1), horizon, horizon + 1, *FAR})
+    supports = (edge, [1], [1074, 1075], [max(1, horizon - 1), horizon, horizon + 1],
+                list(FAR), [], [1075, horizon + 1], edge)
+    terms = []
+    for n, support in enumerate(supports):
+        magnitude = EDGES[(n + shift) % len(EDGES)]
+        coords = {i: magnitude * (-1.0) ** (n + k) for k, i in enumerate(support)}
+        if tag.kind == "l1_oplus_linf":
+            terms.append(DirectSumVector(LatticeVector(lp(1), coords),
+                                         LatticeVector(linf(), {i: v / 2 for i, v in coords.items()})))
+        else:
+            terms.append(LatticeVector(tag, coords))
+    return terms
+
+
+def qip_edges_jobs():
+    for t, tag in enumerate((*SEQ_TAGS, direct_sum())):
+        for h, horizon in enumerate(QIP_HORIZONS):
+            terms = _qip_edge_terms(tag, horizon, t + h)
+            source = {"inline": {"elements": json.loads(json.dumps(
+                [element_to_dict(x) for x in terms]))}}
+            coords = {1: 0.5, 1074: 1e-310, horizon: -1.0, FAR[0]: 2.0}
+            limit = (DirectSumVector(LatticeVector(lp(1), coords), LatticeVector(linf(), coords))
+                     if tag.kind == "l1_oplus_linf" else LatticeVector(tag, coords))
+            ts = cv.ToleranceSpec(TOLS[h % len(TOLS)], 2)
+            prefix = f"qip_edges/{tag.describe()}/{horizon}"
+            for case, lim in (("zero", zero(tag)), ("limit", limit)):
+                yield (f"{prefix}/{case}/un_qip",
+                       lambda source=source, lim=lim, ts=ts, horizon=horizon: cv.un_tail_qip(
+                           runner.build_sequence(source), lim, ts, horizon))
+                diag = {"name": "un", "tests": "qip", "limit": element_to_dict(lim)}
+                yield (f"{prefix}/{case}/un",
+                       lambda source=source, diag=diag, ts=ts: runner.run_diagnostic(
+                           runner.build_sequence(source), diag, ts))
+            yield (f"{prefix}/kp", lambda source=source, ts=ts: kp_disjointify(
+                runner.build_sequence(source), 3, ts))
+
+
 FAMILIES = {"sparse": sparse_jobs, "step": step_jobs, "direct_sum": direct_sum_jobs,
             "gallery": gallery_jobs, "order_witness": order_witness_jobs,
             "refusal": refusal_jobs, "riesz": riesz_jobs, "typewriter": typewriter_jobs,
             "inline_step": inline_step_jobs, "uo": uo_jobs, "kp": kp_jobs,
-            "inline_sparse": inline_sparse_jobs, "inline_step_edges": inline_step_edges_jobs}
+            "inline_sparse": inline_sparse_jobs, "inline_step_edges": inline_step_edges_jobs,
+            "qip_edges": qip_edges_jobs}
 
 
 def canonical(job) -> str:
