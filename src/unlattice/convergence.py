@@ -428,14 +428,25 @@ def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _nonzero(indptr: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR block ``(indptr, a)`` of values >= 0 without its zeros, each
+    value kept in its row: a zero adds nothing to a row's sum or max."""
+    keep = a > 0.0
+    if keep.all():
+        return indptr, a
+    kept = np.flatnonzero(keep)
+    return np.searchsorted(kept, indptr), a[kept]  # a row starts after the values kept before it
+
+
 def _tail_norms(seq: VectorSequence, limit: Element,
                 tests: Sequence[Element] = ()) -> np.ndarray:
     """The (length, max(1, len(tests))) array of the norms of |seq(n) - limit|
     /\\ u for each test u, or of |seq(n) - limit| when no test is given.
-    Each term is generated once; sequence models are reduced in CSR chunks,
-    step models in dense blocks, and the direct sum as its two parts: its
-    norm is the max of theirs.  A table over ``_MAX_CELLS`` cells is refused
-    before it is allocated."""
+    Each term is generated once; sequence models are reduced in CSR chunks
+    (``_sparse_norms``, each test a gather from its sorted support), step
+    models in dense blocks, and the direct sum as its two parts: its norm is
+    the max of theirs.  A table over ``_MAX_CELLS`` cells is refused before it
+    is allocated."""
     _check_cells(seq.length, max(1, len(tests)))
     if seq.tag.kind == "l1_oplus_linf":
         left, right = _parts(seq)
@@ -449,16 +460,44 @@ def _tail_norms(seq: VectorSequence, limit: Element,
             out[rows] = np.stack([_block_norms(tag, level, a, u) for u in tests]
                                  or [_block_norms(tag, level, a)], axis=1)
         return out
-    supports = [_sorted_support(u) for u in tests]
+    return _sparse_norms(seq, limit, [_support_gather(u) for u in tests])
+
+
+def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
+                  gathers: Sequence[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+    """``_tail_norms`` of the sequence model ``seq`` against the tests whose
+    values at an array of indices each of ``gathers`` gives, in CSR chunks:
+    each row's norm is taken of the nonzero meets alone."""
+    _check_cells(seq.length, max(1, len(gathers)))
     blocks = []
     for indptr, indices, a in _sparse_chunks(seq, limit):
-        norms = []
-        for keys, values in supports:
-            at = np.searchsorted(keys, indices)
-            u = np.where(keys[at] == indices, values[at], 0.0)
-            norms.append(_row_norms(seq.tag, indptr, np.minimum(a, u)))
+        norms = [_row_norms(seq.tag, *_nonzero(indptr, np.minimum(a, gather(indices))))
+                 for gather in gathers]
         blocks.append(np.stack(norms or [_row_norms(seq.tag, indptr, a)], axis=1))
     return np.concatenate(blocks)
+
+
+def _support_gather(u: LatticeVector) -> Callable[[np.ndarray], np.ndarray]:
+    """The values of u at an array of indices, 0.0 off its support."""
+    keys, values = _sorted_support(u)
+
+    def gather(indices: np.ndarray) -> np.ndarray:
+        at = np.searchsorted(keys, indices)
+        return np.where(keys[at] == indices, values[at], 0.0)
+
+    return gather
+
+
+#: 2**-i at index i, exactly (ldexp), for i <= 1074: past it, 2**-i rounds to 0.0
+_POWERS = np.ldexp(1.0, -np.arange(1075))
+
+
+def _geometric_gather(horizon: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The values at an array of indices >= 1 of ``geometric_point(tag,
+    horizon)``, in closed form: 2**-i up to min(horizon, 1074), 0.0 past it."""
+    last = min(horizon, 1074)
+    column = np.append(_POWERS[:last + 1], 0.0)  # "clip" reads every later i as last + 1
+    return lambda indices: column.take(indices, mode="clip")
 
 
 def _parts(seq: VectorSequence) -> tuple[VectorSequence, VectorSequence]:
@@ -531,13 +570,17 @@ def truncation_index(u: Element, e: Element, eps: float, m_max: int = 2 ** 20) -
 def _qip_norms(seq: VectorSequence, limit: Element, horizon: int = DEFAULT_HORIZON):
     """The (length, 1) column || |seq(n) - limit| /\\ e || for the model's quasi-interior
     point e: (2**-n) up to ``horizon`` in c0 and lp, the constant one in step models,
-    1 in linf (min(||x||, 1) exactly, on no horizon), (2**-n) (+) 1 in the direct sum."""
+    1 in linf (min(||x||, 1) exactly, on no horizon), (2**-n) (+) 1 in the direct sum.
+    In c0 and lp, e_i = 2**-i is computed at each stored index i, so no element is built
+    and the meets past index min(horizon, 1074), all 0.0, drop out of every row's norm."""
     if seq.tag.kind == "l1_oplus_linf":
         (left, right), h = _parts(seq), horizon
         return np.maximum(_qip_norms(left, limit.left, h), _qip_norms(right, limit.right, h))
     if seq.tag.kind == "linf":
         return np.minimum(_tail_norms(seq, limit), 1.0)
-    return _tail_norms(seq, limit, [quasi_interior_point(seq.tag, horizon)])
+    if seq.tag.kind == "lp_step":
+        return _tail_norms(seq, limit, [quasi_interior_point(seq.tag, horizon)])
+    return _sparse_norms(seq, limit, [_geometric_gather(horizon)])
 
 
 def un_strong_unit(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> TailReport:
