@@ -74,21 +74,22 @@ def _check_scenario(schema, source, diagnostic, tolerance=None, expect=None, nam
         raise ValidationError(f"expect must be {NULL!r} or {NOT_NULL!r}, not {expect!r}")
 
 
-def _tolerance_from(scenario: dict, args) -> ToleranceSpec:
-    def spec(tol=None, window=None):
-        tol = args.tol if args.tol is not None else tol
-        window = args.window if args.window is not None else window
-        if tol is None:
-            tol = _env_default("UNLATTICE_TOL", float, ToleranceSpec().tol)
-        if window is None:
-            window = _env_default("UNLATTICE_WINDOW", int, None)
-        try:
-            tol = float(tol)
-        except OverflowError:  # an int past the float range is not finite either
-            tol = math.inf
-        return ToleranceSpec(tol=tol, window=window)
+def _tolerance_spec(args, tol=None, window=None) -> ToleranceSpec:
+    tol = args.tol if args.tol is not None else tol
+    window = args.window if args.window is not None else window
+    if tol is None:
+        tol = _env_default("UNLATTICE_TOL", float, ToleranceSpec().tol)
+    if window is None:
+        window = _env_default("UNLATTICE_WINDOW", int, None)
+    try:
+        tol = float(tol)
+    except OverflowError:  # an int past the float range is not finite either
+        tol = math.inf
+    return ToleranceSpec(tol=tol, window=window)
 
-    return bind(spec, scenario.get("tolerance") or {}, "tolerance")
+
+def _tolerance_from(scenario: dict, args) -> ToleranceSpec:
+    return bind(_tolerance_spec, scenario.get("tolerance") or {}, "tolerance", args)
 
 
 def execute_scenario(scenario: dict, ts: ToleranceSpec) -> dict:

@@ -8,6 +8,7 @@ function that consumes it.  A diagnostic spec is {"name": <diagnostic>,
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import replace
 from typing import Mapping
 
@@ -49,13 +50,21 @@ def _json_type(value) -> str:
     return _JSON_TYPES.get(type(value), type(value).__name__)
 
 
+#: fn -> its parameters, read once per function (``inspect.signature`` is slow);
+#: an entry goes with its function, so functions made per call do not pile up
+_PARAMETERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def bind(fn, obj, what: str, *args):
     """Call ``fn(*args, **obj)`` once ``obj`` is an object whose keys are keyword
     parameters of ``fn``, holding every one without a default, each value of its
     ``SCHEMA`` type; raise ``ValidationError`` naming ``what`` otherwise."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} must be an object, not {_json_type(obj)}")
-    params = list(inspect.signature(fn).parameters.values())[len(args):]
+    params = _PARAMETERS.get(fn)
+    if params is None:
+        params = _PARAMETERS[fn] = tuple(inspect.signature(fn).parameters.values())
+    params = params[len(args):]
     unknown = obj.keys() - {q.name for q in params}
     if unknown:
         raise ValidationError(f"{what}: unknown fields {sorted(unknown, key=str)}; "
@@ -157,9 +166,12 @@ def _gallery_source(gallery, params=None) -> VectorSequence:
     return bind(get_entry(gallery).build, params or {}, f"{gallery} params")
 
 
+def _inline(elements, name="inline") -> VectorSequence:
+    return cv.sequence_from_list(elements_from_dicts(elements), name=name)
+
+
 def _inline_source(inline) -> VectorSequence:
-    return bind(lambda elements, name="inline": cv.sequence_from_list(
-        elements_from_dicts(elements), name=name), inline, "inline")
+    return bind(_inline, inline, "inline")
 
 
 def build_sequence(source: Mapping) -> VectorSequence:
