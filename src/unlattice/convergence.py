@@ -467,8 +467,8 @@ def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
                   gathers: Sequence[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
     """``_tail_norms`` of the sequence model ``seq`` against the tests whose
     values at an array of indices each of ``gathers`` gives, in CSR chunks:
-    each row's norm is taken of the nonzero meets alone."""
-    _check_cells(seq.length, max(1, len(gathers)))
+    each row's norm is taken of the nonzero meets alone.  One column is held
+    to the budget by ``_sparse_chunks``, more by the caller."""
     blocks = []
     for indptr, indices, a in _sparse_chunks(seq, limit):
         norms = [_row_norms(seq.tag, *_nonzero(indptr, np.minimum(a, gather(indices))))

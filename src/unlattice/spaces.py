@@ -801,7 +801,9 @@ def zero(tag: SpaceTag) -> Element:
 def quasi_interior_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> Element:
     """A canonical quasi-interior point of the tagged model: the summable
     ``geometric_point`` (2**-n) in c0 and lp, the constant one in the step
-    models.  ``convergence.un_tail_qip`` reads linf's and the direct sum's."""
+    models.  ``convergence.un_tail_qip`` reads linf's and the direct sum's,
+    and computes c0's and lp's coordinate 2**-i from the index i, with no
+    element built."""
     if tag.kind == "lp_step":
         return constant_one(tag)
     if tag.kind in ("c0", "lp"):
@@ -811,7 +813,9 @@ def quasi_interior_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> Eleme
 
 def geometric_point(tag: SpaceTag, horizon: int = DEFAULT_HORIZON) -> LatticeVector:
     """The summable sequence (2**-n) in a sequence space, truncated at
-    ``horizon`` and stored only where 2**-n is not 0.0 (n <= 1074)."""
+    ``horizon`` and stored only where 2**-n is not 0.0 (n <= 1074).  The
+    qip diagnostics do not build it: ``convergence._geometric_gather`` gives
+    the same values, bit for bit, at the indices a sequence stores."""
     return LatticeVector._trusted(
         tag, {n: 2.0 ** -n for n in range(1, min(horizon, 1074) + 1)})
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlattice import cli, jsonio
+from unlattice import cli, jsonio, runner
 from unlattice.errors import TagMismatch
 from unlattice.runner import SCHEMA, build_sequence
 
@@ -342,6 +342,35 @@ def test_inline_source(tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)
     assert result["sequence"] == "const"
     assert result["report"]["values"] == [0.5] * 8
+
+
+def test_bind_reads_each_function_once(tmp_path, capsys, monkeypatch):
+    element = {"tag": {"kind": "c0"}, "coords": {"1": 0.5}}
+    scenario = dict(UN_NULL_SCENARIO, source={"inline": {"elements": [element] * 8}},
+                    tolerance={"tol": 1e-3}, expect="NOT_NULL")
+    path = write_scenario(tmp_path, scenario)
+    assert run_cli(["run", path]) == cli.EXIT_OK
+    cached = dict(runner._PARAMETERS)
+    read = []
+    monkeypatch.setattr(runner.inspect, "signature", read.append)
+    for _ in range(3):
+        assert run_cli(["run", path]) == cli.EXIT_OK
+    # no function is read again, and none made per call is added
+    assert read == [] and dict(runner._PARAMETERS) == cached
+    monkeypatch.undo()
+    refusals = {
+        "tolerance: unknown fields ['args']; known: ['tol', 'window']":
+            dict(scenario, tolerance={"args": 1}),
+        "tolerance: 'window' must be integer, not string":
+            dict(scenario, tolerance={"window": "4"}),
+        "inline: unknown fields ['bogus']; known: ['elements', 'name']":
+            dict(scenario, source={"inline": {"elements": [element], "bogus": 1}}),
+        "inline: missing 'elements'": dict(scenario, source={"inline": {}}),
+    }
+    capsys.readouterr()
+    for message, bad in refusals.items():
+        assert run_cli(["run", write_scenario(tmp_path, bad)]) == cli.EXIT_VALIDATION
+        assert message in capsys.readouterr().err
 
 
 def test_inline_step_elements_share_one_tag():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unlattice import convergence, spaces
+from unlattice import convergence, runner, spaces
+from unlattice.constructive import kp_disjointify
 
 from unlattice.convergence import (
     NOT_NULL,
@@ -38,6 +39,7 @@ from unlattice.errors import (
     ValidationError,
 )
 from unlattice.gallery import (
+    direct_sum_seq,
     rademacher_modulated,
     std_units,
     typewriter,
@@ -228,6 +230,99 @@ def test_block_tails_over_several_chunks(tag):
     assert _bits(report.values) == _bits(max(r) for r in ref)
     assert report.witness["test_index"] == int(np.argmax(ref[report.witness["index"] - 1]))
     assert calls == list(range(1, length + 1)) * 2  # each term once per diagnostic
+
+
+#: qip horizons around 2**-n's last nonzero index 1074, at both parities
+QIP_HORIZONS = (1, 2, 537, 538, 1073, 1074, 1075, 4096)
+QIP_TAGS = (c0(), lp(1), lp(1.5), lp(2), lp(3))
+
+
+def _qip_edge_rows(horizon: int) -> list[dict]:
+    """Rows at the qip's edge indices, at magnitudes whose meets with 2**-i are
+    subnormal, whose squares underflow or which are 2**-i itself; one row is
+    empty and one has only coordinates where 2**-i is 0.0."""
+    edge = sorted({1, 537, 538, 1073, 1074, 1075, max(1, horizon - 1), horizon,
+                   horizon + 1, 10 ** 12, 2 ** 62 - 1})
+    rows = [{}, {1075: 1.0, 10 ** 12: 2.0, 2 ** 62 - 1: -1e308}]
+    for k, magnitude in enumerate((1.0, 1e-310, 1e-200, 1e200, 1e308)):
+        support = edge[1::2] if k % 2 else edge
+        rows.append({i: magnitude * (-1.0) ** (i + k) for i in support})
+    return rows
+
+
+@pytest.mark.parametrize("horizon", QIP_HORIZONS)
+@pytest.mark.parametrize("chunk_cells", [3, 2 ** 16])
+def test_closed_form_qip_column_is_the_geometric_point(horizon, chunk_cells):
+    for tag in QIP_TAGS:
+        rows = _qip_edge_rows(horizon)
+        literals = [{"tag": spaces.tag_to_dict(tag), "coords": {str(i): v for i, v in row.items()}}
+                    for row in rows]
+        produced = sequence_from_list(spaces.elements_from_dicts(literals))
+        per_term = sequence_from_list([LatticeVector(tag, row) for row in rows])
+        assert produced.blocks is not None and per_term.blocks is None
+        limit = LatticeVector(tag, {1: 0.25, 1074: -1e-310, horizon: 1.0})
+        e = spaces.geometric_point(tag, horizon)
+        with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+            for seq, lim in ((produced, zero(tag)), (per_term, zero(tag)), (produced, limit)):
+                column = convergence._qip_norms(seq, lim, horizon)
+                assert _bits(column[:, 0]) == _bits(convergence._tail_norms(seq, lim, [e])[:, 0])
+                assert _bits(column[:, 0]) == _bits((x - lim).abs().meet(e).norm()
+                                                    for x in seq)
+
+
+def _row_norm_inputs(monkeypatch) -> list[np.ndarray]:
+    """The value arrays ``_row_norms`` is given from now on."""
+    seen, row_norms = [], convergence._row_norms
+
+    def spy(tag, indptr, a):
+        seen.append(a)
+        return row_norms(tag, indptr, a)
+
+    monkeypatch.setattr(convergence, "_row_norms", spy)
+    return seen
+
+
+@pytest.mark.parametrize("tag", BLOCK_TAGS, ids=lambda t: t.describe())
+@pytest.mark.parametrize("chunk_cells", [1, 4, 2 ** 16])
+def test_meet_norms_skip_the_zeros(tag, chunk_cells, monkeypatch):
+    u = LatticeVector(tag, {1: 1e308, 2: 1e308, 3: 1e-200, 4: 1e-310, 5: 1.0})
+    rows = [{}, {7: 1.0, 10 ** 12: 2.0},  # empty, and every meet 0.0
+            {3: 1e-200, 4: -1e-310, 9: 1.0},  # a square sum below MIN_NORMAL
+            {1: 1e308, 2: -1e308, 6: 1.0},  # an l1 sum and the squares overflow
+            {}, {5: 0.5, 8: 3.0, 2 ** 62 - 1: 1.0}, {1: 1.0, 2: -1.0, 3: 1.0, 4: 1.0, 5: 1.0}]
+    terms = [LatticeVector(tag, row) for row in rows]
+    limit = LatticeVector(tag, {5: 0.25, 7: 1.0, 11: -2.0})
+    seen = _row_norm_inputs(monkeypatch)
+    with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
+        for seq in (sequence_from_list(terms),
+                    sequence_from_list(spaces.elements_from_dicts([spaces.element_to_dict(x)
+                                                                   for x in terms]))):
+            for lim in (zero(tag), limit):
+                meets = convergence._tail_norms(seq, lim, [u])[:, 0]
+                assert _bits(meets) == _bits((x - lim).abs().meet(u).norm() for x in terms)
+                if tag.kind != "linf":
+                    e = spaces.geometric_point(tag)
+                    assert _bits(convergence._qip_norms(seq, lim)[:, 0]) == _bits(
+                        (x - lim).abs().meet(e).norm() for x in terms)
+    assert seen and all((a > 0.0).all() for a in seen)  # no zero reaches a row norm
+
+
+def test_qip_diagnostics_build_no_geometric_point():
+    ts = ToleranceSpec(window=4)
+    with mock.patch.object(spaces, "geometric_point", side_effect=AssertionError("built")):
+        for tag in QIP_TAGS:
+            units = std_units(tag, 2048)
+            constant = sequence_from_list([unit(tag, 3)] * 16)
+            assert un_tail_qip(units, zero(tag), ts, horizon=1100).verdict == NULL
+            assert un_tail_qip(constant, zero(tag), ts).verdict == NOT_NULL
+            report = runner.run_diagnostic(units, {"name": "un", "tests": "qip"}, ts)
+            assert report.verdict == NULL
+            assert kp_disjointify(units, 3, ts).warnings == []
+            assert kp_disjointify(constant, 1, ts).warnings == [
+                "input sequence is not un-null against the default test family; "
+                "the greedy scan may stall"]
+        seq = direct_sum_seq(64)
+        assert un_tail_qip(seq, zero(seq.tag), ts).verdict == NOT_NULL
 
 
 def test_block_tail_checks_term_tags():
