@@ -256,7 +256,7 @@ def _make_report(quantity, values, ts, witness_extra=None, extras=None):
         witness = {"index": bad, "value": values[bad - 1]}
         if witness_extra:
             witness.update(witness_extra(bad))
-    return TailReport(quantity, [float(v) for v in values], verdict,
+    return TailReport(quantity, values, verdict,
                       ts.tol, window, len(values), witness, extras or {})
 
 
