@@ -45,6 +45,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import jsonio
 from .errors import (
     MNotFound,
     NegativeTestVector,
@@ -234,6 +235,7 @@ class TailReport:
         return d
 
     def to_csv(self) -> str:
+        jsonio.check_finite(self.values)  # the JSON report's refusal
         lines = ["index,value"]
         lines += [f"{n},{v:.17g}" for n, v in enumerate(self.values, start=1)]
         return "\n".join(lines) + "\n"

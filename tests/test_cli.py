@@ -180,6 +180,18 @@ def test_run_csv_format(tmp_path, capsys):
     assert [float(line.split(",")[1]) for line in lines[1:]] == values
 
 
+def test_run_csv_refuses_what_the_report_refuses(tmp_path, capsys):
+    # each term's l2 norm overflows to inf: the JSON report is refused, so is its CSV
+    term = {"tag": {"kind": "lp", "p": 2}, "coords": {"1": 1.7e308, "2": 1.7e308}}
+    path = write_scenario(tmp_path, {"schema": 1, "source": inline(term, term),
+                                     "diagnostic": {"name": "norm"}})
+    for fmt in ("json", "csv"):
+        assert run_cli(["run", path, "--format", fmt]) == cli.EXIT_VALIDATION
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error (validation): reports may not contain NaN or infinities\n"
+
+
 def test_tol_override_flips_verdict(tmp_path, capsys):
     # norm values are constantly 1; a huge tol renders them null
     scenario = {
