@@ -400,16 +400,16 @@ def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The norm of each row of the CSR block ``(indptr, a)`` of values >= 0,
     bit for bit ``LatticeVector.norm`` of the row's vector."""
     starts, ends = indptr[:-1], indptr[1:]
+    p = None if tag.kind in ("c0", "linf") else tag.p
+    if p == 1.0:
+        return _fsums(a, list(zip(starts.tolist(), ends.tolist())))
     big = np.zeros(len(starts))
     full = ends > starts
     if a.size:
         big[full] = np.maximum.reduceat(a, starts[full])
-    if tag.kind in ("c0", "linf"):
+    if p is None:
         return big
-    p = tag.p
     bounds = list(zip(starts.tolist(), ends.tolist()))
-    if p == 1.0:
-        return _fsums(a, bounds)
     if p != 2.0:  # numpy's power may differ from libm's in the last bit
         flat = memoryview(a)
         return np.array([_power_norm(flat[s:e], p) if m else 0.0
@@ -479,10 +479,25 @@ def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
     return np.concatenate(blocks)
 
 
+#: The largest index of a test read from a dense column; past it, a test's
+#: sorted support is searched.
+_DENSE_SPAN = 2 ** 16
+
+
 def _support_gather(u: LatticeVector) -> Callable[[np.ndarray], np.ndarray]:
     """The values of u at an array of indices, 0.0 off its support."""
     keys, values = _sorted_support(u)
+    last = keys[:-1].max(initial=0)  # keys[-1] is the sentinel
+    if last > _DENSE_SPAN:
+        return _searched_gather(keys, values)
+    column = np.zeros(last + 2)  # "clip" reads every later index as the last, 0.0
+    column[keys[:-1]] = values[:-1]
+    return lambda indices: column.take(indices, mode="clip")
 
+
+def _searched_gather(keys: np.ndarray, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The values at an array of indices of the vector whose sorted support
+    is ``(keys, values)`` (``_sorted_support``), 0.0 off it."""
     def gather(indices: np.ndarray) -> np.ndarray:
         at = np.searchsorted(keys, indices)
         return np.where(keys[at] == indices, values[at], 0.0)

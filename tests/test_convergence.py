@@ -325,6 +325,25 @@ def test_qip_diagnostics_build_no_geometric_point():
         assert un_tail_qip(seq, zero(seq.tag), ts).verdict == NOT_NULL
 
 
+@pytest.mark.parametrize("last", [None, 1, 2, 2000, convergence._DENSE_SPAN,
+                                  convergence._DENSE_SPAN + 1, spaces.MAX_INDEX - 1])
+def test_a_dense_test_gather_reads_as_the_support_search(last):
+    # a test's support up to its last key; None: the empty support of a zero part
+    coords = {} if last is None else {1: 0.5, (last + 1) // 2: 5e-324, last: 1e308}
+    u = LatticeVector(lp(2), coords)
+    last = last or 0
+    at = [1, 2, last - 1, last, last + 1, last + 2, convergence._DENSE_SPAN,
+          convergence._DENSE_SPAN + 1, 10 ** 12, spaces.MAX_INDEX - 1]
+    indices = np.array(sorted({i for i in at if 1 <= i < spaces.MAX_INDEX}) * 2, dtype=np.int64)
+    searched = convergence._searched_gather(*convergence._sorted_support(u))
+    with mock.patch.object(convergence, "_searched_gather",
+                           wraps=convergence._searched_gather) as search:
+        gather = convergence._support_gather(u)
+    assert search.call_count == (last > convergence._DENSE_SPAN)  # past the cap: searched
+    assert _bits(gather(indices)) == _bits(searched(indices))
+    assert _bits(gather(indices)) == _bits(coords.get(i, 0.0) for i in indices.tolist())
+
+
 def test_block_tail_checks_term_tags():
     seq = VectorSequence(c0(), 4, lambda n: unit(lp(2), n))
     with pytest.raises(TagMismatch):
