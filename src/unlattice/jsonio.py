@@ -47,16 +47,17 @@ def _key(k) -> str:
     return _string(k)
 
 
-def _column(xs, sep: str) -> str | None:
-    """The items of the list or tuple ``xs`` joined by ``sep``, in one pass
-    when they are all exactly ``float`` or all exactly ``str``; else None."""
+def _column(xs, sep: str) -> list[str] | None:
+    """The texts of the items of the list or tuple ``xs`` joined by ``sep``,
+    as a one-item list, when they are all exactly ``float`` (each in the form
+    ``_fmt_float`` picks) or all exactly ``str``; else None."""
     types = set(map(type, xs))
     if types == {float}:
         check_finite(xs)
-        return sep.join(["%.1f" if x.is_integer() and abs(x) < 1e17 else "%.17g"
-                         for x in xs]) % tuple(xs)
+        return [sep.join(["%.1f" if x.is_integer() and abs(x) < 1e17 else "%.17g"
+                          for x in xs]) % tuple(xs)]
     if types == {str}:
-        return sep.join(map(_string, xs))
+        return [sep.join(map(_string, xs))]
     return None
 
 
@@ -76,12 +77,7 @@ def _dumps(obj, nl: str, step: str) -> str:
     if isinstance(obj, dict):
         texts, ends = [_key(k) + ": " + _dumps(v, inner, step) for k, v in obj.items()], "{}"
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        text = _column(obj, sep)
-        if text is not None:
-            return "[" + inner + text + nl + "]"
-        texts, ends = [_dumps(v, inner, step) for v in obj], "[]"
+        texts, ends = _column(obj, sep) or [_dumps(v, inner, step) for v in obj], "[]"
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
     if not texts:

@@ -133,7 +133,7 @@ def test_a_float_column_refuses_a_value_that_is_not_finite(bad, at):
     (["1", 2], '["1", 2]'),
 ])
 def test_mixed_lists_keep_the_per_item_text(xs, text):
-    assert jsonio._column(xs, ", ") is None
+    assert jsonio._column(xs, ", ") is None  # the per-item path
     assert jsonio.dumps(xs) == text
 
 
