@@ -479,16 +479,17 @@ def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
     return np.concatenate(blocks)
 
 
-#: The largest index of a test read from a dense column; past it, a test's
-#: sorted support is searched.
-_DENSE_SPAN = 2 ** 16
+#: A test is read from a dense column of at most this many slots per key of
+#: its sorted support (sentinel included), so the columns' memory is a fixed
+#: multiple of the tests' own; a sparser test's support is searched.
+_DENSE_RATIO = 64
 
 
 def _support_gather(u: LatticeVector) -> Callable[[np.ndarray], np.ndarray]:
     """The values of u at an array of indices, 0.0 off its support."""
     keys, values = _sorted_support(u)
     last = keys[:-1].max(initial=0)  # keys[-1] is the sentinel
-    if last > _DENSE_SPAN:
+    if last + 2 > _DENSE_RATIO * len(keys):
         return _searched_gather(keys, values)
     column = np.zeros(last + 2)  # "clip" reads every later index as the last, 0.0
     column[keys[:-1]] = values[:-1]

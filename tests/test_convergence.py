@@ -325,23 +325,49 @@ def test_qip_diagnostics_build_no_geometric_point():
         assert un_tail_qip(seq, zero(seq.tag), ts).verdict == NOT_NULL
 
 
-@pytest.mark.parametrize("last", [None, 1, 2, 2000, convergence._DENSE_SPAN,
-                                  convergence._DENSE_SPAN + 1, spaces.MAX_INDEX - 1])
+_RATIO = convergence._DENSE_RATIO
+
+
+@pytest.mark.parametrize("last", [None, 1, 2, 2000, 4 * _RATIO - 2, 4 * _RATIO - 1, 2 ** 16,
+                                  spaces.MAX_INDEX - 1])
 def test_a_dense_test_gather_reads_as_the_support_search(last):
     # a test's support up to its last key; None: the empty support of a zero part
     coords = {} if last is None else {1: 0.5, (last + 1) // 2: 5e-324, last: 1e308}
     u = LatticeVector(lp(2), coords)
     last = last or 0
-    at = [1, 2, last - 1, last, last + 1, last + 2, convergence._DENSE_SPAN,
-          convergence._DENSE_SPAN + 1, 10 ** 12, spaces.MAX_INDEX - 1]
+    at = [1, 2, last - 1, last, last + 1, last + 2, 4 * _RATIO - 1, 4 * _RATIO,
+          2 ** 16 + 1, 10 ** 12, spaces.MAX_INDEX - 1]
     indices = np.array(sorted({i for i in at if 1 <= i < spaces.MAX_INDEX}) * 2, dtype=np.int64)
     searched = convergence._searched_gather(*convergence._sorted_support(u))
     with mock.patch.object(convergence, "_searched_gather",
                            wraps=convergence._searched_gather) as search:
         gather = convergence._support_gather(u)
-    assert search.call_count == (last > convergence._DENSE_SPAN)  # past the cap: searched
+    # a dense column holds last + 2 slots, at most _RATIO per key and sentinel:
+    # three keys reach 4 * _RATIO - 2 and no further
+    assert search.call_count == (last + 2 > _RATIO * (len(coords) + 1))
+    assert search.call_count == (last not in (0, 1, 2, 4 * _RATIO - 2))
     assert _bits(gather(indices)) == _bits(searched(indices))
     assert _bits(gather(indices)) == _bits(coords.get(i, 0.0) for i in indices.tolist())
+
+
+@pytest.mark.parametrize("last", [2 * _RATIO - 2, 2 * _RATIO - 1, 2 ** 16])
+def test_many_one_key_tests_hold_columns_of_their_own_size(last):
+    # 512 tests of one key each: dense columns up to 2 ** 16 would take 256 MiB
+    import tracemalloc
+    seq = std_units(lp(2), 4)
+    tests = [LatticeVector(lp(2), {last: 1.0}) for _ in range(512)]
+    with mock.patch.object(convergence, "_searched_gather",
+                           wraps=convergence._searched_gather) as search:
+        tracemalloc.start()
+        try:
+            table = convergence._tail_norms(seq, zero(lp(2)), tests)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a test just under the ratio is dense, one a slot past it or further is searched
+    assert search.call_count == (0 if last == 2 * _RATIO - 2 else 512)
+    assert _bits(table.ravel()) == _bits([0.0] * (4 * 512))
+    assert peak < 2e6
 
 
 def test_block_tail_checks_term_tags():
