@@ -2,7 +2,7 @@
 
 Doubles round-trip exactly at 17 significant digits, so identical inputs
 yield byte-identical reports regardless of platform.  Every report's bytes
-rest on the two float forms of ``_spec``, so both stay: ``%.17g``, and
+rest on the two float forms of ``_specs``, so both stay: ``%.17g``, and
 ``%.1f`` for an integral value below 1e17, which is exact and keeps the
 ".0" that marks it as a float.  A report's long columns (values, limsup and
 liminf, coordinate labels) are lists whose items are all exactly ``float``
@@ -22,17 +22,17 @@ from .errors import ValidationError
 _NOT_FINITE = "reports may not contain NaN or infinities"
 
 
-def _spec(x: float) -> str:
-    """The %-format of the finite float x in a report."""
-    if x.is_integer() and abs(x) < 1e17:  # 17 digits at most: .1f is exact, and keeps ".0"
-        return "%.1f"
-    return "%.17g"
+def _specs(xs) -> list[str]:
+    """The %-format of each finite float of ``xs`` in a report (a comprehension:
+    a call per item would cost a column about 7 % more)."""
+    # 17 digits at most: .1f is exact, and keeps ".0"
+    return ["%.1f" if x.is_integer() and abs(x) < 1e17 else "%.17g" for x in xs]
 
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValidationError(_NOT_FINITE)
-    return _spec(x) % x
+    return _specs((x,))[0] % x
 
 
 def check_finite(xs) -> None:
@@ -59,7 +59,7 @@ def _column(xs, sep: str) -> list[str] | None:
     types = set(map(type, xs))
     if types == {float}:
         check_finite(xs)
-        return [sep.join(map(_spec, xs)) % tuple(xs)]
+        return [sep.join(_specs(xs)) % tuple(xs)]
     if types == {str}:
         return [sep.join(map(_string, xs))]
     return None
