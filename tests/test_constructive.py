@@ -1,5 +1,6 @@
 """Constructive witnesses: decomposition, disjointification, subsequences."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -639,6 +640,82 @@ def test_uo_extract_a_subnormal_norm():
     heavy = [StepFunction(light, 1, np.array([1e300, 1e-320])), StepFunction(light, 1, np.ones(2))]
     with pytest.raises(ValidationError, match="values must be finite"):
         uo_extract(sequence_from_list(heavy), TS)
+
+
+def _uo_per_term(seq):
+    """The test vector, the picks and their meet norms of ``uo_extract`` as the
+    per-term path makes them: x.norm() and x._abs_meet_norm(e) of each term."""
+    terms = seq.terms()
+    norms = [x.norm() for x in terms]
+    weighted = []
+    for n, d in enumerate(norms, start=1):
+        if d > 0:
+            w = 2.0 ** -n / d
+            if w == 0.0:
+                break
+            weighted.append((w, 1.0, terms[n - 1]) if w < math.inf
+                            else (2.0 ** -n, d, terms[n - 1]))
+    e = constructive._weighted_moduli(seq.tag, weighted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        picks, meets = constructive._select_geometric(
+            seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), None, "stalled at {k}")
+    return e, picks, meets
+
+
+def _element_bits(x):
+    if isinstance(x, DirectSumVector):
+        return _element_bits(x.left), _element_bits(x.right)
+    if isinstance(x, StepFunction):
+        return x.level, [v.hex() for v in x.values.tolist()]
+    return sorted((i, v.hex()) for i, v in x.coords.items())
+
+
+def _uo_sequences():
+    """Seeded sequences whose terms shrink at random rates, some zero, some
+    with subnormal norms: c0, l1, l2, l3, steps over a non-uniform measure at
+    p in {1, 1.5, 2}, the direct sum, and the cases of
+    ``test_uo_extract_a_subnormal_norm``."""
+    rng = np.random.default_rng(11)
+
+    def scale(n):
+        return [0.0, 1e-310, 1e-200, 2.0 ** -n, 1.0, 3.0][int(rng.integers(0, 6))]
+
+    def vector(tag, n):
+        idx = rng.integers(1, 30, int(rng.integers(1, 7))).tolist()
+        return LatticeVector(tag, dict(zip(idx, (rng.uniform(-1, 1, len(idx)) * scale(n))
+                                           .tolist())))
+
+    for tag in (c0(), lp(1), lp(2), lp(3)):
+        yield sequence_from_list([vector(tag, n) for n in range(1, 41)])
+    measure = MeasureModel(2, tuple(rng.uniform(0.1, 2.0, 4).tolist()))
+    for p in (1.0, 1.5, 2.0):
+        tags = [lp_step(p, measure), lp_step(p, measure.refined(3))]
+        terms = []
+        for n in range(1, 41):
+            k, level = int(rng.integers(0, 2)), int(rng.integers(3, 7))
+            v = rng.uniform(-1, 1, 2 ** level) * scale(n)
+            v[rng.random(v.size) < 0.3] = 0.0
+            terms.append(StepFunction(tags[k], level, v))
+        yield sequence_from_list(terms)
+    yield sequence_from_list([DirectSumVector(vector(lp(1), n), vector(linf(), n))
+                              for n in range(1, 41)])
+    yield sequence_from_list([LatticeVector(c0(), {1: 1e-310}), unit(c0(), 2)])
+    tag = lp_step(1, MeasureModel(1, (0.5, 0.5)))
+    yield sequence_from_list([StepFunction(tag, 1, np.array([1e-310, 3e-310])),
+                              StepFunction(tag, 1, np.ones(2))])
+
+
+def test_uo_extract_is_the_per_term_path():
+    for seq in _uo_sequences():
+        e, picks, meets = _uo_per_term(seq)
+        # the direct sum's certificate is refused (pointwise takes sequence and step
+        # models), so its selection is read with the certificate stubbed
+        with mock.patch.object(constructive, "_sparse_pointwise",
+                               lambda sub, ts, band: None):
+            out = uo_extract(seq, TS)
+        assert out.subindices == picks
+        assert [m.hex() for m in out.meet_norms] == [m.hex() for m in meets]
+        assert _element_bits(out.test_vector) == _element_bits(e)
 
 
 def test_uo_extract_target_count_stalls():

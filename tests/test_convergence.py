@@ -179,6 +179,10 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
+def _bits_or_none(values) -> list[str | None]:
+    return [None if v is None else float(v).hex() for v in values]
+
+
 def _counted(seq: VectorSequence):
     """seq, and the list of the indices it generated."""
     calls = []
@@ -425,6 +429,11 @@ def test_direct_sum_tables_are_part_maxima(rows, limit_parts, test_parts, chunk_
 # base; rows near 1e-170 (p = 2) and 1e-250 (p = 1.5) underflow their power sums
 step_part = st.tuples(st.integers(0, 2), st.integers(0, 3),
                       st.sampled_from([1e-250, 1e-170, 1e-5, 1.0, 3.0]), st.integers(0, 2 ** 16))
+# terms and tests also reach 1e200 and 1e308, whose powers (p > 1) and l1 sums
+# overflow: the rescaled rows and the norms that are inf
+wide_step_part = st.tuples(st.integers(0, 2), st.integers(0, 3),
+                           st.sampled_from([1e-250, 1e-170, 1e-5, 1.0, 3.0, 1e200, 1e308]),
+                           st.integers(0, 2 ** 16))
 
 
 def _random_step(tags, part, positive=False, extra_level=0):
@@ -439,32 +448,68 @@ def _random_step(tags, part, positive=False, extra_level=0):
 
 
 def _pair_sum_ref(f, x):
-    """<f, x> as the per-term pairing takes it: w * f * x at the common level,
-    summed over adjacent cell pairs first."""
+    """<f, x> as the per-term pairing takes it: w * f * x at the common level
+    (f * x * w where that sum is not finite), summed over adjacent cell pairs
+    first; None where both sums are past the float range, as it is refused."""
     level = max(f.level, x.level)
     g = f.refined(level)
-    prod = g.weights() * g.values * x.refined(level).values
-    return float(prod.reshape(-1, 2).sum(axis=1).sum() if prod.size % 2 == 0 else prod.sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prod in (g.weights() * g.values * x.refined(level).values,
+                     g.values * x.refined(level).values * g.weights()):
+            s = float(prod.reshape(-1, 2).sum(axis=1).sum() if prod.size % 2 == 0 else prod.sum())
+            if math.isfinite(s):
+                return s
+    return None
+
+
+def _or_refused(fn, *args):
+    """fn(*args), or None where it refuses a value past the float range."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        assert "float range" in str(exc)
+        return None
+
+
+def _weak_ref(functionals, terms, modulus=False):
+    """max |<f, x>| over the functionals for each term, or None when a pairing
+    is refused, which refuses the whole table."""
+    pairs = [[_pair_sum_ref(f.abs(), x.abs()) if modulus else _pair_sum_ref(f, x)
+              for f in functionals] for x in terms]
+    return None if any(None in row for row in pairs) else [max(map(abs, row)) for row in pairs]
 
 
 @settings(max_examples=60, deadline=None)
 @example(1, 2.0, 0, [(0, 0, 1e-170, 1), (0, 2, 1.0, 2), (0, 1, 1e-170, 3)], (0, 1, 1e-5, 4),
-         [(0, 0, 1.0, 5)], [(0, 3, 3.0, 6)], 4)
+         [(0, 0, 1.0, 5)], [(0, 3, 3.0, 6)], 4, False)
 @example(0, 1.5, 1, [(0, 1, 1e-250, 1), (0, 3, 1.0, 2)], None, [(0, 0, 1.0, 3), (0, 3, 2.0, 4)],
-         [(0, 0, 1.0, 5)], 64)
+         [(0, 0, 1.0, 5)], 64, False)
 # the sequence takes the first term's tag, whose measure has base level 2; the
 # second term lives at level 1 of the base-1 measure it refines
 @example(1, 1.0, 2, [(1, 0, 1.0, 1), (0, 0, 3.0, 2), (1, 1, 1.0, 3)], None, [(0, 0, 1.0, 4)],
-         [(0, 0, 1.0, 5)], 64)
+         [(0, 0, 1.0, 5)], 64, False)
 @example(0, 2.0, 3, [(2, 0, 1.0, 1), (0, 0, 1.0, 2), (1, 0, 1e-170, 3)], (0, 0, 1.0, 4),
-         [(1, 0, 1.0, 5)], [(0, 0, 1.0, 6)], 1)
-@given(st.integers(0, 2), st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 2 ** 16),
-       st.lists(step_part, min_size=1, max_size=10),
-       st.one_of(st.none(), step_part), st.lists(step_part, min_size=1, max_size=2),
-       st.lists(step_part, min_size=1, max_size=2), st.integers(1, 64))
+         [(1, 0, 1.0, 5)], [(0, 0, 1.0, 6)], 1, False)
+# p = 3: a power of 1e200 overflows and its row is rescaled; of 1e-170, underflows
+@example(1, 3.0, 4, [(0, 0, 1e200, 1), (0, 1, 1.0, 2), (0, 2, 1e-170, 3)], None,
+         [(0, 1, 1e200, 4)], [(0, 0, 1.0, 5)], 8, False)
+# 1e308: an l1 sum past the float range is inf; one cell of weight 0 holds inf * 0,
+# a nan sum that the rescale, over the cells of positive weight, makes finite
+@example(1, 1.0, 5, [(0, 0, 1e308, 1), (1, 1, 1e308, 2)], None, [(0, 0, 1e308, 3)],
+         [(0, 0, 1.0, 4)], 64, True)
+@example(2, 1.5, 6, [(0, 0, 1e308, 1), (0, 1, 1e200, 2), (2, 0, 1.0, 3)], (0, 0, 1.0, 4),
+         [(1, 2, 1e308, 5)], [(0, 0, 1e-5, 6)], 2, True)
+@example(1, 2.0, 7, [(0, 0, 1e200, 1), (0, 3, 1e308, 2)], None, [(0, 0, 1e200, 3)],
+         [(0, 0, 1.0, 4)], 64, True)
+@given(st.integers(0, 2), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(0, 2 ** 16),
+       st.lists(wide_step_part, min_size=1, max_size=10),
+       st.one_of(st.none(), step_part), st.lists(wide_step_part, min_size=1, max_size=2),
+       st.lists(step_part, min_size=1, max_size=2), st.integers(1, 64), st.booleans())
 def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part, test_parts,
-                                         functional_parts, chunk_cells):
+                                         functional_parts, chunk_cells, zero_cell):
     weights = np.random.default_rng(weight_seed).uniform(0.1, 2.0, 2 ** base)
+    if zero_cell and base > 0:  # a cell of weight 0, where a power that overflows gives nan
+        weights[weight_seed % 2 ** base] = 0.0
     measure = MeasureModel(base, tuple(weights.tolist()))
     # compatible tags of base levels base .. base + 2: each term is weighted by its own
     tags = [lp_step(p, measure.refined(base + k)) for k in range(3)]
@@ -488,15 +533,20 @@ def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part
             d.meet(constant_one(seq.tag)).norm() for d in diffs)
         assert _bits(in_measure_tail(seq, 1e-3, ts).values) == _bits(
             x.measure_where(lambda v: np.abs(v) > 1e-3) for x in terms)
-        weak = weak_tail(seq, functionals, ts)
-        assert _bits(weak.values) == _bits(max(abs(_pair_sum_ref(f, x)) for f in functionals)
-                                           for x in terms)
-        modulus = weak_tail(seq, functionals, ts, modulus=True)
-        assert _bits(modulus.values) == _bits(
-            max(abs(_pair_sum_ref(f.abs(), x.abs())) for f in functionals) for x in terms)
-    assert _bits(pairing(f, x) for f in functionals for x in terms) == _bits(
-        _pair_sum_ref(f, x) for f in functionals for x in terms)
-    assert calls == list(range(1, len(terms) + 1)) * 7  # each term once per diagnostic
+        refused = False
+        for modulus in (False, True):
+            weak = _or_refused(weak_tail, seq, functionals, ts, modulus)
+            expected = _weak_ref(functionals, terms, modulus)
+            refused |= expected is None
+            assert (weak is None) == (expected is None)
+            if weak is not None:
+                assert _bits(weak.values) == _bits(expected)
+    assert _bits_or_none(_or_refused(pairing, f, x) for f in functionals for x in terms) == (
+        _bits_or_none(_pair_sum_ref(f, x) for f in functionals for x in terms))
+    whole = list(range(1, len(terms) + 1))
+    assert calls[:5 * len(terms)] == whole * 5  # each term once per diagnostic
+    # a refused pairing table stops at its first block past the float range
+    assert len(calls) <= 7 * len(terms) if refused else calls == whole * 7
 
 
 @pytest.mark.parametrize("top", [0, 5])
