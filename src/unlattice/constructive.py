@@ -26,6 +26,7 @@ from .convergence import (
     _make_report,
     _sparse_pointwise,
     _step_zone,
+    _tail_norms,
     norm_tail,
     sequence_from_list,
     un_tail_qip,
@@ -330,10 +331,12 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
     subsequence restricted to the support (band) of e.  For step models the
     certificate is the unsettled-mass tail, the honest finite rendering of
     "a.e. convergence along the subsequence"; for atomic models it is the
-    coordinatewise report.
+    coordinatewise report.  The norms and the meet norms are the columns of
+    ``_tail_norms`` over the terms, each generated once.
     """
     terms = seq.terms()
-    norms = [x.norm() for x in terms]
+    listed, origin = sequence_from_list(terms), zero(seq.tag)
+    norms = _tail_norms(listed, origin)[:, 0].tolist()
     nonzero = [n for n, v in enumerate(norms, start=1) if v > 0]
     if not nonzero:
         report = _make_report("pointwise-tail", [0.0] * seq.length, ts,
@@ -350,11 +353,10 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
         weighted.append((w, 1.0, terms[n - 1]) if w < math.inf
                         else (2.0 ** -n, norms[n - 1], terms[n - 1]))
     e = _weighted_moduli(seq.tag, weighted)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # a step norm past the float range is inf
-        subindices, meet_norms = _select_geometric(
-            seq.length, lambda n: terms[n - 1]._abs_meet_norm(e), target_count,
-            "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
+    meets = _tail_norms(listed, origin, [e])[:, 0].tolist()
+    subindices, meet_norms = _select_geometric(
+        seq.length, lambda n: meets[n - 1], target_count,
+        "no index with ||x_n| /\\ e|| <= 2**-{k} within the horizon")
     sub = sequence_from_list([terms[n - 1] for n in subindices])
     if seq.tag.kind == "lp_step":
         # Borel-Cantelli style a.e. certificate: values[j] is the mass of the

@@ -381,13 +381,23 @@ def _at_level(block: np.ndarray, level: int, m: int) -> np.ndarray:
 def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
                  u: StepFunction | None = None) -> list[float]:
     """The norm of each row of the block ``a`` >= 0 at ``level``, or of its
-    meet with ``u``, bit for bit ``StepFunction.norm`` of the row."""
+    meet with ``u``, bit for bit ``StepFunction.norm`` of the row.  The sums
+    of w * a**p come from one stacked (1 x n) (n x 1) matmul, which numpy
+    reduces row by row with the dot of ``np.dot(w, row)`` (``a @ w``, a
+    gemv, differs in the last bit), and each root from scalar pow (numpy's
+    array power differs from libm's).  A row whose sum is not in
+    [MIN_NORMAL, inf) is rescaled by ``_power_step_norm``."""
     if u is not None:
         m = max(level, u.level)
         a, level = np.minimum(_at_level(a, level, m), u.refined(m).values), m
     w, p = tag.measure.weight_array(level), tag.p
     with np.errstate(over="ignore", invalid="ignore"):  # once per block, not once per row
-        return [_power_step_norm(w, row, p) for row in a]
+        sums = np.matmul((a if p == 1.0 else a ** p)[:, None, :], w[:, None])[:, 0, 0].tolist()
+        if p == 1.0:
+            return sums
+        r = 1.0 / p
+        return [s ** r if MIN_NORMAL <= s < math.inf else _power_step_norm(w, a[i], p)
+                for i, s in enumerate(sums)]
 
 
 def _fsums(values: np.ndarray, bounds) -> np.ndarray:
@@ -836,9 +846,10 @@ def pairing(f: Element, x: Element) -> float:
 def _pair_sums(prod: np.ndarray) -> np.ndarray:
     """The sum of each row of ``prod``, over adjacent cell pairs first: exact
     cancellation for sign-modulated integrands that flip within equal-mass
-    cell pairs."""
-    k, cells = prod.shape
-    return prod.sum(axis=1) if cells % 2 else prod.reshape(k, -1, 2).sum(axis=2).sum(axis=1)
+    cell pairs.  The pairs are added as two strided halves, each pair one
+    IEEE a + b, into a contiguous array whose rows are then summed: the bits
+    of a reduction over a trailing axis of length 2, without its cost."""
+    return prod.sum(axis=1) if prod.shape[1] % 2 else (prod[:, 0::2] + prod[:, 1::2]).sum(axis=1)
 
 
 def _exact_sum(prods: list[float]) -> float:

@@ -549,6 +549,32 @@ def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part
     assert len(calls) <= 7 * len(terms) if refused else calls == whole * 7
 
 
+def test_step_block_kernels_are_the_per_row_reductions():
+    """The batched kernels keep the bits of the per-row calls they replaced, on
+    every block length up to 2**12, each over a block's rows and three more: the
+    stacked matmul row sums are np.dot(w, row) (BLAS's unrolled loop and its
+    tail), and the strided pair sums are the reduction over a length-2 axis.  A
+    numpy or BLAS whose dispatch moves a bit fails here."""
+    rng = np.random.default_rng(27)
+    for level in range(13):
+        rows, cells = convergence._block_rows(level) + 3, 2 ** level
+        measure = MeasureModel(level, tuple(rng.uniform(0.1, 2.0, cells).tolist()))
+        w = measure.weight_array(level)
+        a = rng.uniform(0.5, 1.5, (rows, cells)) * rng.choice([1e-30, 1.0, 1e30], (rows, 1))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        assert _bits(convergence._block_norms(lp_step(1, measure), level, a)) == _bits(
+            np.dot(w, row) for row in a)
+        for p in (1.5, 2.0, 3.0):  # the same sums; the powers and roots on fewer rows
+            with np.errstate(over="ignore", invalid="ignore"):
+                per_row = [spaces._power_step_norm(w, row, p) for row in a[:67]]
+            assert _bits(convergence._block_norms(lp_step(p, measure), level, a[:67])) == (
+                _bits(per_row))
+        prod = a * rng.choice([-1.0, 1.0], a.shape)
+        if cells % 2 == 0:
+            assert _bits(convergence._pair_sums(prod)) == _bits(
+                prod.reshape(rows, -1, 2).sum(axis=2).sum(axis=1))
+
+
 @pytest.mark.parametrize("top", [0, 5])
 def test_step_blocks_bound_the_refined_cells(top):
     seq = typewriter(6)  # terms at levels 0 .. 5
