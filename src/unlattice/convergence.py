@@ -640,8 +640,8 @@ def in_measure_tail(seq: VectorSequence, delta: float, ts: ToleranceSpec) -> Tai
     """values[n] = mu{ |seq(n)| > delta }."""
     if seq.tag.kind != "lp_step":
         raise NonStepSequence("in-measure diagnostic needs an lp_step sequence")
-    if not delta > 0:
-        raise ValidationError("delta must be > 0")
+    if not 0 < delta <= sys.float_info.max:  # as ToleranceSpec's tol: an int past it too
+        raise ValidationError("delta must be finite and > 0")
     values = np.empty(seq.length)
     for rows, tag, level, block in _step_blocks(seq):
         w = tag.measure.weight_array(level)

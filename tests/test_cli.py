@@ -148,6 +148,8 @@ MALFORMED = (
     {"source": inline({"tag": {"kind": "lp", "p": math.inf}, "coords": {"1": 1.0}})},
     {"tolerance": {"tol": math.nan}},
     {"source": TYPEWRITER, "diagnostic": {"name": "in_measure", "delta": -math.inf}},
+    # a JSON integer past the float range
+    {"source": TYPEWRITER, "diagnostic": {"name": "in_measure", "delta": 10 ** 400}},
 )
 
 
@@ -162,6 +164,13 @@ def test_run_validation_failures(tmp_path, capsys):
         path = write_scenario(tmp_path, dict(UN_NULL_SCENARIO, **mutation))
         assert run_cli(["run", path]) == cli.EXIT_VALIDATION, mutation
         assert "error (validation)" in capsys.readouterr().err
+
+    # the number 1e400 parses to inf: refused before the diagnostic runs
+    path = write_scenario(tmp_path, dict(UN_NULL_SCENARIO, source=TYPEWRITER,
+                                         diagnostic={"name": "in_measure", "delta": 0.5}))
+    path.write_text(path.read_text().replace("0.5", "1e400"))
+    assert run_cli(["run", path]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error (validation): delta must be finite and > 0\n"
 
     missing = {"schema": 1, "source": UN_NULL_SCENARIO["source"]}
     path = write_scenario(tmp_path, missing)

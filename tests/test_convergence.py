@@ -688,6 +688,10 @@ def test_in_measure_rejects_bad_input():
         in_measure_tail(std_units(c0(), 8), 0.5, TS)
     with pytest.raises(ValidationError):
         in_measure_tail(typewriter(3), 0.0, TS)
+    # past the float range, as an inf (JSON 1e400) or an int, before a term is made
+    for delta in (math.inf, math.nan, 10 ** 400):
+        with pytest.raises(ValidationError, match=r"^delta must be finite and > 0$"):
+            in_measure_tail(typewriter(3), delta, TS)
 
 
 # ---------------------------------------------------------------------------
