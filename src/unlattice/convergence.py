@@ -846,9 +846,8 @@ def pairing(f: Element, x: Element) -> float:
 def _pair_sums(prod: np.ndarray) -> np.ndarray:
     """The sum of each row of ``prod``, over adjacent cell pairs first: exact
     cancellation for sign-modulated integrands that flip within equal-mass
-    cell pairs.  The pairs are added as two strided halves, each pair one
-    IEEE a + b, into a contiguous array whose rows are then summed: the bits
-    of a reduction over a trailing axis of length 2, without its cost."""
+    cell pairs.  Each pair is one IEEE a + b of the two strided halves, into
+    a contiguous array whose rows numpy then sums pairwise."""
     return prod.sum(axis=1) if prod.shape[1] % 2 else (prod[:, 0::2] + prod[:, 1::2]).sum(axis=1)
 
 

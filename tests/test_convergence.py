@@ -550,8 +550,8 @@ def test_step_blocks_are_per_term_values(base, p, weight_seed, parts, limit_part
 
 
 def test_step_block_kernels_are_the_per_row_reductions():
-    """The batched kernels keep the bits of the per-row calls they replaced, on
-    every block length up to 2**12, each over a block's rows and three more: the
+    """The batched kernels give the bits of the per-row calls, on every block
+    length up to 2**12, each over a block's rows and three more: the
     stacked matmul row sums are np.dot(w, row) (BLAS's unrolled loop and its
     tail), and the strided pair sums are the reduction over a length-2 axis.  A
     numpy or BLAS whose dispatch moves a bit fails here."""
