@@ -332,10 +332,12 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
     certificate is the unsettled-mass tail, the honest finite rendering of
     "a.e. convergence along the subsequence"; for atomic models it is the
     coordinatewise report.  The norms and the meet norms are the columns of
-    ``_tail_norms`` over the terms, each generated once.
+    ``_tail_norms`` over the sequence's producer where it has one, else over
+    the terms; either way each term is generated once.
     """
     terms = seq.terms()
-    listed, origin = sequence_from_list(terms), zero(seq.tag)
+    listed = seq if seq.blocks is not None else sequence_from_list(terms)
+    origin = zero(seq.tag)
     norms = _tail_norms(listed, origin)[:, 0].tolist()
     nonzero = [n for n, v in enumerate(norms, start=1) if v > 0]
     if not nonzero:

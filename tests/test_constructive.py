@@ -41,6 +41,7 @@ from unlattice.spaces import (
     c0,
     check_tags,
     element_to_dict,
+    elements_from_dicts,
     is_disjoint,
     linf,
     lp,
@@ -673,7 +674,8 @@ def _element_bits(x):
 def _uo_sequences():
     """Seeded sequences whose terms shrink at random rates, some zero, some
     with subnormal norms: c0, l1, l2, l3, steps over a non-uniform measure at
-    p in {1, 1.5, 2}, the direct sum, and the cases of
+    p in {1, 1.5, 2} (each also decoded from its literals), the direct sum,
+    gallery sequences with producers, and the cases of
     ``test_uo_extract_a_subnormal_norm``."""
     rng = np.random.default_rng(11)
 
@@ -686,7 +688,10 @@ def _uo_sequences():
                                            .tolist())))
 
     for tag in (c0(), lp(1), lp(2), lp(3)):
-        yield sequence_from_list([vector(tag, n) for n in range(1, 41)])
+        terms = [vector(tag, n) for n in range(1, 41)]
+        yield sequence_from_list(terms)
+        # decoded into one CSR, whose chunks the sequence's producer serves
+        yield sequence_from_list(elements_from_dicts([element_to_dict(x) for x in terms]))
     measure = MeasureModel(2, tuple(rng.uniform(0.1, 2.0, 4).tolist()))
     for p in (1.0, 1.5, 2.0):
         tags = [lp_step(p, measure), lp_step(p, measure.refined(3))]
@@ -697,8 +702,13 @@ def _uo_sequences():
             v[rng.random(v.size) < 0.3] = 0.0
             terms.append(StepFunction(tags[k], level, v))
         yield sequence_from_list(terms)
+        # decoded into (tag, level) group blocks, whose cuts the producer serves
+        yield sequence_from_list(elements_from_dicts([element_to_dict(x) for x in terms]))
     yield sequence_from_list([DirectSumVector(vector(lp(1), n), vector(linf(), n))
                               for n in range(1, 41)])
+    # the gallery's producers: identity rows, units and the direct sum's parts
+    yield from (typewriter(7), typewriter(6, p=2), std_units(lp(2), 40),
+                overlap_seq(lp(3), 40), direct_sum_seq(40))
     yield sequence_from_list([LatticeVector(c0(), {1: 1e-310}), unit(c0(), 2)])
     tag = lp_step(1, MeasureModel(1, (0.5, 0.5)))
     yield sequence_from_list([StepFunction(tag, 1, np.array([1e-310, 3e-310])),
