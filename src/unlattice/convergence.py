@@ -400,41 +400,111 @@ def _block_norms(tag: SpaceTag, level: int, a: np.ndarray,
                 for i, s in enumerate(sums)]
 
 
-def _fsums(values: np.ndarray, bounds) -> np.ndarray:
-    """math.fsum of each segment values[s:e], inf where the sum overflows."""
+#: A row of more values than this goes to ``math.fsum``: ``_exact_row_sums``
+#: needs its count**2 exact.
+_EXACT_ROW = 2 ** 26
+
+
+def _exact_row_sums(values: np.ndarray, indptr: np.ndarray,
+                    maxima: np.ndarray | None = None) -> np.ndarray:
+    """math.fsum of each row ``values[indptr[i]:indptr[i + 1]]``, inf where
+    the sum overflows, for rows of values >= 0 that tile ``values`` as a CSR
+    does; ``maxima``, when given, holds each row's largest value.
+
+    A row of n values with largest value m is split against the power of
+    two sigma = 2**e > 2 n m (e from ``frexp`` of m and of n) into
+    hi = (sigma + v) - sigma, v rounded to a multiple of ulp(sigma), and
+    lo = v - hi, both exact, with |lo| <= ulp(sigma) / 2.  Every partial sum
+    of the his is a multiple of ulp(sigma) below sigma, so T = sum hi is
+    exact in any order; s, the float sum of the los, is off by at most
+    gamma(n - 1) * n * ulp(sigma) / 2 < n**2 * 2**-104 * sigma =: B.  The
+    row returns r = fl(T + s) when the TwoSum residual t = T + s - r keeps
+    t - B and t + B strictly inside half the spacing below and above r:
+    then the exact sum lies there too, and r is its rounding.  B is taken
+    as ``ldexp(n**2, e - 104)``: where that rounds, in the subnormal range,
+    the error of s, a multiple of 2**-1074, is at most its rounding, and 0
+    where it rounds to 0.  Every other row goes to ``math.fsum``: ties,
+    rows whose sigma is past the float range, rows holding inf and rows of
+    zeros (whose bound is no smaller than a spacing at 0)."""
+    starts, counts = indptr[:-1], np.diff(indptr)
+    out = np.zeros(len(counts))
+    full = np.flatnonzero(counts)
+    if not full.size:
+        return out
+    at, n = starts[full], counts[full]
+    top = np.maximum.reduceat(values, at) if maxima is None else maxima[full]
+    e = np.frexp(top)[1] + np.frexp(n.astype(float))[1] + 1
+    ok = (e <= 1023) & (top < math.inf) & (n <= _EXACT_ROW)
+    sigma = np.repeat(np.ldexp(1.0, np.where(ok, e, 0)), n)
+    with np.errstate(over="ignore", invalid="ignore"):  # only in rows left to fsum
+        hi = sigma + values
+        hi -= sigma
+        lo = np.subtract(values, hi, out=sigma)
+        big, small = np.add.reduceat(hi, at), np.add.reduceat(lo, at)
+        r = big + small
+        z = r - big
+        t = (big - (r - z)) + (small - z)
+        bound = np.ldexp((n * n).astype(float), e - 104)
+        ok &= ((2.0 * (t + bound) < np.nextafter(r, math.inf) - r)
+               & (2.0 * (t - bound) > np.nextafter(r, -math.inf) - r))
+    out[full] = r
     flat = memoryview(values)
-    return np.array([_fsum(flat[s:e]) for s, e in bounds])
+    for i in full[~ok].tolist():
+        out[i] = _fsum(flat[indptr[i]:indptr[i + 1]])
+    return out
+
+
+def _row_cells(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The indptr of the increasing rows ``rows`` of the CSR ``indptr`` taken
+    alone, and the positions of their values: all of them, without a
+    gather, when the other rows are empty."""
+    counts = indptr[rows + 1] - indptr[rows]
+    if counts.sum() == indptr[-1]:
+        return np.append(indptr[rows], indptr[-1]), slice(None)
+    offsets = np.cumsum(counts) - counts
+    cells = np.arange(counts.sum()) + np.repeat(indptr[rows] - offsets, counts)
+    return np.append(offsets, counts.sum()), cells
 
 
 def _row_norms(tag: SpaceTag, indptr: np.ndarray, a: np.ndarray) -> np.ndarray:
     """The norm of each row of the CSR block ``(indptr, a)`` of values >= 0,
-    bit for bit ``LatticeVector.norm`` of the row's vector."""
+    bit for bit ``LatticeVector.norm`` of the row's vector.
+
+    At p = 2 a row's sum of squares is taken of v / max|v| when the plain
+    sum is subnormal, zero or overflowed.  A row whose largest square
+    fl(big**2) is inf, or whose n squares cannot reach MIN_NORMAL
+    (fl(n * fl(big**2)) < MIN_NORMAL, so their exact sum, a multiple of
+    2**-1074 below 2**-1022, is its own fsum and subnormal), skips the plain
+    sum."""
     starts, ends = indptr[:-1], indptr[1:]
     p = None if tag.kind in ("c0", "linf") else tag.p
     if p == 1.0:
-        return _fsums(a, list(zip(starts.tolist(), ends.tolist())))
+        return _exact_row_sums(a, indptr)
     big = np.zeros(len(starts))
     full = ends > starts
     if a.size:
         big[full] = np.maximum.reduceat(a, starts[full])
     if p is None:
         return big
-    bounds = list(zip(starts.tolist(), ends.tolist()))
     if p != 2.0:  # numpy's power may differ from libm's in the last bit
         flat = memoryview(a)
         return np.array([_power_norm(flat[s:e], p) if m else 0.0
-                         for (s, e), m in zip(bounds, big.tolist())])
+                         for s, e, m in zip(starts.tolist(), ends.tolist(), big.tolist())])
     with np.errstate(over="ignore"):
-        sums = _fsums(a * a, bounds)
-    out = np.sqrt(sums)
+        tops = big * big
+        far = (big > 0) & ((tops == math.inf) | ((ends - starts) * tops < MIN_NORMAL))
+        near = np.flatnonzero(~far)
+        ip, cells = _row_cells(indptr, near)
+        sums = _exact_row_sums(np.square(a[cells]), ip, tops[near])
+    out = np.zeros(len(big))
+    out[near] = np.sqrt(sums)
     # a sum that is subnormal, zero or overflowed is taken of v / max|v|
-    redo = np.flatnonzero(~((sums >= MIN_NORMAL) & (sums < math.inf)) & (big > 0))
+    far[near] = ~((sums >= MIN_NORMAL) & (sums < math.inf)) & (big[near] > 0)
+    redo = np.flatnonzero(far)
     if redo.size:
-        counts = ends[redo] - starts[redo]
-        offsets = np.cumsum(counts) - counts
-        cells = np.arange(counts.sum()) + np.repeat(starts[redo] - offsets, counts)
-        r = a[cells] / np.repeat(big[redo], counts)
-        sums = _fsums(r * r, zip(offsets.tolist(), (offsets + counts).tolist()))
+        ip, cells = _row_cells(indptr, redo)
+        r = a[cells] / np.repeat(big[redo], np.diff(ip))
+        sums = _exact_row_sums(r * r, ip, np.ones(redo.size))  # each row's max is 1.0
         with np.errstate(over="ignore"):  # an overflowed norm is inf, as in LatticeVector.norm
             out[redo] = big[redo] * np.sqrt(sums)
     return out

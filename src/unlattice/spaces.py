@@ -896,11 +896,16 @@ def elements_from_dicts(ds: Sequence[Mapping]) -> Sequence[Element]:
     A list of step literals is decoded into one ``StepRows``, a list of
     sequence-model literals into one ``SparseRows``."""
     tags: dict[tuple, SpaceTag] = {}
+    last: list = [None, None]  # the previous tag literal and its tag
 
     def tag_of(literal: Mapping) -> SpaceTag:
         # the raw fields tag_from_dict reads: on JSON values, fields equal by ==
         # (1 == 1.0, -0.0 == 0.0) give equal tags; a literal whose key cannot be
-        # built or hashed goes to tag_from_dict, which gives any refusal
+        # built or hashed goes to tag_from_dict, which gives any refusal.  A
+        # literal that is the previous one (as in lists built in memory) reuses
+        # its tag without building the key.
+        if literal is last[0]:
+            return last[1]
         try:
             m = literal.get("measure")
             key = (literal.get("kind"), literal.get("p"),
@@ -910,6 +915,7 @@ def elements_from_dicts(ds: Sequence[Mapping]) -> Sequence[Element]:
             return tag_from_dict(literal)
         if tag is None:
             tag = tags[key] = tag_from_dict(literal)
+        last[:] = literal, tag
         return tag
 
     out = _step_elements(ds, tag_of)

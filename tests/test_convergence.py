@@ -1,6 +1,7 @@
 """Tail diagnostics: frozen examples plus the algebraic invariants."""
 
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -40,11 +41,13 @@ from unlattice.errors import (
 )
 from unlattice.gallery import (
     direct_sum_seq,
+    overlap_seq,
     rademacher_modulated,
     std_units,
     typewriter,
 )
 from unlattice.spaces import (
+    MIN_NORMAL,
     DirectSumVector,
     LatticeVector,
     MeasureModel,
@@ -309,6 +312,148 @@ def test_meet_norms_skip_the_zeros(tag, chunk_cells, monkeypatch):
                     assert _bits(convergence._qip_norms(seq, lim)[:, 0]) == _bits(
                         (x - lim).abs().meet(e).norm() for x in terms)
     assert seen and all((a > 0.0).all() for a in seen)  # no zero reaches a row norm
+
+
+# ---------------------------------------------------------------------------
+# certified row sums
+# ---------------------------------------------------------------------------
+
+_U = 2.0 ** -1074
+
+
+def _csr(rows) -> tuple[np.ndarray, np.ndarray]:
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    values = np.concatenate(rows) if rows else np.zeros(0)
+    return values, np.concatenate(([0], np.cumsum([len(row) for row in rows]))).astype(np.int64)
+
+
+def _lost_tail(scale: int) -> list[float]:
+    """2**scale times a row of 24 values in which the float sum of the low
+    parts drops 7 units of 2**-1074 (ties to even after a tree of 16 even
+    ones) and so falls below a half-way point that the exact sum passes: at
+    scale 0 its sigma is 2**-971, where ldexp(sigma, -104) underflows."""
+    tree = [(2 ** 50 - 2) * _U] * 8 + [2 ** 40 * _U] * 7 + [(2 ** 40 + 12) * _U]
+    return [math.ldexp(v, scale) for v in [2.0 ** -978] + tree + [_U] * 7]
+
+
+#: half-way rows: exact ties, at 1.0, far up and down the range and where the
+#: bound rounds to 0; near ties on either side; and a sum of two halves
+_TIES = [[1.0, 2.0 ** -53], [2.0 ** 1000, 2.0 ** 947], [2.0 ** -1000, 2.0 ** -1053],
+         [3.0, 2.0 ** -52], [1.0, 2.0 ** -54, 2.0 ** -54]]
+_NEAR_TIES = [[1.0, 2.0 ** -53, 2.0 ** -300], [1.0, 2.0 ** -53 - 2.0 ** -106],
+              [1.0, 2.0 ** -53 + 2.0 ** -105], [1.0, 2.0 ** -53, 2.0 ** -53]]
+
+
+def _row_family(name: str) -> list:
+    rng = np.random.default_rng(28)
+    if name == "uniform":  # multiples of 2**-53: sums past 1 often tie
+        return [rng.uniform(0.0, 1.0, k) for k in rng.integers(1, 300, 300)]
+    if name == "spread":  # 16 .. 2**16 values over 40 binades: no tie within reach
+        return [np.ldexp(rng.uniform(1.0, 2.0, k), -rng.integers(0, 40, k)) for k in
+                np.concatenate([rng.integers(16, 300, 300), 2 ** np.arange(4, 17)])]
+    if name == "exponents":
+        return [np.ldexp(rng.uniform(0.5, 1.0, k), rng.integers(-1074, 1025, k))
+                for k in rng.integers(1, 40, 400)]
+    if name == "powers_of_two":
+        return [np.ldexp(1.0, rng.integers(lo, lo + span, k))
+                for lo, span in ((-1074, 200), (-60, 120), (-1074, 2098), (900, 124))
+                for k in rng.integers(1, 80, 50)]
+    if name == "subnormal_mantissas":
+        return [np.ldexp(rng.integers(0, 2 ** 52, k).astype(float), -1074)
+                for k in rng.integers(1, 200, 200)]
+    if name == "squares_near_1e308":
+        return [np.square(rng.uniform(0.9, 1.0, k) * 1.34e154) for k in rng.integers(1, 4, 200)]
+    if name == "half_way":
+        return _TIES + _NEAR_TIES + [_lost_tail(0), _lost_tail(1000)]
+    if name == "edges":  # inf, empty, all-zero and one-value rows
+        return [[math.inf], [1.0, math.inf], [math.inf, math.inf], [], [0.0], [0.0] * 5,
+                [-0.0, 0.0], [], [_U], [1.0], [sys.float_info.max],
+                [sys.float_info.max, sys.float_info.max], [1e308, 1e308, 0.0], [0.0, _U]]
+    if name == "sigma_band":  # sigma in (2**-1022, 2**-970)
+        rows = []
+        for e in rng.integers(-1021, -970, 150):
+            k = int(rng.integers(1, 2 ** 12))
+            rows.append(np.ldexp(rng.uniform(0.0, 1.0, k), int(e) - k.bit_length() - 2))
+        return rows + [_lost_tail(0)]
+    assert name == "lengths"  # 1 .. 2**16 values
+    return [np.exp(rng.normal(0.0, 1.0, n)) for k in range(17) for n in {2 ** k, 2 ** k + 1}]
+
+
+@pytest.mark.parametrize("family", ["uniform", "spread", "exponents", "powers_of_two",
+                                    "subnormal_mantissas", "squares_near_1e308", "half_way",
+                                    "edges", "sigma_band", "lengths"])
+def test_exact_row_sums_are_fsum(family):
+    rows = _row_family(family)
+    values, indptr = _csr(rows)
+    expected = _bits(spaces._fsum(row) for row in rows)
+    assert _bits(convergence._exact_row_sums(values, indptr)) == expected
+    maxima = np.array([max(row) if len(row) else 0.0 for row in rows])
+    assert _bits(convergence._exact_row_sums(values, indptr, maxima)) == expected
+
+
+def _fallback_rows(monkeypatch) -> list[list[float]]:
+    """The rows ``_exact_row_sums`` leaves to ``math.fsum`` from now on."""
+    seen, fsum = [], convergence._fsum
+
+    def spy(values):
+        seen.append(list(values))
+        return fsum(values)
+
+    monkeypatch.setattr(convergence, "_fsum", spy)
+    return seen
+
+
+def test_exact_row_sums_certify_a_uniform_chunk_and_leave_ties_to_fsum(monkeypatch):
+    seen = _fallback_rows(monkeypatch)
+    convergence._exact_row_sums(*_csr(_row_family("spread")))
+    assert seen == []
+    # a tie (where the bound rounds to 0 too), or a row whose low parts' sum
+    # may have crossed a half-way point, is fsum's; so is a row whose sigma =
+    # 2**(e_max + e_count + 1) is past the float range
+    top = 1.5 * 2.0 ** 1020
+    for row, fallback in [(row, True) for row in _TIES + [_lost_tail(0), _lost_tail(1000)]] + [
+            ([2.0 * top], True), ([top, top], True), ([top], False), ([top / 2, top / 2], False)]:
+        seen.clear()
+        assert convergence._exact_row_sums(*_csr([row]))[0] == math.fsum(row)
+        assert seen == ([row] if fallback else [])
+
+
+def test_rows_whose_squares_cannot_land_in_range_skip_the_plain_sum(monkeypatch):
+    """At p = 2 the plain sum of squares sees no row whose fl(big**2) is inf
+    or whose count * fl(big**2) is below MIN_NORMAL: those are rescaled
+    straight away, with the same bits.  kp's advisory rows are such rows:
+    past n = 537 the overlap term meets the qip in n values 2**-n."""
+    tag = lp(2)
+    rows = [{1: 1e200, 2: 1.0}, {1: 1e-200, 3: 1e-170}, {1: 2.0 ** -600, 2: 2.0 ** -600},
+            {1: 1e-160, 2: 1e-300}, {}, {4: 1.0, 5: 1e-300}, {6: 1e154, 7: 1e154}]
+    terms = [LatticeVector(tag, row) for row in rows]
+    calls, kernel, row_norms = [], convergence._exact_row_sums, convergence._row_norms
+
+    def row_norms_spy(tag, indptr, a):
+        calls.append((indptr, a, []))
+        return row_norms(tag, indptr, a)
+
+    def kernel_spy(values, indptr, maxima=None):
+        calls[-1][2].append(len(indptr) - 1)
+        return kernel(values, indptr, maxima)
+
+    monkeypatch.setattr(convergence, "_row_norms", row_norms_spy)
+    monkeypatch.setattr(convergence, "_exact_row_sums", kernel_spy)
+    overlap = overlap_seq(tag, 1100)
+    e = spaces.geometric_point(tag)
+    assert _bits(convergence._qip_norms(overlap, zero(tag))[:, 0]) == _bits(
+        x.abs().meet(e).norm() for x in overlap)
+    assert _bits(convergence._tail_norms(sequence_from_list(terms), zero(tag))[:, 0]) == _bits(
+        x.norm() for x in terms)
+    skipped = 0
+    for indptr, a, passes in calls:
+        counts = np.diff(indptr)
+        big = np.array([a[s:t].max() if t > s else 0.0 for s, t in zip(indptr[:-1], indptr[1:])])
+        with np.errstate(over="ignore"):
+            far = (big > 0) & ((big * big == math.inf) | (counts * (big * big) < MIN_NORMAL))
+        assert passes[0] == len(big) - far.sum()  # the plain sum of the other rows
+        skipped += far.sum()
+    assert skipped > 1074 - 537
 
 
 def test_qip_diagnostics_build_no_geometric_point():

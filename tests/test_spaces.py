@@ -512,6 +512,32 @@ def test_json_parsed_step_literals_share_one_tag():
     assert xs[0].tag == tag_from_dict(STEP_TAG_LITERAL)
 
 
+class _CountedWeights(list):
+    reads = 0
+
+    def __iter__(self):
+        type(self).reads += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("count", [2, 7])
+def test_a_shared_tag_literal_builds_its_key_once(count):
+    """Literals that hold one tag dict object read its weights as often
+    whatever their number; a different tag between them is read again."""
+    shared = dict(STEP_TAG_LITERAL, measure=dict(STEP_TAG_LITERAL["measure"],
+                                                 weights=_CountedWeights([0.1, 0.2, 0.3, 0.4])))
+    other = {"kind": "lp_step", "p": 2.0, "measure": {"level": 1, "weights": [0.25, 0.75]}}
+    literals = [{"tag": shared, "level": 2, "values": [float(n)] * 4} for n in range(count)]
+    _CountedWeights.reads = 0
+    xs = elements_from_dicts(literals)
+    assert _CountedWeights.reads == 2  # the key once, tag_from_dict once
+    assert all(x.tag is xs[0].tag for x in xs) and xs[0].tag == tag_from_dict(STEP_TAG_LITERAL)
+    mixed = literals[:1] + [{"tag": other, "level": 1, "values": [1.0, 2.0]}] + literals[1:]
+    ys = elements_from_dicts(mixed)
+    assert [y.tag.p for y in ys] == [1.0, 2.0] + [1.0] * (count - 1)
+    assert ys[0].tag is ys[-1].tag
+
+
 def test_equal_tag_literals_give_one_tag():
     measure = STEP_TAG_LITERAL["measure"]
     variants = [
