@@ -411,8 +411,10 @@ def _exact_row_sums(values: np.ndarray, indptr: np.ndarray,
     the sum overflows, for rows of values >= 0 that tile ``values`` as a CSR
     does; ``maxima``, when given, holds each row's largest value.
 
-    A row of n values with largest value m is split against the power of
-    two sigma = 2**e > 2 n m (e from ``frexp`` of m and of n) into
+    A row of n values with largest value m is split, as in the error-free
+    extraction of Rump, Ogita and Oishi ("Accurate floating-point summation,
+    part I", 2008), against the power of two sigma = 2**e > 2 n m (e from
+    ``frexp`` of m and of n) into
     hi = (sigma + v) - sigma, v rounded to a multiple of ulp(sigma), and
     lo = v - hi, both exact, with |lo| <= ulp(sigma) / 2.  Every partial sum
     of the his is a multiple of ulp(sigma) below sigma, so T = sum hi is

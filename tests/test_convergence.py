@@ -336,8 +336,9 @@ def _lost_tail(scale: int) -> list[float]:
     return [math.ldexp(v, scale) for v in [2.0 ** -978] + tree + [_U] * 7]
 
 
-#: half-way rows: exact ties, at 1.0, far up and down the range and where the
-#: bound rounds to 0; near ties on either side; and a sum of two halves
+#: half-way rows: exact ties at 1.0, far up and down the range, where the
+#: bound rounds to 0 and of two quarters; near ties on either side of one;
+#: and two halves that sum to a float
 _TIES = [[1.0, 2.0 ** -53], [2.0 ** 1000, 2.0 ** 947], [2.0 ** -1000, 2.0 ** -1053],
          [3.0, 2.0 ** -52], [1.0, 2.0 ** -54, 2.0 ** -54]]
 _NEAR_TIES = [[1.0, 2.0 ** -53, 2.0 ** -300], [1.0, 2.0 ** -53 - 2.0 ** -106],
@@ -403,7 +404,7 @@ def _fallback_rows(monkeypatch) -> list[list[float]]:
     return seen
 
 
-def test_exact_row_sums_certify_a_uniform_chunk_and_leave_ties_to_fsum(monkeypatch):
+def test_exact_row_sums_certify_a_spread_chunk_and_leave_ties_to_fsum(monkeypatch):
     seen = _fallback_rows(monkeypatch)
     convergence._exact_row_sums(*_csr(_row_family("spread")))
     assert seen == []
