@@ -40,9 +40,6 @@ from .errors import (
     ValidationError,
 )
 from .spaces import (
-    _L1,
-    _LINF,
-    DirectSumVector,
     Element,
     LatticeVector,
     SpaceTag,
@@ -289,11 +286,11 @@ def _select_geometric(length: int, q, target_count: int | None,
 def _weighted_moduli(tag: SpaceTag, weighted: list[tuple[float, float, Element]]) -> Element:
     """The sum of w |x| (of |x| / d * w where d is not 1.0) over the triples
     (w, d, x) of ``weighted``, accumulated in place in their order: one array
-    at the sum's level for step models, one dict for sequence models, one of
-    each for the direct sum's parts.  Where every d is 1.0, per cell the
-    additions are those of the chain e = e + |x|.scale(w) from e = 0, in the
-    same order, and refinement copies values exactly, so the sum is that
-    chain's bit for bit; a sum that overflows is refused as the chain refuses it."""
+    at the sum's level for step models, one dict for sequence models.  Where
+    every d is 1.0, per cell the additions are those of the chain
+    e = e + |x|.scale(w) from e = 0, in the same order, and refinement copies
+    values exactly, so the sum is that chain's bit for bit; a sum that
+    overflows is refused as the chain refuses it."""
     if tag.kind == "lp_step":
         level = max([tag.measure.level] + [x.level for _, _, x in weighted])
         e = np.zeros(2 ** level)
@@ -302,9 +299,6 @@ def _weighted_moduli(tag: SpaceTag, weighted: list[tuple[float, float, Element]]
                 a = np.abs(x.values)
                 e += _repeat(w * a if d == 1.0 else a / d * w, x.level, level)
         return StepFunction._checked(tag, level, e)
-    if tag.kind == "l1_oplus_linf":
-        return DirectSumVector(_weighted_moduli(_L1, [(w, d, x.left) for w, d, x in weighted]),
-                               _weighted_moduli(_LINF, [(w, d, x.right) for w, d, x in weighted]))
     e: dict[int, float] = {}
     for w, d, x in weighted:
         for i, v in x.coords.items():
@@ -333,8 +327,11 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
     "a.e. convergence along the subsequence"; for atomic models it is the
     coordinatewise report.  The norms and the meet norms are the columns of
     ``_tail_norms`` over the sequence's producer where it has one, else over
-    the terms; either way each term is generated once.
+    the terms; either way each term is generated once.  A direct-sum sequence,
+    which the certificate does not take, is refused before a term is made.
     """
+    if seq.tag.kind == "l1_oplus_linf":
+        raise ValidationError("pointwise diagnostic supports sequence and step models")
     terms = seq.terms()
     listed = seq if seq.blocks is not None else sequence_from_list(terms)
     origin = zero(seq.tag)

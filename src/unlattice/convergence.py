@@ -18,21 +18,20 @@ indistinguishable from a settling coordinate at a finite horizon.
 Sequence models are read in CSR chunks, step models in dense blocks of the
 terms that share a level and a measure, and the l1 (+)_inf linf direct sum
 as its l1 and linf part sequences: a direct-sum norm is the max of the
-parts' norms, and a pairing the sum of the parts' pairings.  A sequence
-model's chunks come from its producer where it has one, with no term made:
-the gallery's units, overlap sequence and direct-sum parts build theirs with
-``np.arange`` and ``np.repeat``, and a list of sequence literals decoded as
-one CSR (``spaces.SparseRows``) gives slices of it.  Otherwise each term is
-generated once and its coordinates are flattened into the chunk.  A step
-model's level blocks come from its producer likewise: the typewriter makes
-them as identity rows, and a list of step literals decoded into one block
-per (tag, level) group (``spaces.StepRows``) gives copies of cuts of those;
-otherwise each term is generated once and buffered with the terms of its
-level and measure.  Every
-diagnostic, the pointwise verdict included, is one reduction over those
-chunks or blocks, except the pairings of sequence models, which go term by
-term over the common supports and so walk only the shorter one: no (terms x
-coordinates) or (terms x cells) matrix is built.
+parts' norms, and a pairing the sum of the parts' pairings.  Chunks and
+blocks come from the sequence's producer where it has one, with no term
+made, and a nonzero limit is subtracted inside each: the gallery's units,
+overlap sequence and direct-sum parts build their chunks with ``np.arange``
+and ``np.repeat``, a list of sequence literals decoded as one CSR
+(``spaces.SparseRows``) gives slices of it, the typewriter makes its level
+blocks as identity rows, and a list of step literals decoded into one block
+per (tag, level) group (``spaces.StepRows``) gives copies of cuts of those.
+Otherwise each term is generated once and flattened into a chunk or
+buffered with the terms of its level and measure.  Every diagnostic, the
+pointwise verdict included, is one reduction over those chunks or blocks,
+except the pairings of sequence models, which go term by term over the
+common supports and so walk only the shorter one: no (terms x coordinates)
+or (terms x cells) matrix is built.
 """
 
 from __future__ import annotations
@@ -99,11 +98,12 @@ class VectorSequence:
     A sequence may carry ``blocks``, a producer that makes its terms in bulk
     without making them one at a time, in its model's layout: a step
     sequence's level blocks, ``blocks(check)`` (see ``step_blocks``; the
-    typewriter's identity rows, or cuts of the group blocks of a
-    ``StepRows``, see ``_group_blocks``); a
-    sequence model's CSR chunks of the terms ``first + 1`` .. ``stop``,
-    ``blocks(first, stop)`` (see ``_sparse_chunks``); or the direct sum's two
-    part sequences, ``blocks()`` (see ``_parts``)."""
+    typewriter's identity rows, or cuts of the group blocks of a ``StepRows``,
+    see ``_group_blocks``); a sequence model's CSR chunks of the terms
+    ``first + 1`` .. ``stop``, ``blocks(first, stop)``, read at every limit
+    (see ``_sparse_chunks``); or the direct sum's two part sequences,
+    ``blocks()`` (see ``_parts``).  Without one, the diagnostics make each
+    term once through ``at``."""
 
     tag: SpaceTag
     length: int
@@ -281,33 +281,66 @@ _CHUNK_CELLS = 2 ** 16
 
 def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
     """The moduli |seq(n) - limit| in CSR chunks ``(indptr, indices, data)`` of
-    about ``_CHUNK_CELLS`` stored coordinates: a chunk closes at the first term
-    that brings it to ``_CHUNK_CELLS``, and at the last term.  A term's
-    coordinates are in the order of its ``coords``.  Against the limit 0 the
-    chunks of a sequence with a producer come from it; otherwise each term is
-    generated once."""
-    limit_is_zero = limit.is_zero()
-    if seq.blocks is not None and limit_is_zero:
-        _check_cells(seq.length, 1)  # as iterating the terms checks it
-        for indptr, indices, data in seq.blocks(0, seq.length):
-            yield indptr, indices, np.abs(data)
-        return
+    about ``_CHUNK_CELLS`` cells: the chunks of the producer of ``seq`` where
+    it has one, with no term made, else ``_term_chunks``, less a nonzero
+    limit (``_less_limit``)."""
+    _check_cells(seq.length, 1)  # before a chunk is made, as iterating the terms checks it
+    chunks = _term_chunks(seq) if seq.blocks is None else seq.blocks(0, seq.length)
+    if not limit.is_zero():
+        chunks = _less_limit(chunks, *_sorted_support(limit))
+    for indptr, indices, data in chunks:
+        yield indptr, indices, np.abs(data)
+
+
+def _term_chunks(seq: VectorSequence):
+    """The CSR chunks of ``seq`` packed from its terms, each generated once
+    and its coordinates in the order of its ``coords``: a chunk closes at the
+    first term that brings it to ``_CHUNK_CELLS`` and at the last term."""
     indptr, indices, data = [0], [], []
     for n, x in enumerate(seq, start=1):
-        coords = x.coords if limit_is_zero else (x - limit).coords
-        indices += coords
-        data += coords.values()
+        indices += x.coords
+        data += x.coords.values()
         indptr.append(len(data))
         if len(data) >= _CHUNK_CELLS or n == seq.length:
             yield (np.array(indptr), np.fromiter(indices, np.int64, len(indices)),
-                   np.abs(np.fromiter(data, float, len(data))))
+                   np.fromiter(data, float, len(data)))
             indptr, indices, data = [0], [], []
 
 
+def _less_limit(chunks, keys: np.ndarray, values: np.ndarray):
+    """The CSR ``chunks`` less the limit whose sorted support is ``(keys,
+    values)`` (``_sorted_support``), row by row bit for bit
+    ``LatticeVector.__sub__``: each row lives on the union of its support and
+    the limit's, its own coordinates first, each value is one x - L, x or -L,
+    and exact zeros drop out; a value that is not finite is refused as
+    ``_checked`` refuses it.  A chunk is first cut as if each row stored the
+    limit's coordinates too, so that a cut holds about ``_CHUNK_CELLS``."""
+    k = len(keys) - 1
+    for indptr, indices, data in chunks:
+        for s, e in _chunk_bounds(lambda r: int(indptr[r]) + r * k, 0, len(indptr) - 1):
+            n, a, b = e - s, indptr[s], indptr[e]
+            rows = np.repeat(np.arange(n), np.diff(indptr[s:e + 1]))
+            at = np.searchsorted(keys, indices[a:b])
+            hit = keys[at] == indices[a:b]
+            with np.errstate(over="ignore"):
+                diff = data[a:b] - np.where(hit, values[at], 0.0)  # x - 0.0 is x
+            rest = np.ones((n, k), bool)
+            rest[rows[hit], at[hit]] = False
+            rest = np.flatnonzero(rest)  # row * k + key of each limit coordinate a row lacks
+            rows, key = np.concatenate((rows, rest // k)), rest % k
+            out = np.concatenate((diff, -values[key]))
+            if not np.isfinite(out).all():
+                raise ValidationError("coordinates must be finite")
+            keep = np.flatnonzero(out)
+            keep = keep[np.argsort(rows[keep], kind="stable")]  # row order, own coordinates first
+            yield (np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=n)))),
+                   np.concatenate((indices[a:b], keys[key]))[keep], out[keep])
+
+
 def _chunk_bounds(stored: Callable[[int], int], first: int, stop: int):
-    """The row ranges ``(s, e)`` into which ``_sparse_chunks`` cuts the rows
-    ``first`` .. ``stop - 1``, given ``stored(r)``, the number of stored
-    coordinates in the rows before row r."""
+    """The row ranges ``(s, e)`` into which a chunk producer or ``_less_limit``
+    cuts the rows ``first`` .. ``stop - 1``, given ``stored(r)``, the number
+    of cells in the rows before row r."""
     s = first
     while s < stop:
         e = bisect.bisect_left(range(s + 1, stop), stored(s) + _CHUNK_CELLS, key=stored) + s + 1

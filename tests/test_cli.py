@@ -483,6 +483,9 @@ def test_step_overflow_exits_2_without_warning(tmp_path, capsys):
 @pytest.mark.parametrize("source, diagnostic", [
     # the l1 norm overflows to inf, which a report may not hold
     (inline({"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 1e308, "2": 1e308}}), "norm"),
+    # so does the difference of a decoded term and a nonzero limit
+    (inline({"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 1e308}}),
+     {"name": "norm", "limit": {"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": -1e308}}}),
     # 32767 x 16384 cells exceed the coordinate matrix budget
     ({"gallery": "typewriter", "params": {"max_level": 15}}, "pointwise"),
     # 2**40 terms exceed it too, and are refused before one is generated

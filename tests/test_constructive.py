@@ -664,8 +664,6 @@ def _uo_per_term(seq):
 
 
 def _element_bits(x):
-    if isinstance(x, DirectSumVector):
-        return _element_bits(x.left), _element_bits(x.right)
     if isinstance(x, StepFunction):
         return x.level, [v.hex() for v in x.values.tolist()]
     return sorted((i, v.hex()) for i, v in x.coords.items())
@@ -674,9 +672,8 @@ def _element_bits(x):
 def _uo_sequences():
     """Seeded sequences whose terms shrink at random rates, some zero, some
     with subnormal norms: c0, l1, l2, l3, steps over a non-uniform measure at
-    p in {1, 1.5, 2} (each also decoded from its literals), the direct sum,
-    gallery sequences with producers, and the cases of
-    ``test_uo_extract_a_subnormal_norm``."""
+    p in {1, 1.5, 2} (each also decoded from its literals), gallery sequences
+    with producers, and the cases of ``test_uo_extract_a_subnormal_norm``."""
     rng = np.random.default_rng(11)
 
     def scale(n):
@@ -704,11 +701,8 @@ def _uo_sequences():
         yield sequence_from_list(terms)
         # decoded into (tag, level) group blocks, whose cuts the producer serves
         yield sequence_from_list(elements_from_dicts([element_to_dict(x) for x in terms]))
-    yield sequence_from_list([DirectSumVector(vector(lp(1), n), vector(linf(), n))
-                              for n in range(1, 41)])
-    # the gallery's producers: identity rows, units and the direct sum's parts
-    yield from (typewriter(7), typewriter(6, p=2), std_units(lp(2), 40),
-                overlap_seq(lp(3), 40), direct_sum_seq(40))
+    # the gallery's producers: identity rows and units
+    yield from (typewriter(7), typewriter(6, p=2), std_units(lp(2), 40), overlap_seq(lp(3), 40))
     yield sequence_from_list([LatticeVector(c0(), {1: 1e-310}), unit(c0(), 2)])
     tag = lp_step(1, MeasureModel(1, (0.5, 0.5)))
     yield sequence_from_list([StepFunction(tag, 1, np.array([1e-310, 3e-310])),
@@ -718,14 +712,23 @@ def _uo_sequences():
 def test_uo_extract_is_the_per_term_path():
     for seq in _uo_sequences():
         e, picks, meets = _uo_per_term(seq)
-        # the direct sum's certificate is refused (pointwise takes sequence and step
-        # models), so its selection is read with the certificate stubbed
-        with mock.patch.object(constructive, "_sparse_pointwise",
-                               lambda sub, ts, band: None):
-            out = uo_extract(seq, TS)
+        out = uo_extract(seq, TS)
         assert out.subindices == picks
         assert [m.hex() for m in out.meet_norms] == [m.hex() for m in meets]
         assert _element_bits(out.test_vector) == _element_bits(e)
+
+
+def test_uo_extract_refuses_the_direct_sum_before_making_a_term():
+    for seq in (direct_sum_seq(40),
+                sequence_from_list([DirectSumVector(unit(lp(1), n), unit(linf(), n))
+                                    for n in range(1, 41)])):
+        made = []
+        counted = VectorSequence(seq.tag, seq.length, lambda n: made.append(n) or seq.at(n),
+                                 blocks=seq.blocks)
+        with pytest.raises(ValidationError,
+                           match="pointwise diagnostic supports sequence and step models"):
+            uo_extract(counted, TS)
+        assert made == []
 
 
 def test_uo_extract_target_count_stalls():

@@ -239,6 +239,16 @@ def test_block_tails_over_several_chunks(tag):
     assert calls == list(range(1, length + 1)) * 2  # each term once per diagnostic
 
 
+def test_a_difference_past_the_float_range_is_refused_in_the_chunk():
+    literal = {"tag": {"kind": "lp", "p": 1.0}, "coords": {"1": 1e308}}
+    seq = sequence_from_list(spaces.elements_from_dicts([literal]))
+    assert seq.blocks is not None
+    limit = LatticeVector(lp(1), {1: -1e308})
+    for run in (norm_tail, un_tail_qip):
+        with pytest.raises(ValidationError, match="coordinates must be finite"):
+            run(seq, limit, TS)
+
+
 #: qip horizons around 2**-n's last nonzero index 1074, at both parities
 QIP_HORIZONS = (1, 2, 537, 538, 1073, 1074, 1075, 4096)
 QIP_TAGS = (c0(), lp(1), lp(1.5), lp(2), lp(3))

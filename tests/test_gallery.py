@@ -172,6 +172,37 @@ def test_direct_sum_part_chunks_are_the_per_term_chunks(horizon, chunk_cells):
             _same_chunks(_chunks(produced), _chunks(per_term))
 
 
+@pytest.mark.parametrize("seq", [std_units(c0(), 64), overlap_seq(lp(2), 64)],
+                         ids=lambda s: s.name)
+def test_limit_chunks_are_cut_and_hold_the_differences(seq):
+    # 2000 keys up to 6000, and 1.0 at 5, which cancels term 5's coordinate 5
+    rng = np.random.default_rng(5)
+    keys = rng.choice(np.arange(1, 6001), 2000, replace=False).tolist()
+    coords = dict(zip(keys, rng.uniform(-1.0, 1.0, 2000).tolist()))
+    limit = LatticeVector(seq.tag, coords | {5: 1.0})
+    with mock.patch.object(convergence, "_CHUNK_CELLS", 4096):
+        chunks = list(convergence._sparse_chunks(seq, limit))
+        _same_chunks(chunks, list(convergence._sparse_chunks(_per_term(seq), limit)))
+    longest = 64 + len(limit.coords)  # a row's own coordinates and the limit's
+    assert len(chunks) > 1 and all(indptr[-1] <= 4096 + longest for indptr, _, _ in chunks)
+    rows = [dict(zip(indices[s:e].tolist(), a[s:e].tolist()))
+            for indptr, indices, a in chunks for s, e in zip(indptr[:-1], indptr[1:])]
+    keys, values = convergence._sorted_support(limit)
+    for n, row in enumerate(rows, start=1):
+        x = seq.at(n)
+        diff = (x - limit).coords
+        assert [(i, v.hex()) for i, v in row.items()] == [(i, abs(diff[i]).hex()) for i in row]
+        assert len(row) == len(diff)
+        # the signed differences, one x - L, x or -L each, exact zeros dropped
+        chunk = np.array([0, len(x.coords)]), np.array(list(x.coords)), \
+            np.array(list(x.coords.values()))
+        (indptr, indices, data), = convergence._less_limit([chunk], keys, values)
+        assert indptr.tolist() == [0, len(diff)]
+        assert sorted(zip(indices.tolist(), map(float.hex, data.tolist()))) == \
+            sorted((i, v.hex()) for i, v in diff.items())
+    assert len(rows) == seq.length and 5 not in rows[4]
+
+
 def _per_term_window(seq: VectorSequence, head: int, length: int) -> VectorSequence:
     return VectorSequence(seq.tag, length, lambda n: seq.at(head + n))
 
@@ -281,11 +312,16 @@ def _termless(seq: VectorSequence) -> VectorSequence:
 def test_producers_make_no_terms():
     ts = ToleranceSpec()
     literals = [{"tag": {"kind": "c0"}, "coords": {str(n): 1.0}} for n in range(1, 9)]
-    for seq in (overlap_seq(lp(2), 40), std_units(linf(), 40), direct_sum_seq(40),
-                sequence_from_list(elements_from_dicts(literals))):
+    decoded = sequence_from_list(elements_from_dicts(literals))
+    for seq in (overlap_seq(lp(2), 40), std_units(linf(), 40), direct_sum_seq(40), decoded):
         seq = _termless(seq)
         for name in ("norm", "un_qip", "pointwise") if seq.tag.is_sequence_kind else ("norm",):
             run_diagnostic(seq, {"name": name}, ts)
+    # a nonzero limit is subtracted inside the producer's chunks
+    for seq, tag in ((overlap_seq(lp(2), 40), {"kind": "lp", "p": 2}), (decoded, {"kind": "c0"})):
+        limit = {"tag": tag, "coords": {"1": 0.5, "3": -1.0, "50": 2.0}}
+        for name in ("norm", "un_qip", "un"):
+            run_diagnostic(_termless(seq), {"name": name, "limit": limit}, ts)
     # the kp advisory cuts its window with the producer; only the scan makes terms
     made = []
     seq = overlap_seq(lp(2), 400)
