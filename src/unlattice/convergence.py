@@ -18,20 +18,21 @@ indistinguishable from a settling coordinate at a finite horizon.
 Sequence models are read in CSR chunks, step models in dense blocks of the
 terms that share a level and a measure, and the l1 (+)_inf linf direct sum
 as its l1 and linf part sequences: a direct-sum norm is the max of the
-parts' norms, and a pairing the sum of the parts' pairings.  Chunks and
-blocks come from the sequence's producer where it has one, with no term
-made, and a nonzero limit is subtracted inside each: the gallery's units,
-overlap sequence and direct-sum parts build their chunks with ``np.arange``
-and ``np.repeat``, a list of sequence literals decoded as one CSR
-(``spaces.SparseRows``) gives slices of it, the typewriter makes its level
-blocks as identity rows, and a list of step literals decoded into one block
-per (tag, level) group (``spaces.StepRows``) gives copies of cuts of those.
-Otherwise each term is generated once and flattened into a chunk or
-buffered with the terms of its level and measure.  Every diagnostic, the
-pointwise verdict included, is one reduction over those chunks or blocks,
-except the pairings of sequence models, which go term by term over the
-common supports and so walk only the shorter one: no (terms x coordinates)
-or (terms x cells) matrix is built.
+parts' norms, and a pairing the sum of the parts' pairings.  They come from
+the sequence's producer where it has one, with no term made: every producer
+is ``blocks(first, stop)``, the terms ``first + 1`` .. ``stop``, so that a
+window keeps it, and a nonzero limit is subtracted inside each chunk and
+block.  The gallery's units, overlap sequence and direct-sum parts build
+chunks with ``np.arange`` and ``np.repeat``, a list of sequence literals
+decoded as one CSR (``spaces.SparseRows``) gives slices of it, the typewriter
+makes identity rows, and a list of step literals decoded into one block per
+(tag, level) group (``spaces.StepRows``) gives copies of cuts of those.
+Otherwise each term is generated once and flattened into a chunk or buffered
+with the terms of its level and measure.  Every diagnostic, the pointwise
+verdict included, is one reduction over those chunks or blocks, except the
+pairings of sequence models, which go term by term over the common supports
+and so walk only the shorter one: no (terms x coordinates) or (terms x
+cells) matrix is built.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import bisect
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -96,20 +98,19 @@ class VectorSequence:
     and each term it makes is checked against ``tag``.
 
     A sequence may carry ``blocks``, a producer that makes its terms in bulk
-    without making them one at a time, in its model's layout: a step
-    sequence's level blocks, ``blocks(check)`` (see ``step_blocks``; the
-    typewriter's identity rows, or cuts of the group blocks of a ``StepRows``,
-    see ``_group_blocks``); a sequence model's CSR chunks of the terms
-    ``first + 1`` .. ``stop``, ``blocks(first, stop)``, read at every limit
-    (see ``_sparse_chunks``); or the direct sum's two part sequences,
-    ``blocks()`` (see ``_parts``).  Without one, the diagnostics make each
-    term once through ``at``."""
+    without making them one at a time: ``blocks(first, stop)`` gives the
+    terms ``first + 1`` .. ``stop`` in its model's layout.  For a sequence
+    model, CSR chunks (see ``_sparse_chunks``); for a step model, level
+    blocks ``(rows, tag, level, make)``, rows counted from ``first`` and
+    ``make()`` a fresh values array (see ``_step_blocks``); for the direct
+    sum, its two part sequences cut to those terms (see ``_parts``).
+    Without one, the diagnostics make each term once through ``at``."""
 
     tag: SpaceTag
     length: int
     at: Callable[[int], Element]
     name: str = ""
-    blocks: Callable[..., Iterator[tuple] | tuple] | None = None
+    blocks: Callable[[int, int], Iterator[tuple] | tuple] | None = None
 
     def __post_init__(self):
         if self.length < 1:
@@ -127,43 +128,10 @@ class VectorSequence:
 
     def window(self, head: int, length: int) -> "VectorSequence":
         """The terms ``head + 1`` .. ``head + length`` as a sequence of their
-        own, which keeps this sequence's producer where one can be cut to
-        them: a sequence model's chunks and the direct sum's parts."""
-        blocks = None
-        if self.blocks is not None and self.tag.is_sequence_kind:
-            def blocks(first, stop):
-                return self.blocks(head + first, head + stop)
-        elif self.blocks is not None and self.tag.kind == "l1_oplus_linf":
-            def blocks():
-                return tuple(part.window(head, length) for part in self.blocks())
+        own, which keeps this sequence's producer, cut to them."""
+        blocks = None if self.blocks is None else (
+            lambda first, stop: self.blocks(head + first, head + stop))
         return VectorSequence(self.tag, length, lambda n: self.at(head + n), blocks=blocks)
-
-    def step_blocks(self, check: Callable[[int], None]) -> Iterator[tuple]:
-        """The terms of this step sequence as dense blocks ``(rows, tag, level,
-        values)``: row i of ``values``, a fresh array, holds the cell values at
-        ``level`` of term ``rows[i] + 1``; the rows of a block increase; and
-        ``tag`` is a term's tag whose measure all the block's terms share.  A
-        block holds ``_block_rows(level)`` rows or fewer, and ``check(level)``
-        runs before a block at ``level`` is made.  Without ``blocks``, each
-        term is generated once, checked and buffered with the terms of its
-        level and measure, so ``check`` runs before the next term is made."""
-        if self.blocks is not None:
-            _check_cells(self.length, 1)  # as iterating the terms checks it
-            yield from self.blocks(check)
-            return
-        pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
-        for n, x in enumerate(self):
-            check(x.level)
-            # the entry holds the tag, so the measure's id names it while buffered
-            key = (x.level, id(x.tag.measure))
-            tag, rows, values = pending.setdefault(key, (x.tag, [], []))
-            rows.append(n)
-            values.append(x.values)
-            if len(rows) == _block_rows(x.level):
-                del pending[key]
-                yield np.array(rows), tag, x.level, np.array(values)
-        for (level, _), (tag, rows, values) in pending.items():
-            yield np.array(rows), tag, level, np.array(values)
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
@@ -307,6 +275,26 @@ def _term_chunks(seq: VectorSequence):
             indptr, indices, data = [0], [], []
 
 
+def _term_blocks(seq: VectorSequence, check: Callable[[int], None]):
+    """The level blocks of the step sequence ``seq`` buffered from its terms:
+    each term is generated once, checked (``check(level)``, before the next
+    term is made) and buffered with the terms of its level and measure; a
+    block closes at ``_block_rows(level)`` rows and at the last term."""
+    pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
+    for n, x in enumerate(seq):
+        check(x.level)
+        # the entry holds the tag, so the measure's id names it while buffered
+        key = (x.level, id(x.tag.measure))
+        tag, rows, values = pending.setdefault(key, (x.tag, [], []))
+        rows.append(n)
+        values.append(x.values)
+        if len(rows) == _block_rows(x.level):
+            del pending[key]
+            yield np.array(rows), tag, x.level, partial(np.array, values)
+    for (level, _), (tag, rows, values) in pending.items():
+        yield np.array(rows), tag, level, partial(np.array, values)
+
+
 def _less_limit(chunks, keys: np.ndarray, values: np.ndarray):
     """The CSR ``chunks`` less the limit whose sorted support is ``(keys,
     values)`` (``_sorted_support``), row by row bit for bit
@@ -362,15 +350,14 @@ def _csr_blocks(rows: SparseRows):
 
 def _group_blocks(rows: StepRows):
     """The level-block producer of a step sequence held as ``rows``: each
-    group's block, cut to ``_block_rows`` of its level, each cut a fresh copy,
-    as a consumer may write to it; ``check(level)`` runs before a group's
-    first block."""
-    def blocks(check: Callable[[int], None]):
+    group's rows in the range, cut to ``_block_rows`` of its level, each cut
+    made a fresh copy, as a consumer may write to it."""
+    def blocks(first: int, stop: int):
         for tag, level, positions, block in rows.groups:
-            check(level)
-            size = _block_rows(level)
-            for s in range(0, len(positions), size):
-                yield positions[s:s + size], tag, level, block[s:s + size].copy()
+            lo, hi = np.searchsorted(positions, (first, stop)).tolist()
+            for s in range(lo, hi, _block_rows(level)):
+                e = min(s + _block_rows(level), hi)
+                yield positions[s:e] - first, tag, level, block[s:e].copy
 
     return blocks
 
@@ -382,19 +369,20 @@ def _block_rows(level: int) -> int:
 
 
 def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: int = 0,
-                 budget: bool = False):
-    """The level blocks of the step sequence ``seq`` (``VectorSequence.step_blocks``),
-    less ``limit``, cut to ``_block_rows`` of level ``top`` or their own, if
-    higher, so a block refined to ``top`` stays that small.  An overflowed
-    difference is refused.  With ``budget``, a level is refused before its
-    first block is made once ``seq.length`` rows at ``top`` or that level
-    would exceed ``_MAX_CELLS``: the size of the common refinement."""
-    def check(level: int) -> None:
-        if budget:
-            _check_cells(seq.length, 2 ** max(level, top))
-
-    for rows, tag, level, values in seq.step_blocks(check):
-        size = _block_rows(max(level, top))
+                 check: Callable[[int], None] = lambda level: None):
+    """The terms of the step sequence ``seq`` less ``limit`` as dense blocks
+    ``(rows, tag, level, values)``: row i of ``values``, a fresh array, holds
+    the cell values at ``level`` of term ``rows[i] + 1``; a block's rows
+    increase; and ``tag`` is a term's tag whose measure all its terms share.
+    The blocks are the producer's where ``seq`` has one, else
+    ``_term_blocks``'s, cut to ``_block_rows`` of level ``top`` or their own,
+    if higher; ``check(level)`` runs, and may refuse, before a block at
+    ``level`` is made.  An overflowed difference is refused."""
+    _check_cells(seq.length, 1)  # before a block is made, as iterating the terms checks it
+    blocks = _term_blocks(seq, check) if seq.blocks is None else seq.blocks(0, seq.length)
+    for rows, tag, level, make in blocks:
+        check(level)
+        values, size = make(), _block_rows(max(level, top))
         for s in range(0, len(rows), size):
             block, m = values[s:s + size], level
             if limit is not None:  # as x - limit: at the higher of the two levels
@@ -637,7 +625,7 @@ def _parts(seq: VectorSequence) -> tuple[VectorSequence, VectorSequence]:
     """The l1 and the linf part sequences of the direct-sum sequence ``seq``:
     its producer's, or over its terms, each generated once."""
     if seq.blocks is not None:
-        return seq.blocks()
+        return seq.blocks(0, seq.length)
     terms = seq.terms()
     return (VectorSequence(_L1, seq.length, lambda n: terms[n - 1].left, seq.name),
             VectorSequence(_LINF, seq.length, lambda n: terms[n - 1].right, seq.name))
@@ -832,13 +820,14 @@ def _step_zone(seq: VectorSequence, zone_start: int, tol: float,
     Each block is reduced at its own level (at the band's, if higher); the
     per-level results are refined to the common level at the end.  Max and
     min are exact, so every number is that of the dense refined matrix.  The
-    common refinement is held to the budget term by term."""
+    common refinement is held to the budget before each block is made."""
     n, top = seq.length, 0 if band is None else band.level
     values, level = np.empty(n), 0
     # per level: the (4, 2**level) rows first, min, last, max of its blocks
     per_level: dict[int, np.ndarray] = {}
     masks = []  # (level, zone rows, packed violation mask) of each block that has one
-    for rows, _, m, block in _step_blocks(seq, top=top, budget=True):
+    for rows, _, m, block in _step_blocks(  # n rows at a block's level, or at top
+            seq, top=top, check=lambda level: _check_cells(n, 2 ** max(level, top))):
         np.abs(block, out=block)
         if band is not None:  # at the higher of the two levels
             block = _at_level(block, m, max(m, top))

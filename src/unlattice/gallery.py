@@ -11,6 +11,7 @@ scan.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -79,8 +80,11 @@ def direct_sum_seq(horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     def at(n: int) -> DirectSumVector:
         return DirectSumVector(left.at(n), right.at(n))
 
+    def blocks(first: int, stop: int):
+        return left.window(first, stop - first), right.window(first, stop - first)
+
     return VectorSequence(SpaceTag("l1_oplus_linf"), horizon, at, name="direct_sum",
-                          blocks=lambda: (left, right))
+                          blocks=blocks)
 
 
 def direct_sum_witness(horizon: int = DEFAULT_HORIZON) -> DirectSumVector:
@@ -112,15 +116,14 @@ def typewriter(max_level: int = DEFAULT_TYPEWRITER_LEVELS,
         v[cell] = 1.0
         return StepFunction._trusted(tag, k, v)
 
-    def blocks(check):
+    def blocks(first: int, stop: int):
         # the terms 2**k .. 2**(k+1) - 1 of level k are the rows of the 2**k identity
         for k in range(max_level):
-            check(k)
-            size = _block_rows(k)
-            for first in range(0, 2 ** k, size):
-                count = min(size, 2 ** k - first)
-                rows = np.arange(2 ** k - 1 + first, 2 ** k - 1 + first + count)
-                yield rows, tag, k, _indicator_rows(k, first, count)
+            base = 2 ** k - 1  # the row of term 2**k
+            rows = np.arange(max(first, base), min(stop, base + 2 ** k))
+            for s in range(0, len(rows), _block_rows(k)):
+                cut = rows[s:s + _block_rows(k)]
+                yield cut - first, tag, k, partial(_indicator_rows, k, cut[0] - base, len(cut))
 
     return VectorSequence(tag, length, at, name="typewriter", blocks=blocks)
 

@@ -755,6 +755,8 @@ class DirectSumVector(_ElementOps):
         return DirectSumVector(self.left.neg(), self.right.neg())
 
     def leq(self, other, slack: float = 0.0) -> bool:
+        if not isinstance(other, DirectSumVector):  # as _zip refuses it
+            raise TagMismatch("direct-sum vectors only combine with each other")
         return self.left.leq(other.left, slack) and self.right.leq(other.right, slack)
 
     def is_positive(self, slack: float = 0.0) -> bool:

@@ -83,6 +83,7 @@ MALFORMED = (
     {"diagnostic": {"name": 5}},
     {"source": {"gallery": "unknown_entry"}},
     {"source": {"gallery": "std_units_c0", "params": {"length": 64}}},
+    {"source": {"gallery": "std_units_c0", "params": {"horizon": 0}}},
     # an object that is not one
     {"tolerance": 5},
     {"source": "std_units_c0"},
@@ -252,6 +253,8 @@ def test_suite_aggregates_and_keeps_going(tmp_path, capsys):
     assert aggregate["failed"] == 2
     codes = {r["file"]: r["exit_code"] for r in aggregate["scenarios"]}
     assert codes == {"a_good.json": 0, "b_mismatch.json": 1, "c_broken.json": 2}
+    assert run_cli(["suite", tmp_path / "a_good.json"]) == cli.EXIT_VALIDATION
+    assert "a_good.json is not a directory" in capsys.readouterr().err
 
 
 def test_suite_empty_dir_warns(tmp_path, capsys):

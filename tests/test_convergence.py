@@ -776,6 +776,8 @@ def test_step_blocks_refuse_overflow(chunk_cells):
 def test_truncation_index_identity():
     e = quasi_interior_point(c0(), 16)
     assert truncation_index(e, e, 0.5) == 1
+    with pytest.raises(ValidationError, match="eps must be > 0"):
+        truncation_index(e, e, 0.0)
 
 
 def test_truncation_index_unit_against_geometric():

@@ -28,7 +28,7 @@ from unlattice.gallery import (
     std_units,
     typewriter,
 )
-from unlattice.constructive import kp_disjointify
+from unlattice.constructive import kp_disjointify, kp_disjointify_positive
 from unlattice.runner import build_sequence, run_diagnostic
 from unlattice.spaces import (
     DirectSumVector,
@@ -225,6 +225,15 @@ def test_window_chunks_are_the_per_term_chunks(head, length, chunk_cells):
                     convergence._parts(_per_term_window(seq, head, length)))
         for produced, per_term in parts:
             _same_chunks(_chunks(produced), _chunks(per_term))
+        # a step window keeps its producer: its level blocks are the buffered terms'
+        steps = _inline_step_literals(np.random.default_rng(head), head + length)
+        for seq in (typewriter((head + length).bit_length()),
+                    sequence_from_list(elements_from_dicts(steps))):
+            window = seq.window(head, length)
+            assert window.length == length and window.blocks is not None
+            for top in (0, 5):  # top above every term's level cuts every block
+                assert (_block_bits(convergence._step_blocks(window, top=top)) == _block_bits(
+                    convergence._step_blocks(_per_term_window(seq, head, length), top=top)))
 
 
 @pytest.mark.parametrize("chunk_cells", [3, 2 ** 16])
@@ -270,10 +279,10 @@ def test_inline_step_blocks_are_the_buffered_terms(chunk_cells):
     assert isinstance(rows, spaces.StepRows) and len(rows.groups) == 6  # 2 tags x 3 levels
     with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
         checked, produced = [], []
-        for block in seq.step_blocks(checked.append):
+        for block in convergence._step_blocks(seq, check=checked.append):
             assert block[2] in checked  # its level was checked before the block was made
             produced.append(block)
-        buffered = list(_per_term(seq).step_blocks(lambda level: None))
+        buffered = list(convergence._step_blocks(_per_term(seq), check=lambda level: None))
         assert _block_bits(produced) == _block_bits(buffered)
         assert (len(produced) > len(rows.groups)) == (chunk_cells < 2 ** 16)
         for _, _, _, block in produced:  # a fresh copy, which the consumer may write to
@@ -313,7 +322,8 @@ def test_producers_make_no_terms():
     ts = ToleranceSpec()
     literals = [{"tag": {"kind": "c0"}, "coords": {str(n): 1.0}} for n in range(1, 9)]
     decoded = sequence_from_list(elements_from_dicts(literals))
-    for seq in (overlap_seq(lp(2), 40), std_units(linf(), 40), direct_sum_seq(40), decoded):
+    for seq in (overlap_seq(lp(2), 40), std_units(linf(), 40), direct_sum_seq(40), decoded,
+                typewriter(5)):
         seq = _termless(seq)
         for name in ("norm", "un_qip", "pointwise") if seq.tag.is_sequence_kind else ("norm",):
             run_diagnostic(seq, {"name": name}, ts)
@@ -328,6 +338,13 @@ def test_producers_make_no_terms():
     kp_disjointify(VectorSequence(seq.tag, seq.length, lambda n: made.append(n) or seq.at(n),
                                   blocks=seq.blocks), 3, ts)
     assert made == list(range(1, max(made) + 1)) and max(made) < 100
+    made.clear()  # a step window too: the tail of typewriter(8) is its terms 192 .. 255
+    seq = typewriter(8)
+    kp_disjointify_positive(VectorSequence(seq.tag, seq.length,
+                                           lambda n: made.append(n) or seq.at(n),
+                                           blocks=seq.blocks),
+                            2, ToleranceSpec(tol=1e-2, window=64))
+    assert made == list(range(1, max(made) + 1)) and max(made) < 192
 
 
 def test_typewriter_blocks_refuse_a_level_before_making_it():
@@ -343,10 +360,14 @@ def test_typewriter_blocks_refuse_a_level_before_making_it():
             mock.patch.object(gallery, "_indicator_rows", indicator_rows):
         for top, last in ((0, 2), (5, None)):
             made.clear()
+
+            def budget(level):  # the common refinement, as the pointwise diagnostic's
+                convergence._check_cells(seq.length, 2 ** max(level, top))
+
             with pytest.raises(ValidationError) as produced:
-                list(convergence._step_blocks(seq, top=top, budget=True))
+                list(convergence._step_blocks(seq, top=top, check=budget))
             with pytest.raises(ValidationError) as buffered:
-                list(convergence._step_blocks(_per_term(seq), top=top, budget=True))
+                list(convergence._step_blocks(_per_term(seq), top=top, check=budget))
             assert str(produced.value) == str(buffered.value)
             assert max(made, default=None) == last  # no block of the refused level
         with pytest.raises(ValidationError, match="a 63 x 8 matrix exceeds 496 cells"):
@@ -358,6 +379,10 @@ def test_rademacher_structure():
     tag = lp_step(1)
     r2 = rademacher(tag, 2)
     assert r2.values.tolist() == [1.0, -1.0, 1.0, -1.0]
+    with pytest.raises(ValidationError, match="level must be >= 1"):
+        rademacher(tag, 0)
+    with pytest.raises(ValidationError, match="need a step model"):
+        rademacher(c0(), 2)
     x = StepFunction(tag, 1, np.array([2.0, 3.0]))
     seq = rademacher_modulated(x, horizon=6)
     for n in range(1, 7):
@@ -375,6 +400,8 @@ def test_overlap_pairwise_meets():
             meet = seq.at(n).meet(seq.at(m))
             assert meet.norm() == 2.0 ** -m  # sup-norm meet = 2**-max(n,m)
     assert seq.at(4).coords == {1: 0.0625, 2: 0.0625, 3: 0.0625, 4: 1.0}
+    with pytest.raises(ValidationError, match="needs a sequence-space tag"):
+        overlap_seq(lp_step(1))
 
 
 def test_overlap_terms_equal_validated_vectors():

@@ -238,6 +238,11 @@ def test_tag_mismatch():
         vec({1: 1.0}, lp(1)).meet(vec({1: 1.0}, lp(2)))
     with pytest.raises(TagMismatch):
         vec({1: 1.0}, c0()) + vec({1: 1.0}, linf())
+    # a direct-sum vector against a vector of another family, either way round
+    ds, x = DirectSumVector(vec({1: 1.0}, lp(1)), vec({1: 1.0}, linf())), vec({1: 1.0}, lp(1))
+    for refused in (lambda: ds.leq(x), lambda: ds.meet(x), lambda: ds + x, lambda: x.leq(ds)):
+        with pytest.raises(TagMismatch):
+            refused()
 
 
 def test_step_tags_compatible_across_levels():
@@ -281,8 +286,25 @@ def test_vector_validation():
         StepFunction(lp_step(1), 1, np.array([1.0]))
     with pytest.raises(ValidationError):
         StepFunction(c0(), 0, np.array([1.0]))
-    with pytest.raises(ValidationError):
-        MeasureModel(1, (0.0, 0.0))
+    for refused, message in (
+            (lambda: MeasureModel(1, (0.0, 0.0)), "total mass must be positive"),
+            (lambda: MeasureModel(-1, (1.0,)), "measure level must be >= 0"),
+            (lambda: MeasureModel(0, (-1.0,)), "cell weights must be finite and >= 0"),
+            (lambda: MeasureModel(2, (0.25,) * 4).refined(1), "cannot coarsen a measure"),
+            # the one subnormal weight halves to 0.0
+            (lambda: MeasureModel(0, (5e-324,)).refined(1), "total mass must be positive"),
+            (lambda: SpaceTag("c0", p=2.0), "c0 takes no exponent"),
+            (lambda: SpaceTag("lp_step", p=1.0), "lp_step needs a MeasureModel"),
+            (lambda: SpaceTag("c0", measure=MeasureModel(0, (1.0,))), "c0 takes no measure"),
+            (lambda: LatticeVector(lp_step(1), {1: 1.0}), "requires a sequence-space tag"),
+            (lambda: ones(lp_step(1)), "requires a sequence-space tag"),
+            (lambda: constant_one(c0()), "requires an lp_step tag"),
+            (lambda: DirectSumVector(vec({1: 1.0}, lp(2)), zero(linf())),
+             "left part must carry the l1 tag"),
+            (lambda: DirectSumVector(zero(lp(1)), vec({1: 1.0}, c0())),
+             "right part must carry the linf tag")):
+        with pytest.raises(ValidationError, match=message):
+            refused()
     with pytest.raises(ValidationError):
         lp(0.5)
     for p in (math.nan, math.inf, -math.inf):
@@ -458,6 +480,8 @@ def test_is_disjoint():
     y = unit(L2, 1).scale(1e-14) + unit(L2, 2)
     assert not is_disjoint(x, y)
     assert is_disjoint(x, y, tol=1e-12)
+    with pytest.raises(ValidationError, match="tol must be >= 0"):
+        is_disjoint(x, y, tol=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +496,8 @@ def test_roundtrip_sequence_vector():
     x = vec({3: -1.5, 7: 2.0}, lp(1))
     y = _roundtrip(x)
     assert y.tag == x.tag and y.coords == x.coords
+    with pytest.raises(ValidationError, match="cannot serialize float"):
+        element_to_dict(3.0)
 
 
 def test_roundtrip_step_function():

@@ -234,6 +234,8 @@ def test_axiom_suite_small_runs_clean():
         ]
         d = report.to_json_dict()
         assert d["total_failures"] == 0 and len(d["checks"]) == 5
+    with pytest.raises(ValidationError, match="axiom suite does not sample l1"):
+        axiom_suite(direct_sum(), samples=1)
 
 
 def test_axiom_suite_deterministic_per_seed():
