@@ -188,6 +188,7 @@ def _greedy_disjoint(seq: VectorSequence, target_count: int, warnings: list[str]
     ``signed`` receives the pair (x_n, |x_n|) of each selected index n."""
     def term(n: int) -> tuple[Element, Element]:
         x = seq.at(n)
+        check_tags(seq.tag, x.tag)
         if signed is None and not x.is_positive():
             raise NegativeInput(f"seq({n}) has a negative coordinate")
         return x, (x if signed is None else x.abs())
@@ -327,12 +328,13 @@ def uo_extract(seq: VectorSequence, ts: ToleranceSpec,
     "a.e. convergence along the subsequence"; for atomic models it is the
     coordinatewise report.  The norms and the meet norms are the columns of
     ``_tail_norms`` over the sequence's producer where it has one, else over
-    the terms; either way each term is generated once.  A direct-sum sequence,
+    the held terms; either way each term is generated once.  A direct-sum sequence,
     which the certificate does not take, is refused before a term is made.
     """
     if seq.tag.kind == "l1_oplus_linf":
         raise ValidationError("pointwise diagnostic supports sequence and step models")
     terms = seq.terms()
+    # the held terms, not ``produce``'s per-term path, which would make them again
     listed = seq if seq.blocks is not None else sequence_from_list(terms)
     origin = zero(seq.tag)
     norms = _tail_norms(listed, origin)[:, 0].tolist()

@@ -18,21 +18,15 @@ indistinguishable from a settling coordinate at a finite horizon.
 Sequence models are read in CSR chunks, step models in dense blocks of the
 terms that share a level and a measure, and the l1 (+)_inf linf direct sum
 as its l1 and linf part sequences: a direct-sum norm is the max of the
-parts' norms, and a pairing the sum of the parts' pairings.  They come from
-the sequence's producer where it has one, with no term made: every producer
-is ``blocks(first, stop)``, the terms ``first + 1`` .. ``stop``, so that a
-window keeps it, and a nonzero limit is subtracted inside each chunk and
-block.  The gallery's units, overlap sequence and direct-sum parts build
-chunks with ``np.arange`` and ``np.repeat``, a list of sequence literals
-decoded as one CSR (``spaces.SparseRows``) gives slices of it, the typewriter
-makes identity rows, and a list of step literals decoded into one block per
-(tag, level) group (``spaces.StepRows``) gives copies of cuts of those.
-Otherwise each term is generated once and flattened into a chunk or buffered
-with the terms of its level and measure.  Every diagnostic, the pointwise
-verdict included, is one reduction over those chunks or blocks, except the
-pairings of sequence models, which go term by term over the common supports
-and so walk only the shorter one: no (terms x coordinates) or (terms x
-cells) matrix is built.
+parts' norms, and a pairing the sum of the parts' pairings.  Every
+diagnostic reads them through one accessor, ``VectorSequence.produce``: from
+the sequence's own producer, with no term made (the gallery's, and those of
+literals decoded in bulk as ``spaces.SparseRows`` or ``spaces.StepRows``),
+else from its terms, each generated once.  A window keeps it, a nonzero
+limit is subtracted inside each chunk and block, and every diagnostic, the
+pointwise verdict and the pairings included, is one reduction over the
+chunks or blocks: no (terms x coordinates) or (terms x cells) matrix is
+built.
 """
 
 from __future__ import annotations
@@ -103,8 +97,8 @@ class VectorSequence:
     model, CSR chunks (see ``_sparse_chunks``); for a step model, level
     blocks ``(rows, tag, level, make)``, rows counted from ``first`` and
     ``make()`` a fresh values array (see ``_step_blocks``); for the direct
-    sum, its two part sequences cut to those terms (see ``_parts``).
-    Without one, the diagnostics make each term once through ``at``."""
+    sum, its two part sequences cut to those terms.  Every bulk reader reads
+    ``produce``, which serves a sequence without one from its terms."""
 
     tag: SpaceTag
     length: int
@@ -126,12 +120,22 @@ class VectorSequence:
     def terms(self) -> list[Element]:
         return list(self)
 
+    def produce(self, first: int, stop: int):
+        """The terms ``first + 1`` .. ``stop`` in the model's layout, from
+        ``blocks`` or else from the terms; over ``_MAX_CELLS`` are refused."""
+        _check_cells(stop - first, 1)
+        if self.blocks:
+            return self.blocks(first, stop)
+        per_term = {"lp_step": _term_blocks, "l1_oplus_linf": _term_parts}
+        return per_term.get(self.tag.kind, _term_chunks)(self, first, stop)
+
     def window(self, head: int, length: int) -> "VectorSequence":
         """The terms ``head + 1`` .. ``head + length`` as a sequence of their
-        own, which keeps this sequence's producer, cut to them."""
-        blocks = None if self.blocks is None else (
-            lambda first, stop: self.blocks(head + first, head + stop))
-        return VectorSequence(self.tag, length, lambda n: self.at(head + n), blocks=blocks)
+        own, produced by this sequence's ``produce``, cut to them."""
+        if head < 0 or head + length > self.length:
+            raise ValidationError(f"terms {head + 1} .. {head + length} exceed 1 .. {self.length}")
+        return VectorSequence(self.tag, length, lambda n: self.at(head + n), blocks=lambda
+                              first, stop: self.produce(head + first, head + stop))
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:
@@ -248,43 +252,43 @@ _CHUNK_CELLS = 2 ** 16
 
 
 def _sparse_chunks(seq: VectorSequence, limit: LatticeVector):
-    """The moduli |seq(n) - limit| in CSR chunks ``(indptr, indices, data)`` of
-    about ``_CHUNK_CELLS`` cells: the chunks of the producer of ``seq`` where
-    it has one, with no term made, else ``_term_chunks``, less a nonzero
-    limit (``_less_limit``)."""
-    _check_cells(seq.length, 1)  # before a chunk is made, as iterating the terms checks it
-    chunks = _term_chunks(seq) if seq.blocks is None else seq.blocks(0, seq.length)
+    """The moduli |seq(n) - limit| in the CSR chunks of ``seq.produce``, less
+    a nonzero limit (``_less_limit``)."""
+    chunks = seq.produce(0, seq.length)
     if not limit.is_zero():
         chunks = _less_limit(chunks, *_sorted_support(limit))
     for indptr, indices, data in chunks:
         yield indptr, indices, np.abs(data)
 
 
-def _term_chunks(seq: VectorSequence):
-    """The CSR chunks of ``seq`` packed from its terms, each generated once
-    and its coordinates in the order of its ``coords``: a chunk closes at the
-    first term that brings it to ``_CHUNK_CELLS`` and at the last term."""
+def _term_chunks(seq: VectorSequence, first: int, stop: int):
+    """The CSR chunks of the terms ``first + 1`` .. ``stop`` of ``seq``, each
+    generated once and its coordinates in the order of its ``coords``: a
+    chunk closes at the first term that brings it to ``_CHUNK_CELLS`` and at
+    the last term."""
     indptr, indices, data = [0], [], []
-    for n, x in enumerate(seq, start=1):
+    for n, x in enumerate(seq.window(first, stop - first), start=first + 1):
         indices += x.coords
         data += x.coords.values()
         indptr.append(len(data))
-        if len(data) >= _CHUNK_CELLS or n == seq.length:
+        if len(data) >= _CHUNK_CELLS or n == stop:
             yield (np.array(indptr), np.fromiter(indices, np.int64, len(indices)),
                    np.fromiter(data, float, len(data)))
             indptr, indices, data = [0], [], []
 
 
-def _term_blocks(seq: VectorSequence, check: Callable[[int], None]):
-    """The level blocks of the step sequence ``seq`` buffered from its terms:
-    each term is generated once, checked (``check(level)``, before the next
-    term is made) and buffered with the terms of its level and measure; a
-    block closes at ``_block_rows(level)`` rows and at the last term."""
+def _term_blocks(seq: VectorSequence, first: int, stop: int):
+    """The level blocks of the terms ``first + 1`` .. ``stop`` of the step
+    sequence ``seq``, each generated once and buffered with the terms of its
+    level and measure; a block closes at ``_block_rows(level)`` rows and at
+    the last term.  A buffer's first term is followed by an empty block of
+    its level, which the consumer checks before the next term is made."""
     pending: dict[tuple[int, int], tuple[SpaceTag, list[int], list[np.ndarray]]] = {}
-    for n, x in enumerate(seq):
-        check(x.level)
+    for n, x in enumerate(seq.window(first, stop - first)):
         # the entry holds the tag, so the measure's id names it while buffered
         key = (x.level, id(x.tag.measure))
+        if key not in pending:
+            yield np.empty(0, np.int64), x.tag, x.level, partial(np.empty, 0)
         tag, rows, values = pending.setdefault(key, (x.tag, [], []))
         rows.append(n)
         values.append(x.values)
@@ -293,6 +297,14 @@ def _term_blocks(seq: VectorSequence, check: Callable[[int], None]):
             yield np.array(rows), tag, x.level, partial(np.array, values)
     for (level, _), (tag, rows, values) in pending.items():
         yield np.array(rows), tag, level, partial(np.array, values)
+
+
+def _term_parts(seq: VectorSequence, first: int, stop: int):
+    """The l1 and the linf part sequences of the terms ``first + 1`` ..
+    ``stop`` of the direct-sum sequence ``seq``, each term generated once."""
+    terms = seq.window(first, stop - first).terms()
+    return (VectorSequence(_L1, len(terms), lambda n: terms[n - 1].left, seq.name),
+            VectorSequence(_LINF, len(terms), lambda n: terms[n - 1].right, seq.name))
 
 
 def _less_limit(chunks, keys: np.ndarray, values: np.ndarray):
@@ -374,13 +386,10 @@ def _step_blocks(seq: VectorSequence, limit: StepFunction | None = None, top: in
     ``(rows, tag, level, values)``: row i of ``values``, a fresh array, holds
     the cell values at ``level`` of term ``rows[i] + 1``; a block's rows
     increase; and ``tag`` is a term's tag whose measure all its terms share.
-    The blocks are the producer's where ``seq`` has one, else
-    ``_term_blocks``'s, cut to ``_block_rows`` of level ``top`` or their own,
-    if higher; ``check(level)`` runs, and may refuse, before a block at
-    ``level`` is made.  An overflowed difference is refused."""
-    _check_cells(seq.length, 1)  # before a block is made, as iterating the terms checks it
-    blocks = _term_blocks(seq, check) if seq.blocks is None else seq.blocks(0, seq.length)
-    for rows, tag, level, make in blocks:
+    The blocks are ``seq.produce``'s, cut to ``_block_rows`` of level ``top``
+    or their own, if higher; ``check(level)`` runs, and may refuse, before a
+    block at ``level`` is made.  An overflowed difference is refused."""
+    for rows, tag, level, make in seq.produce(0, seq.length):
         check(level)
         values, size = make(), _block_rows(max(level, top))
         for s in range(0, len(rows), size):
@@ -554,7 +563,7 @@ def _tail_norms(seq: VectorSequence, limit: Element,
     is allocated."""
     _check_cells(seq.length, max(1, len(tests)))
     if seq.tag.kind == "l1_oplus_linf":
-        left, right = _parts(seq)
+        left, right = seq.produce(0, seq.length)
         return np.maximum(_tail_norms(left, limit.left, [u.left for u in tests]),
                           _tail_norms(right, limit.right, [u.right for u in tests]))
     if seq.tag.kind == "lp_step":
@@ -573,7 +582,7 @@ def _sparse_norms(seq: VectorSequence, limit: LatticeVector,
     """``_tail_norms`` of the sequence model ``seq`` against the tests whose
     values at an array of indices each of ``gathers`` gives, in CSR chunks:
     each row's norm is taken of the nonzero meets alone.  One column is held
-    to the budget by ``_sparse_chunks``, more by the caller."""
+    to the budget by ``produce``, more by the caller."""
     blocks = []
     for indptr, indices, a in _sparse_chunks(seq, limit):
         norms = [_row_norms(seq.tag, *_nonzero(indptr, np.minimum(a, gather(indices))))
@@ -619,16 +628,6 @@ def _geometric_gather(horizon: int) -> Callable[[np.ndarray], np.ndarray]:
     last = min(horizon, 1074)
     column = np.append(_POWERS[:last + 1], 0.0)  # "clip" reads every later i as last + 1
     return lambda indices: column.take(indices, mode="clip")
-
-
-def _parts(seq: VectorSequence) -> tuple[VectorSequence, VectorSequence]:
-    """The l1 and the linf part sequences of the direct-sum sequence ``seq``:
-    its producer's, or over its terms, each generated once."""
-    if seq.blocks is not None:
-        return seq.blocks(0, seq.length)
-    terms = seq.terms()
-    return (VectorSequence(_L1, seq.length, lambda n: terms[n - 1].left, seq.name),
-            VectorSequence(_LINF, seq.length, lambda n: terms[n - 1].right, seq.name))
 
 
 def _sorted_support(u: LatticeVector) -> tuple[np.ndarray, np.ndarray]:
@@ -695,7 +694,7 @@ def _qip_norms(seq: VectorSequence, limit: Element, horizon: int = DEFAULT_HORIZ
     In c0 and lp, e_i = 2**-i is computed at each stored index i, so no element is built
     and the meets past index min(horizon, 1074), all 0.0, drop out of every row's norm."""
     if seq.tag.kind == "l1_oplus_linf":
-        (left, right), h = _parts(seq), horizon
+        (left, right), h = seq.produce(0, seq.length), horizon
         return np.maximum(_qip_norms(left, limit.left, h), _qip_norms(right, limit.right, h))
     if seq.tag.kind == "linf":
         return np.minimum(_tail_norms(seq, limit), 1.0)
@@ -709,7 +708,7 @@ def un_strong_unit(seq: VectorSequence, limit: Element, ts: ToleranceSpec) -> Ta
     direct sum against 0 (+) 1, which is its linf part's, as its l1 part meets 0."""
     check_tags(seq.tag, limit.tag)
     if seq.tag.kind == "l1_oplus_linf":
-        seq, limit = _parts(seq)[1], limit.right
+        seq, limit = seq.produce(0, seq.length)[1], limit.right
     return _table_report("un-tail", _qip_norms(seq, limit), ts, "test_index", {"num_tests": 1})
 
 
@@ -962,15 +961,15 @@ def _exact_sum(prods: list[float]) -> float:
 
 def _pairings(seq: VectorSequence, functionals: list[Element], modulus: bool) -> np.ndarray:
     """The (length, len(functionals)) table of <f, seq(n)> (of <f, |seq(n)|>
-    with ``modulus``), each term generated once.  Step models pair by blocks,
-    each functional weighted once per level; sequence models term by term over
-    the common supports, which walks only the shorter one; the direct sum is
-    the sum of its parts' tables.  A step row whose weighted sum is not finite
-    is paired again with the weights applied after f * x, so that w * f
-    overflowing does not refuse a finite pairing.  A pairing past the float
-    range is refused."""
+    with ``modulus``) over ``seq.produce``.  Step models pair by blocks, each
+    functional weighted once per level; sequence models row by row of their
+    CSR chunks over the common supports, which walks only the shorter one;
+    the direct sum is the sum of its parts' tables.  A step row whose
+    weighted sum is not finite is paired again with the weights applied
+    after f * x, so that w * f overflowing does not refuse a finite pairing.
+    A pairing past the float range is refused."""
     if seq.tag.kind == "l1_oplus_linf":
-        left, right = _parts(seq)
+        left, right = seq.produce(0, seq.length)
         with np.errstate(over="ignore"):
             table = (_pairings(left, [f.left for f in functionals], modulus)
                      + _pairings(right, [f.right for f in functionals], modulus))
@@ -979,11 +978,12 @@ def _pairings(seq: VectorSequence, functionals: list[Element], modulus: bool) ->
         return table
     table = np.empty((seq.length, len(functionals)))
     if seq.tag.is_sequence_kind:
-        for n, x in enumerate((x.abs() for x in seq) if modulus else seq):
+        chunks = ((ip.tolist(), i.tolist(), (np.abs(d) if modulus else d).tolist())
+                  for ip, i, d in seq.produce(0, seq.length))
+        rows = (dict(zip(i[s:e], d[s:e])) for ip, i, d in chunks for s, e in zip(ip, ip[1:]))
+        for n, x in enumerate(rows):
             for j, f in enumerate(functionals):
-                a, b = f.coords, x.coords
-                if len(b) < len(a):
-                    a, b = b, a
+                a, b = sorted((f.coords, x), key=len)  # walk the shorter support
                 table[n, j] = _exact_sum([v * b[i] for i, v in a.items() if i in b])
         return table
     weighted: dict[tuple[int, int], np.ndarray] = {}  # the cell weights times f at a level

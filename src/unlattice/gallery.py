@@ -77,14 +77,10 @@ def direct_sum_seq(horizon: int = DEFAULT_SEQ_HORIZON) -> VectorSequence:
     """seq(n) = f_n (+) g_n with f_n the l1 units and g_n the linf units."""
     left, right = _units(_L1, horizon, "direct_sum"), _units(_LINF, horizon, "direct_sum")
 
-    def at(n: int) -> DirectSumVector:
-        return DirectSumVector(left.at(n), right.at(n))
-
-    def blocks(first: int, stop: int):
-        return left.window(first, stop - first), right.window(first, stop - first)
-
-    return VectorSequence(SpaceTag("l1_oplus_linf"), horizon, at, name="direct_sum",
-                          blocks=blocks)
+    return VectorSequence(SpaceTag("l1_oplus_linf"), horizon,
+                          lambda n: DirectSumVector(left.at(n), right.at(n)), "direct_sum",
+                          lambda first, stop: (left.window(first, stop - first),
+                                               right.window(first, stop - first)))
 
 
 def direct_sum_witness(horizon: int = DEFAULT_HORIZON) -> DirectSumVector:

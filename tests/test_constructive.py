@@ -20,6 +20,7 @@ from unlattice.convergence import (
     NULL,
     ToleranceSpec,
     VectorSequence,
+    norm_tail,
     sequence_from_list,
     un_tail_qip,
 )
@@ -30,6 +31,7 @@ from unlattice.errors import (
     NegativePart,
     NotADecomposition,
     SelectionStalled,
+    TagMismatch,
     ValidationError,
 )
 from unlattice.gallery import direct_sum_seq, overlap_seq, std_units, typewriter
@@ -328,6 +330,16 @@ def test_kp_reads_each_scanned_term_once():
     res = kp_disjointify(VectorSequence(c0(), 8, at), 3, TS, check_un_null=False)
     assert res.selected_indices == [1, 4, 5] and calls == [1, 2, 3, 4, 5]
     assert [d.coords for d in res.disjoint_parts] == [{1: -1.0}, {4: -1.0}, {5: -1.0}]
+
+
+def test_kp_scan_checks_each_term_tag():
+    # l1 terms in a c0 sequence: refused by the scan, as by iteration
+    seq = VectorSequence(c0(), 20, lambda n: unit(lp(1), n))
+    for kp in (kp_disjointify_positive, kp_disjointify):
+        with pytest.raises(TagMismatch):
+            kp(seq, 3, TS, check_un_null=False)
+    with pytest.raises(TagMismatch):
+        norm_tail(seq, zero(c0()), TS)
 
 
 def test_kp_positive_rejects_signed_terms():

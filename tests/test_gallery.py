@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from unlattice import convergence, gallery, spaces
+from unlattice import convergence, gallery, jsonio, spaces
 from unlattice.convergence import (
     ToleranceSpec,
     VectorSequence,
@@ -167,7 +167,8 @@ def test_unit_chunks_are_the_per_term_chunks(tag, horizon, chunk_cells):
 def test_direct_sum_part_chunks_are_the_per_term_chunks(horizon, chunk_cells):
     seq = direct_sum_seq(horizon)
     with mock.patch.object(convergence, "_CHUNK_CELLS", chunk_cells):
-        for produced, per_term in zip(convergence._parts(seq), convergence._parts(_per_term(seq))):
+        parts = zip(seq.produce(0, seq.length), _per_term(seq).produce(0, seq.length))
+        for produced, per_term in parts:
             assert produced.tag is per_term.tag and produced.length == per_term.length
             _same_chunks(_chunks(produced), _chunks(per_term))
 
@@ -221,8 +222,8 @@ def test_window_chunks_are_the_per_term_chunks(head, length, chunk_cells):
             assert window.length == length and window.blocks is not None
             _same_chunks(_chunks(window), _chunks(_per_term_window(seq, head, length)))
         seq = direct_sum_seq(head + length)
-        parts = zip(convergence._parts(seq.window(head, length)),
-                    convergence._parts(_per_term_window(seq, head, length)))
+        parts = zip(seq.window(head, length).produce(0, length),
+                    _per_term_window(seq, head, length).produce(0, length))
         for produced, per_term in parts:
             _same_chunks(_chunks(produced), _chunks(per_term))
         # a step window keeps its producer: its level blocks are the buffered terms'
@@ -234,6 +235,23 @@ def test_window_chunks_are_the_per_term_chunks(head, length, chunk_cells):
             for top in (0, 5):  # top above every term's level cuts every block
                 assert (_block_bits(convergence._step_blocks(window, top=top)) == _block_bits(
                     convergence._step_blocks(_per_term_window(seq, head, length), top=top)))
+
+
+def test_window_refuses_a_range_outside_the_sequence():
+    literals = [{"tag": {"kind": "c0"}, "coords": {str(n): 1.0}} for n in range(1, 8)]
+    for seq in (std_units(c0(), 7), typewriter(3),
+                sequence_from_list(elements_from_dicts(literals)),
+                VectorSequence(c0(), 7, lambda n: spaces.unit(c0(), n))):
+        assert seq.length == 7
+        for head, length in ((5, 10), (-3, 2), (-1, 1), (0, 8), (7, 1)):
+            with pytest.raises(ValidationError, match="exceed 1 .. 7"):
+                seq.window(head, length)
+        for head, length in ((0, 7), (6, 1), (2, 3)):
+            window = seq.window(head, length)
+            assert [element_to_dict(x) for x in window] == \
+                [element_to_dict(seq.at(head + n)) for n in range(1, length + 1)]
+            assert run_diagnostic(window, {"name": "norm"}, ToleranceSpec()).values == \
+                [seq.at(head + n).norm() for n in range(1, length + 1)]
 
 
 @pytest.mark.parametrize("chunk_cells", [3, 2 ** 16])
@@ -327,6 +345,10 @@ def test_producers_make_no_terms():
         seq = _termless(seq)
         for name in ("norm", "un_qip", "pointwise") if seq.tag.is_sequence_kind else ("norm",):
             run_diagnostic(seq, {"name": name}, ts)
+        if seq.tag.is_sequence_kind:  # the pairings, of the terms and of their moduli
+            for modulus in (False, True):
+                run_diagnostic(seq, {"name": "weak", "functionals": "summable_units",
+                                     "modulus": modulus}, ts)
     # a nonzero limit is subtracted inside the producer's chunks
     for seq, tag in ((overlap_seq(lp(2), 40), {"kind": "lp", "p": 2}), (decoded, {"kind": "c0"})):
         limit = {"tag": tag, "coords": {"1": 0.5, "3": -1.0, "50": 2.0}}
@@ -345,6 +367,16 @@ def test_producers_make_no_terms():
                                            blocks=seq.blocks),
                             2, ToleranceSpec(tol=1e-2, window=64))
     assert made == list(range(1, max(made) + 1)) and max(made) < 192
+
+
+@pytest.mark.parametrize("name", sorted(GALLERY))
+def test_reports_are_those_of_the_per_term_path(name):
+    entry = get_entry(name)
+    seq = entry.build()
+    for check in entry.checks:
+        produced = run_diagnostic(seq, check.diagnostic, check.tolerance)
+        per_term = run_diagnostic(_per_term(seq), check.diagnostic, check.tolerance)
+        assert jsonio.dumps(produced.to_json_dict()) == jsonio.dumps(per_term.to_json_dict())
 
 
 def test_typewriter_blocks_refuse_a_level_before_making_it():

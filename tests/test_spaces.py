@@ -218,6 +218,18 @@ def test_direct_sum_norm_is_max():
     assert (-x).norm() == 2.0
 
 
+def test_direct_sum_join_and_meet_are_part_by_part():
+    # parts that cross, so that the join and the meet differ in both parts
+    x = DirectSumVector(vec({1: 1.0, 2: -1.0}, lp(1)), vec({1: 2.0, 3: -0.5}, linf()))
+    y = DirectSumVector(vec({1: 0.5, 2: 1.0}, lp(1)), vec({1: -1.0, 3: 1.0}, linf()))
+    join, meet = x.join(y), x.meet(y)
+    assert (join.left.coords, join.right.coords) == ({1: 1.0, 2: 1.0}, {1: 2.0, 3: 1.0})
+    assert (meet.left.coords, meet.right.coords) == ({1: 0.5, 2: -1.0}, {1: -1.0, 3: -0.5})
+    assert join.left.tag == lp(1) and join.right.tag == linf()
+    assert (join + meet).left.coords == (x + y).left.coords  # x \/ y + x /\ y = x + y
+    assert (join + meet).right.coords == (x + y).right.coords
+
+
 def test_direct_sum_span_norm_identity():
     # the span of the paired units is isometric to l1
     rng = np.random.default_rng(3)

@@ -238,6 +238,27 @@ def test_axiom_suite_small_runs_clean():
         axiom_suite(direct_sum(), samples=1)
 
 
+def test_axiom_suite_records_the_failures_of_a_wrong_membership():
+    # a membership that holds nowhere fails every axiom but separation, each
+    # on every sample, and keeps the first counterexample of each
+    for tag, shown in ((lp(2), "{"), (lp_step(1), "step(level=")):
+        with mock.patch.object(topology, "_member", lambda V, x: False):
+            report = axiom_suite(tag, samples=5, rng_seed=2)
+        failures = {c.axiom: (c.failures, c.first_counterexample) for c in report.checks}
+        assert report.total_failures == 20 and failures["hausdorff-separation"] == (0, None)
+        assert set(failures["zero-membership"][1]) == {"eps"}
+        for axiom, key in (("base-intersection", "x"), ("additive-halving", "x1"),
+                           ("scalar-absorption", "x")):
+            count, first = failures[axiom]
+            assert count == 5 and first[key].startswith(shown)
+        assert report.to_json_dict()["total_failures"] == 20
+    # one that holds everywhere fails only separation
+    with mock.patch.object(topology, "_member", lambda V, x: True):
+        report = axiom_suite(lp(2), samples=3, rng_seed=2)
+    assert [c.failures for c in report.checks] == [0, 0, 0, 0, 3]
+    assert report.checks[-1].first_counterexample["x"].startswith("{")
+
+
 def test_axiom_suite_deterministic_per_seed():
     a = axiom_suite(lp(2), samples=100, rng_seed=7).to_json_dict()
     b = axiom_suite(lp(2), samples=100, rng_seed=7).to_json_dict()
