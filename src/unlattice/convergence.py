@@ -131,11 +131,13 @@ class VectorSequence:
 
     def window(self, head: int, length: int) -> "VectorSequence":
         """The terms ``head + 1`` .. ``head + length`` as a sequence of their
-        own, produced by this sequence's ``produce``, cut to them."""
+        own.  Its ``blocks`` are this sequence's, cut to those terms; a
+        sequence without ``blocks`` gives a window without, whose readers
+        make each term once, as they would for the sequence."""
         if head < 0 or head + length > self.length:
             raise ValidationError(f"terms {head + 1} .. {head + length} exceed 1 .. {self.length}")
-        return VectorSequence(self.tag, length, lambda n: self.at(head + n), blocks=lambda
-                              first, stop: self.produce(head + first, head + stop))
+        blocks = self.blocks and (lambda first, stop: self.blocks(head + first, head + stop))
+        return VectorSequence(self.tag, length, lambda n: self.at(head + n), blocks=blocks)
 
 
 def sequence_from_list(elements: Sequence[Element], name: str = "") -> VectorSequence:

@@ -118,21 +118,117 @@ class AxiomSuiteReport:
                 "checks": [c.to_json_dict() for c in self.checks]}
 
 
-def _sample_element(tag: SpaceTag, rng: np.random.Generator,
-                    positive: bool = False, max_index: int = 64) -> Element:
+#: PCG64 words the axiom suite's draw source reads from its bit generator at once
+_BLOCK = 4096
+
+_UINT32 = 0xFFFFFFFF
+
+
+class _Draws:
+    """The draws of ``np.random.default_rng(seed)`` for the calls the axiom
+    suite makes, decoded from raw PCG64 words as numpy's C code decodes them,
+    at a fraction of the per-call cost of the ``Generator`` API.
+
+    The words come from ``PCG64(seed).random_raw`` in blocks of ``_BLOCK``;
+    ``used`` counts those consumed.  A double is ``(w >> 11) * 2**-53``
+    (``next_double``), computed for a block at once.  A 32-bit draw is the
+    low half of a fresh word, then the high half held back (PCG64's
+    ``next_uint32``, whose buffer is ``_half`` and ``_has_half``, the bit
+    generator's ``uinteger`` and ``has_uint32``).  A fresh ``PCG64(seed)``
+    advanced by ``used`` and given that buffer is the state the ``Generator``
+    has after the same calls.  Single draws read memoryviews, which make no
+    Python object for a word that an array draw takes."""
+
+    __slots__ = ("_bits", "_raw", "_array", "_words", "_doubles", "_pos", "_pulled", "_half",
+                 "_has_half")
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)
+        self._raw = np.empty(0, np.uint64)
+        self._words = memoryview(self._raw)
+        self._pos = self._pulled = self._half = 0
+        self._has_half = False
+
+    @property
+    def used(self) -> int:
+        return self._pulled - len(self._words) + self._pos
+
+    def _pull(self, n: int) -> None:
+        """Hold at least ``n`` unread words."""
+        raw = self._bits.random_raw(max(_BLOCK, n))
+        self._pulled += raw.size
+        self._raw = np.concatenate((self._raw[self._pos:], raw))
+        self._array = (self._raw >> 11) * 2.0 ** -53
+        self._words, self._doubles = memoryview(self._raw), memoryview(self._array)
+        self._pos = 0
+
+    def random(self, size: int | None = None):
+        """``Generator.random()``, a float, or ``Generator.random(size)``."""
+        pos = self._pos
+        n = 1 if size is None else size
+        if pos + n > len(self._words):
+            self._pull(n)
+            pos = 0
+        self._pos = pos + n
+        return self._doubles[pos] if size is None else self._array[pos:pos + n].copy()
+
+    def _bounded(self, r: int) -> int:
+        """Uniform on 0 .. ``r`` for 1 <= r < 2**32: numpy's
+        ``buffered_bounded_lemire_uint32``, Lemire's m = u * (r + 1) of a
+        32-bit draw u, kept when its low half is at least (2**32 - 1 - r)
+        mod (r + 1), a threshold <= r, so taken only for a low half <= r.
+        numpy draws nothing for r = 0, which no caller asks."""
+        while True:
+            if self._has_half:
+                self._has_half = False
+                u = self._half
+            else:
+                if self._pos == len(self._words):
+                    self._pull(1)
+                w = self._words[self._pos]
+                self._pos += 1
+                self._half, self._has_half = w >> 32, True
+                u = w & _UINT32
+            m = u * (r + 1)
+            if m & _UINT32 > r or m & _UINT32 >= (_UINT32 - r) % (r + 1):
+                return m >> 32
+
+    def integers(self, lo: int, hi: int) -> int:
+        """``Generator.integers(lo, hi)`` for 2 <= hi - lo <= 2**32."""
+        return lo + self._bounded(hi - lo - 1)
+
+    def choice(self, pop: int, k: int) -> list[int]:
+        """``Generator.choice(pop, k, replace=False).tolist()`` for
+        1 <= k < pop <= 10000: Floyd's draws for j = pop - k .. pop - 1 (j
+        itself where the draw is taken), then the Fisher-Yates pass over
+        i = k - 1 .. 1."""
+        picked = []
+        seen = set()
+        for j in range(pop - k, pop):
+            v = self._bounded(j)
+            if v in seen:
+                v = j
+            seen.add(v)
+            picked.append(v)
+        for i in range(k - 1, 0, -1):
+            j = self._bounded(i)
+            picked[i], picked[j] = picked[j], picked[i]
+        return picked
+
+
+def _sample_element(tag: SpaceTag, rng: _Draws, positive: bool = False,
+                    max_index: int = 64) -> Element:
     """One random element of ``tag``: a step function at a random level >= 1
     with values in [-1, 1), or up to 8 such coordinates at distinct indices
     in 1 .. ``max_index``; their moduli if ``positive``.
 
     A draw U(lo, hi) is written ``lo + (hi - lo) * rng.random(...)``: that is
     the affine map ``Generator.uniform`` applies to the same ``next_double``,
-    so the values and the generator's state after them are bit-identical to
-    ``uniform``'s, at a fraction of its per-call cost.  Do not bring
-    ``uniform`` back: it would make the same draws, only slower.  A draw
-    through any other call (a batch, another size or order) re-seeds the
-    suite."""
+    so the values are bit-identical to ``uniform``'s.  The suite's stream is
+    ``default_rng(seed)``'s, call for call: a draw made in another order,
+    size or number re-seeds it."""
     if tag.kind == "lp_step":
-        level = max(tag.measure.level, int(rng.integers(1, 7)))
+        level = max(tag.measure.level, rng.integers(1, 7))
         vals = rng.random(2 ** level)
         vals *= 2.0
         vals -= 1.0  # 2.0 * r - 1.0 is -1.0 + 2.0 * r exactly
@@ -140,8 +236,8 @@ def _sample_element(tag: SpaceTag, rng: np.random.Generator,
             np.abs(vals, out=vals)
         return StepFunction._trusted(tag, level, vals)  # fresh, finite, 2**level cells
     if tag.is_sequence_kind:
-        size = int(rng.integers(1, 9))
-        support = rng.choice(max_index, size=size, replace=False).tolist()
+        size = rng.integers(1, 9)
+        support = rng.choice(max_index, size)
         vals = [-1.0 + 2.0 * r for r in rng.random(size).tolist()]
         if positive:
             vals = [math.fabs(v) for v in vals]
@@ -152,7 +248,7 @@ def _sample_element(tag: SpaceTag, rng: np.random.Generator,
     raise ValidationError(f"axiom suite does not sample {tag.describe()}")
 
 
-def _sample_nonzero(tag, rng, positive=False) -> Element:
+def _sample_nonzero(tag: SpaceTag, rng: _Draws, positive: bool = False) -> Element:
     for _ in range(64):
         x = _sample_element(tag, rng, positive=positive)
         if not x.is_zero():
@@ -160,21 +256,21 @@ def _sample_nonzero(tag, rng, positive=False) -> Element:
     raise ValidationError("sampler failed to produce a nonzero element")
 
 
-def _sample_eps(rng) -> float:
+def _sample_eps(rng: _Draws) -> float:
     return 10.0 ** (-4.0 + 4.0 * rng.random())  # 10**U(-4, 0)
 
 
-def _sample_member(V: Neighborhood, rng) -> Element:
+def _sample_member(V: Neighborhood, rng: _Draws) -> Element:
     """A random element of V: draw and, if needed, shrink into the ball.
-    The caller holds ``np.errstate(over="ignore", invalid="ignore")``."""
+    The caller holds ``np.errstate(over="ignore", invalid="ignore")``.
+
+    A drawn x outside V has ||x|| >= || |x| /\\ u || >= eps > 0, so the
+    rescale never divides by zero: the suite's eps are >= 1e-4."""
     x = _sample_element(V.tag, rng)
     if _member(V, x):
         return x
-    n = x._norm()
-    if n == 0.0:
-        return x
     # || |cx| /\ u || <= ||cx||, so scaling under eps/||x|| forces membership
-    return x.scale(0.9 * V.eps * (0.1 + (1.0 - 0.1) * rng.random()) / n)
+    return x.scale(0.9 * V.eps * (0.1 + (1.0 - 0.1) * rng.random()) / x._norm())
 
 
 def _describe(x: Element) -> str:
@@ -189,7 +285,7 @@ def axiom_suite(tag: SpaceTag, samples: int = 10_000, rng_seed: int = 0) -> Axio
         raise ValidationError(f"samples must be >= 1, not {samples}")
     if rng_seed < 0:
         raise ValidationError(f"the seed must be >= 0, not {rng_seed}")
-    rng = np.random.default_rng(rng_seed)
+    rng = _Draws(rng_seed)
     report = AxiomSuiteReport(tag.describe(), rng_seed)
     origin = zero(tag)
 

@@ -615,6 +615,17 @@ def test_uo_extract_generates_each_term_once():
 
         uo_extract(VectorSequence(seq.tag, seq.length, at), ToleranceSpec(tol=1e-2, window=2))
         assert calls == list(range(1, seq.length + 1))
+    # a window of a sequence without a producer is read through its held terms too
+    calls = []
+
+    def at(n):
+        calls.append(n)
+        return unit(lp(2), n % 5 + 1).scale(2.0 ** -n)
+
+    for head in (0, 6):
+        uo_extract(VectorSequence(lp(2), 30, at).window(head, 24), ToleranceSpec(tol=1e-2))
+        assert calls == list(range(head + 1, head + 25))
+        calls.clear()
 
 
 def test_uo_extract_certificate_outside_the_band():

@@ -326,11 +326,50 @@ def _uniform_member(V, rng):
     return x.scale(0.9 * V.eps * float(rng.uniform(0.1, 1.0)) / n)
 
 
-def _draws(element, tag, seed, positive):
-    """200 elements drawn from one generator, and its state after them."""
-    rng = np.random.default_rng(seed)
+def _state(rng, seed):
+    """The bit generator's state after the draws of ``rng``: a Generator's
+    own, or for the suite's draw source a fresh PCG64(seed) advanced by the
+    words it used and given its held half-word."""
+    if isinstance(rng, np.random.Generator):
+        return rng.bit_generator.state
+    bits = np.random.PCG64(seed)
+    bits.advance(rng.used)
+    state = bits.state
+    state["has_uint32"], state["uinteger"] = int(rng._has_half), rng._half
+    return state
+
+
+@pytest.mark.parametrize("block", [topology._BLOCK, 5])
+def test_draw_source_is_the_generator_bit_for_bit(block):
+    """The suite's draw source decodes PCG64 words as numpy's Generator does:
+    the same values and the same state after a mixed script of its calls,
+    over blocks of words that arrays and the held half-word straddle."""
+    with mock.patch.object(topology, "_BLOCK", block):
+        for seed in range(150):
+            script = np.random.default_rng(10 ** 6 + seed)
+            src, gen = topology._Draws(seed), np.random.default_rng(seed)
+            for op in script.integers(0, 7, 120).tolist():
+                if op == 0:
+                    assert src.random().hex() == gen.random().hex()
+                elif op == 1:
+                    n = int(script.integers(1, 70))
+                    assert src.random(n).tobytes() == gen.random(n).tobytes()
+                elif op in (2, 3):
+                    hi = 7 if op == 2 else 9
+                    assert src.integers(1, hi) == gen.integers(1, hi)
+                elif op == 4:
+                    k = int(script.integers(1, 9))
+                    assert src.choice(64, k) == gen.choice(64, k, replace=False).tolist()
+                else:  # ranges whose Lemire rejection is ~1/2 and 0
+                    hi = 2 ** 31 + 1 if op == 5 else 2 ** 32
+                    assert src.integers(0, hi) == gen.integers(0, hi)
+            assert _state(src, seed) == gen.bit_generator.state
+
+
+def _draws(element, rng, tag, seed, positive):
+    """200 elements drawn from ``rng``, and the generator's state after them."""
     drawn = [element_to_dict(element(tag, rng, positive=positive)) for _ in range(200)]
-    return drawn, rng.bit_generator.state
+    return drawn, _state(rng, seed)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
@@ -338,21 +377,21 @@ def _draws(element, tag, seed, positive):
 def test_axiom_suite_draws_equal_the_uniform_draws(name, positive):
     tag = tag_from_name(name)
     for seed in range(20):
-        assert _draws(topology._sample_element, tag, seed, positive) == _draws(
-            _uniform_element, tag, seed, positive)
+        assert _draws(topology._sample_element, topology._Draws(seed), tag, seed,
+                      positive) == _draws(_uniform_element, np.random.default_rng(seed), tag,
+                                          seed, positive)
 
 
-def _members(element, eps, member, tag, seed):
-    """The eps and a member of 200 neighborhoods drawn from one generator, and
-    its state after them."""
-    rng = np.random.default_rng(seed)
+def _members(element, eps, member, rng, tag, seed):
+    """The eps and a member of 200 neighborhoods drawn from ``rng``, and the
+    generator's state after them."""
     drawn = []
     for _ in range(200):
         u = element(tag, rng, positive=True)
         if not u.is_zero():
             V = Neighborhood._trusted(u, eps(rng))
             drawn.append((V.eps.hex(), element_to_dict(member(V, rng))))
-    return drawn, rng.bit_generator.state
+    return drawn, _state(rng, seed)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
@@ -361,8 +400,9 @@ def test_axiom_suite_eps_and_rescales_equal_the_uniform_draws(name):
     with np.errstate(over="ignore", invalid="ignore"):  # as the suite holds it
         for seed in range(5):
             assert _members(topology._sample_element, topology._sample_eps,
-                            topology._sample_member, tag, seed) == _members(
-                _uniform_element, _uniform_eps, _uniform_member, tag, seed)
+                            topology._sample_member, topology._Draws(seed), tag, seed) == _members(
+                _uniform_element, _uniform_eps, _uniform_member, np.random.default_rng(seed), tag,
+                seed)
 
 
 #: sha256 prefixes of jsonio.dumps of axiom_suite(tag, 300, seed), and of
@@ -381,12 +421,20 @@ SUITE_DIGESTS = {
     ("l1-step", 11): ("a0a14d90395e1ca8", "3481ce9c21bb8c43"),
     ("l2-step", 3): ("efb86c3fd845d39c", "dcc9d03f5e7bd257"),
     ("l2-step", 11): ("64e67c46a3c68a6c", "9815648e530cd425"),
+    ("l1.5", 3): ("59369826270c9803", "bf39581dd249b3b3"),
+    ("l1.5", 11): ("c1b1c72e1f1c9432", "fa4a44df593118fb"),
+    ("l1.5-step-weighted", 3): ("b97cd175d49c6877", "d7833276195ad10c"),
+    ("l1.5-step-weighted", 11): ("962e066ca0c37ae9", "510e141ecd362454"),
 }
+
+#: the SUITE_DIGESTS tags that tag_from_name does not name: a non-uniform
+#: measure at level 2, so a drawn level 1 is raised to the measure's
+_SUITE_TAGS = {"l1.5-step-weighted": lp_step(1.5, MeasureModel(2, (0.1, 0.2, 0.3, 0.4)))}
 
 
 @pytest.mark.parametrize("name, seed", sorted(SUITE_DIGESTS))
 def test_axiom_suite_reports_and_memberships_are_pinned(name, seed):
-    tag = tag_from_name(name)
+    tag = _SUITE_TAGS[name] if name in _SUITE_TAGS else tag_from_name(name)
     report = jsonio.dumps(axiom_suite(tag, 300, seed).to_json_dict())
     seen = hashlib.sha256()
     member = topology._member
