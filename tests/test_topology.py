@@ -377,9 +377,8 @@ def _draws(element, rng, tag, seed, positive):
 def test_axiom_suite_draws_equal_the_uniform_draws(name, positive):
     tag = tag_from_name(name)
     for seed in range(20):
-        assert _draws(topology._sample_element, topology._Draws(seed), tag, seed,
-                      positive) == _draws(_uniform_element, np.random.default_rng(seed), tag,
-                                          seed, positive)
+        drawn = _draws(topology._sample_element, topology._Draws(seed), tag, seed, positive)
+        assert drawn == _draws(_uniform_element, np.random.default_rng(seed), tag, seed, positive)
 
 
 def _members(element, eps, member, rng, tag, seed):
@@ -399,10 +398,10 @@ def test_axiom_suite_eps_and_rescales_equal_the_uniform_draws(name):
     tag = tag_from_name(name)
     with np.errstate(over="ignore", invalid="ignore"):  # as the suite holds it
         for seed in range(5):
-            assert _members(topology._sample_element, topology._sample_eps,
-                            topology._sample_member, topology._Draws(seed), tag, seed) == _members(
-                _uniform_element, _uniform_eps, _uniform_member, np.random.default_rng(seed), tag,
-                seed)
+            drawn = _members(topology._sample_element, topology._sample_eps,
+                             topology._sample_member, topology._Draws(seed), tag, seed)
+            assert drawn == _members(_uniform_element, _uniform_eps, _uniform_member,
+                                     np.random.default_rng(seed), tag, seed)
 
 
 #: sha256 prefixes of jsonio.dumps of axiom_suite(tag, 300, seed), and of
